@@ -19,7 +19,7 @@ import numpy as np
 from . import conversions as conv
 from . import geometry, sampling, uniformity
 from .errors import DomainError
-from .sampling import BLOCK_SIZE, as_rng_seed
+from .sampling import CLASS_NAMES, iter_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,8 +78,8 @@ def _rep_value(rep: str, values):
         return conv.SvdShape(*values)
     m = np.array(values, dtype=float).reshape(2, 2)
     norm = np.linalg.norm(m)
-    if norm == 0.0:
-        raise DomainError("zero matrix has no shape")
+    if not 0.0 < norm < math.inf:
+        raise DomainError(f"zero or non-finite matrix has no shape: {values}")
     return m / norm
 
 
@@ -150,37 +150,19 @@ def _cmd_convert(args, out) -> int:
 # sample
 
 
-def _class_name(code: int) -> str:
-    return sampling.CLASS_NAMES[code]
-
-
-def _sample_rows(model, n, seed, m, k):
+def _sample_rows(model, n, seed, m):
     """Yield CSV lines, generated block-wise from deterministic substreams."""
     if model == "angles":
         yield "alpha,beta,gamma,class"
     else:
         yield "a2,b2,c2,r,phi,class"
-    seedobj = as_rng_seed(seed)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for i in range(n_blocks):
-        count = min(BLOCK_SIZE, n - i * BLOCK_SIZE)
-        rng = seedobj.generator(block=i)
+    for rng, count in iter_blocks(n, seed):
         if model == "angles":
             ang = sampling.uniform_angles_batch(rng, count)
-            top = ang.max(axis=1)
-            codes = np.where(top > 0.5, 2, 0)
-            codes[np.abs(top - 0.5) <= sampling.RIGHT_ANGLE_TOL] = 1
-            for row, c in zip(ang, codes):
-                yield (f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{_class_name(c)}")
+            for row, c in zip(ang, sampling._classify_codes(ang)):
+                yield (f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{CLASS_NAMES[c]}")
             continue
-        if model == "gaussian":
-            s2 = sampling._shapes_to_sides(sampling.gaussian_shapes(rng, count))
-        elif model == "hemisphere":
-            lat, lon = sampling.uniform_hemisphere_batch(rng, count)
-            r = np.cos(lat) / 2.0
-            s2 = sampling._sides_from_xy(r * np.cos(lon), r * np.sin(lon))
-        else:
-            s2 = sampling._ndim_to_sides(sampling.ndim_shapes(m, k, rng, count))
+        s2 = sampling.sides_batch(model, rng, count, m)
         x = (s2[:, 0] + s2[:, 1]) / 2.0 - s2[:, 2]
         y = sampling.SQRT3 * (s2[:, 0] - s2[:, 1]) / 2.0
         r = np.hypot(x, y)
@@ -188,22 +170,14 @@ def _sample_rows(model, n, seed, m, k):
         codes = sampling._classify_codes(s2)
         for row, rr, pp, c in zip(s2, r, phi, codes):
             yield (f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},"
-                   f"{rr:.17g},{pp:.17g},{_class_name(c)}")
+                   f"{rr:.17g},{pp:.17g},{CLASS_NAMES[c]}")
 
 
-def _preshape_lines(model, n, seed, m, k):
+def _preshape_lines(n, seed, m, k):
     yield "m,k"
     yield f"{m},{k}"
-    seedobj = as_rng_seed(seed)
-    n_blocks = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for i in range(n_blocks):
-        count = min(BLOCK_SIZE, n - i * BLOCK_SIZE)
-        rng = seedobj.generator(block=i)
-        if model == "gaussian":
-            z = sampling.gaussian_shapes(rng, count)
-        else:
-            z = sampling.ndim_shapes(m, k, rng, count)
-        for mat in z:
+    for rng, count in iter_blocks(n, seed):
+        for mat in sampling.ndim_shapes(m, k, rng, count):
             yield ",".join(f"{v:.17g}" for v in mat.ravel(order="C"))
 
 
@@ -220,7 +194,7 @@ def _cmd_sample(args, out) -> int:
         rec = {"model": model, "n_samples": args.n, "seed": args.seed, "stream": args.stream}
         if model == "ndim":
             rec["m"] = m
-        for name in sampling.CLASS_NAMES:
+        for name in CLASS_NAMES:
             rec[name] = fr[name]
             rec[f"{name}_stderr"] = fr[f"{name}_stderr"]
         _emit_record(rec, args.format, out)
@@ -230,14 +204,14 @@ def _cmd_sample(args, out) -> int:
         if model not in ("gaussian", "ndim"):
             raise SystemExit_(EXIT_USAGE, "--emit preshapes needs model 'gaussian' or 'ndim'")
         mm, kk = (2, 3) if model == "gaussian" else (m, k)
-        for line in _preshape_lines(model, args.n, seed, mm, kk):
+        for line in _preshape_lines(args.n, seed, mm, kk):
             out.write(line + "\n")
         return EXIT_OK
 
     if model == "ndim" and k != 3:
         raise SystemExit_(EXIT_USAGE, "per-sample rows need triangles (k = 3); "
                                       "use --emit preshapes for general k")
-    for line in _sample_rows(model, args.n, seed, m, k):
+    for line in _sample_rows(model, args.n, seed, m):
         out.write(line + "\n")
     return EXIT_OK
 
@@ -314,29 +288,7 @@ def _read_preshape_file(path) -> np.ndarray:
 
 
 def _cmd_test(args, out) -> int:
-    z = _read_preshape_file(args.file)
-    _, m, q = z.shape
-    reports = []
-    if args.which in ("chikuse-jupp", "all"):
-        reports.append(uniformity.chikuse_jupp(z))
-    if args.which in ("sigma-min", "all"):
-        if m == q:
-            inv_smin = 1.0 / np.linalg.svd(z, compute_uv=False)[:, -1]
-            reports.append(uniformity.ks_test(
-                inv_smin, lambda v: uniformity.inv_sigma_min_cdf(v, m), name="sigma-min-ks"))
-        elif args.which == "sigma-min":
-            raise SystemExit_(EXIT_USAGE,
-                              f"sigma-min test needs square preshapes, got {m}x{q}")
-    if args.which in ("hemisphere", "all"):
-        if m == 2 and q == 2:
-            height, lon = uniformity._hemisphere_marginals(z)
-            reports.append(uniformity.ks_test(
-                height, lambda v: min(max(2.0 * v, 0.0), 1.0), name="height-ks"))
-            reports.append(uniformity.ks_test(
-                lon, lambda v: min(max(v / (2.0 * math.pi), 0.0), 1.0), name="longitude-ks"))
-        elif args.which == "hemisphere":
-            raise SystemExit_(EXIT_USAGE,
-                              f"hemisphere test needs m=2, k=3 preshapes, got {m}x{q}")
+    reports = uniformity.uniformity_suite(_read_preshape_file(args.file), args.which).reports
     if args.format == "json":
         _emit_record({"alpha": args.alpha, "tests": [vars(r) for r in reports]},
                      "json", out)
@@ -366,25 +318,13 @@ def _svg_scatter(points, classes, path):
 
 
 def _plot_disk_scatter(args, out):
-    seedobj = as_rng_seed((args.seed, args.stream))
     out.write("x,y,class\n")
     pts, classes = [], []
-    n_blocks = (args.n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    for i in range(n_blocks):
-        count = min(BLOCK_SIZE, args.n - i * BLOCK_SIZE)
-        rng = seedobj.generator(block=i)
-        if args.model == "hemisphere":
-            lat, lon = sampling.uniform_hemisphere_batch(rng, count)
-            r = np.cos(lat) / 2.0
-            x, y = r * np.cos(lon), r * np.sin(lon)
-            s2 = sampling._sides_from_xy(x, y)
-        else:
-            m = sampling.gaussian_shapes(rng, count)
-            x, y = sampling._shapes_to_xy(m)
-            s2 = sampling._sides_from_xy(x, y)
-        codes = sampling._classify_codes(s2)
+    for rng, count in iter_blocks(args.n, (args.seed, args.stream)):
+        x, y = sampling.disk_batch(args.model, rng, count)
+        codes = sampling._classify_codes(conv._sides_from_xy(x, y))
         for xx, yy, c in zip(x, y, codes):
-            name = _class_name(c)
+            name = CLASS_NAMES[c]
             out.write(f"{xx:.17g},{yy:.17g},{name}\n")
             if args.svg:
                 pts.append((xx, yy))
@@ -397,13 +337,8 @@ def _plot_radius_histogram(args, out):
     edges = np.linspace(0.0, 0.5, args.bins + 1)
 
     def block(rng, count):
-        if args.model == "gaussian":
-            x, y = sampling._shapes_to_xy(sampling.gaussian_shapes(rng, count))
-            r = np.hypot(x, y)
-        else:
-            lat, _ = sampling.uniform_hemisphere_batch(rng, count)
-            r = np.cos(lat) / 2.0
-        return np.histogram(r, bins=edges)[0]
+        return np.histogram(np.hypot(*sampling.disk_batch(args.model, rng, count)),
+                            bins=edges)[0]
 
     counts = sampling._mc_sum(args.n, block, (args.seed, args.stream), args.workers)
     cdf = lambda r: 1.0 - math.sqrt(max(1.0 - 4.0 * r * r, 0.0))
@@ -428,12 +363,8 @@ def _plot_angle_bins(args, out):
     out.write("i,j,orientation,count,expected,density_centroid\n")
     for lab, c in counts.items():
         i, j, orient = lab
-        if orient == "up":
-            ca = i * h + h / 3.0
-            cb = j * h + h / 3.0
-        else:
-            ca = i * h + 2.0 * h / 3.0
-            cb = j * h + 2.0 * h / 3.0
+        off = h / 3.0 if orient == "up" else 2.0 * h / 3.0
+        ca, cb = i * h + off, j * h + off
         if args.model == "angles":
             dens = 2.0
         else:
@@ -453,6 +384,8 @@ def _plot_hemisphere_map(args, out):
 
 
 def _cmd_plot_data(args, out) -> int:
+    if args.kind in ("disk-scatter", "radius-histogram") and args.model == "angles":
+        raise SystemExit_(EXIT_USAGE, f"{args.kind} needs model 'gaussian' or 'hemisphere'")
     if args.kind == "disk-scatter":
         _plot_disk_scatter(args, out)
     elif args.kind == "radius-histogram":
@@ -517,7 +450,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("test", parents=[common], help="uniformity tests on a sample file")
     p.add_argument("file")
-    p.add_argument("--which", choices=("chikuse-jupp", "sigma-min", "hemisphere", "all"),
+    p.add_argument("--which", choices=(*uniformity.SUITE_TESTS, "all"),
                    default="all")
     p.set_defaults(func=_cmd_test)
 
@@ -537,15 +470,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
     out, close = None, False
     try:
+        args = _build_parser().parse_args(argv)
         out, close = _open_output(args.output)
         return args.func(args, out)
     except SystemExit_ as exc:

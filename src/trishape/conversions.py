@@ -24,6 +24,7 @@ from .core import HELMERT3, INPUT_TOL
 from .errors import DomainError, NotATriangleError
 
 TWO_PI = 2.0 * math.pi
+SQRT3 = math.sqrt(3.0)
 
 # Projection sending squared sides to the disk: DISK_FROM_SIDES @ (a2,b2,c2)
 # equals r*(cos phi, sin phi).  Its columns are the vertices of an
@@ -43,6 +44,8 @@ def _clamp(x: float, lo: float, hi: float) -> float:
 
 
 def _wrap(angle: float, period: float) -> float:
+    if not math.isfinite(angle):
+        raise DomainError(f"angle must be finite, got {angle}")
     a = math.fmod(angle, period)
     if a < 0.0:
         a += period
@@ -59,9 +62,9 @@ class SvdShape:
 
     def __post_init__(self):
         s1, s2 = float(self.sigma1), float(self.sigma2)
-        if s2 < -INPUT_TOL or s1 < s2 - INPUT_TOL or s1 > 1.0 + INPUT_TOL:
+        if not (-INPUT_TOL <= s2 <= s1 + INPUT_TOL and s1 <= 1.0 + INPUT_TOL):
             raise DomainError(f"need 1 >= sigma1 >= sigma2 >= 0, got ({s1}, {s2})")
-        if abs(s1 * s1 + s2 * s2 - 1.0) > INPUT_TOL:
+        if not abs(s1 * s1 + s2 * s2 - 1.0) <= INPUT_TOL:
             raise DomainError(f"sigma1^2 + sigma2^2 must be 1, got {s1*s1 + s2*s2}")
         self.sigma1 = _clamp(s1, 0.0, 1.0)
         self.sigma2 = _clamp(s2, 0.0, self.sigma1)
@@ -78,9 +81,9 @@ class SquaredSides:
 
     def __post_init__(self):
         vals = [float(self.a2), float(self.b2), float(self.c2)]
-        if min(vals) < -INPUT_TOL:
+        if not min(vals) >= -INPUT_TOL:
             raise DomainError(f"squared sides must be nonnegative, got {vals}")
-        if abs(sum(vals) - 1.0) > INPUT_TOL:
+        if not abs(sum(vals) - 1.0) <= INPUT_TOL:
             raise DomainError(f"squared sides must sum to 1, got sum {sum(vals)}")
         quartic = sum(v * v for v in vals)
         if quartic > 0.5 + INPUT_TOL:
@@ -105,7 +108,7 @@ class HemispherePoint:
 
     def __post_init__(self):
         lat = float(self.latitude)
-        if lat < -INPUT_TOL or lat > math.pi / 2.0 + INPUT_TOL:
+        if not (-INPUT_TOL <= lat <= math.pi / 2.0 + INPUT_TOL):
             raise DomainError(f"latitude must lie in [0, pi/2], got {lat}")
         self.latitude = _clamp(lat, 0.0, math.pi / 2.0)
         self.longitude = _wrap(float(self.longitude), TWO_PI)
@@ -120,7 +123,7 @@ class DiskPoint:
 
     def __post_init__(self):
         r = float(self.r)
-        if r < -INPUT_TOL or r > 0.5 + INPUT_TOL:
+        if not (-INPUT_TOL <= r <= 0.5 + INPUT_TOL):
             raise DomainError(f"disk radius must lie in [0, 1/2], got {r}")
         self.r = _clamp(r, 0.0, 0.5)
         self.phi = _wrap(float(self.phi), TWO_PI)
@@ -140,7 +143,7 @@ class UnitQuaternion:
 
     def __post_init__(self):
         n2 = self.alpha**2 + self.beta**2 + self.gamma**2 + self.delta**2
-        if abs(n2 - 1.0) > INPUT_TOL:
+        if not abs(n2 - 1.0) <= INPUT_TOL:
             raise DomainError(f"quaternion must have unit norm, got |q|^2 = {n2}")
 
 
@@ -154,7 +157,7 @@ def _check_unit_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"shape matrix must be 2x2, got shape {m.shape}")
-    if abs(np.linalg.norm(m) - 1.0) > INPUT_TOL:
+    if not abs(np.linalg.norm(m) - 1.0) <= INPUT_TOL:
         raise DomainError(f"shape matrix must have unit Frobenius norm, got {np.linalg.norm(m)}")
     return m
 
@@ -342,6 +345,25 @@ def hemisphere_to_cartesian(h: HemispherePoint) -> np.ndarray:
         cl * math.sin(h.longitude),
         math.sin(h.latitude),
     ])
+
+
+# ---------------------------------------------------------------------------
+# batch kernels on (n, 2, 2) shape matrices and (n,) disk coordinates
+
+
+def _shapes_to_xy(m: np.ndarray):
+    """Disk Cartesian coordinates (r cos phi, r sin phi) of a (n,2,2) batch."""
+    g11 = m[:, 0, 0] ** 2 + m[:, 1, 0] ** 2
+    g22 = m[:, 0, 1] ** 2 + m[:, 1, 1] ** 2
+    g12 = m[:, 0, 0] * m[:, 0, 1] + m[:, 1, 0] * m[:, 1, 1]
+    return (g11 - g22) / 2.0, g12
+
+
+def _sides_from_xy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    a2 = (1.0 + x + SQRT3 * y) / 3.0
+    b2 = (1.0 + x - SQRT3 * y) / 3.0
+    c2 = (1.0 - 2.0 * x) / 3.0
+    return np.stack([a2, b2, c2], axis=1)
 
 
 # ---------------------------------------------------------------------------

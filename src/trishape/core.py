@@ -61,27 +61,27 @@ def helmert(n: int) -> np.ndarray:
 HELMERT3 = helmert(3)
 
 
+def _as_2x3(x, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (2, 3):
+        raise ValueError(f"{what} matrix must be 2x3, got shape {x.shape}")
+    return x
+
+
 def center_vertices(t_raw) -> np.ndarray:
     """Translate the centroid of a 2x3 vertex matrix to the origin."""
-    t_raw = np.asarray(t_raw, dtype=float)
-    if t_raw.shape != (2, 3):
-        raise ValueError(f"vertex matrix must be 2x3, got shape {t_raw.shape}")
+    t_raw = _as_2x3(t_raw, "vertex")
     return t_raw - t_raw.mean(axis=1, keepdims=True)
 
 
 def vertices_to_edges(t) -> np.ndarray:
     """Edge matrix of a centered vertex matrix (columns sum to zero)."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (2, 3):
-        raise ValueError(f"vertex matrix must be 2x3, got shape {t.shape}")
-    return t @ EDGE_FROM_VERTEX
+    return _as_2x3(t, "vertex") @ EDGE_FROM_VERTEX
 
 
 def edges_to_vertices(e) -> np.ndarray:
     """Centered vertex matrix recovered from an edge matrix."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (2, 3):
-        raise ValueError(f"edge matrix must be 2x3, got shape {e.shape}")
+    e = _as_2x3(e, "edge")
     colsum = e.sum(axis=1)
     if np.abs(colsum).max() > INPUT_TOL * max(1.0, np.abs(e).max()):
         raise DomainError(
@@ -92,7 +92,7 @@ def edges_to_vertices(e) -> np.ndarray:
 
 
 def _shape_from(x) -> np.ndarray:
-    m = np.asarray(x, dtype=float) @ HELMERT3.T
+    m = x @ HELMERT3.T
     norm = np.linalg.norm(m)
     if norm <= 0.0:
         raise DomainError("zero matrix has no shape")
@@ -101,15 +101,9 @@ def _shape_from(x) -> np.ndarray:
 
 def shape_from_vertices(t) -> np.ndarray:
     """Unit-norm 2x2 shape matrix in the vertex view: T @ helmert(3).T, normalized."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (2, 3):
-        raise ValueError(f"vertex matrix must be 2x3, got shape {t.shape}")
-    return _shape_from(t)
+    return _shape_from(_as_2x3(t, "vertex"))
 
 
 def shape_from_edges(e) -> np.ndarray:
     """Unit-norm 2x2 shape matrix in the edge view (the default view): E @ helmert(3).T."""
-    e = np.asarray(e, dtype=float)
-    if e.shape != (2, 3):
-        raise ValueError(f"edge matrix must be 2x3, got shape {e.shape}")
-    return _shape_from(e)
+    return _shape_from(_as_2x3(e, "edge"))

@@ -18,14 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .conversions import DiskPoint, HemispherePoint, SquaredSides, sides_to_disk
+from .conversions import (SQRT3, DiskPoint, HemispherePoint, SquaredSides, _shapes_to_xy,
+                          _sides_from_xy, sides_to_disk)
 from .core import HELMERT3, INPUT_TOL
 from .errors import DomainError
 
 BLOCK_SIZE = 1 << 16
 RIGHT_ANGLE_TOL = 1e-9
 
-SQRT3 = math.sqrt(3.0)
 BROKEN_STICK_FRACTION = math.pi / math.sqrt(27.0)
 # Normalizer of the angle density over the (alpha, beta) simplex; the
 # unnormalized density integrates to 1/ANGLE_DENSITY_NORM.
@@ -66,9 +66,9 @@ class SimplexAngles:
 
     def __post_init__(self):
         vals = [float(self.alpha), float(self.beta), float(self.gamma)]
-        if min(vals) < -INPUT_TOL:
+        if not min(vals) >= -INPUT_TOL:
             raise DomainError(f"simplex angles must be nonnegative, got {vals}")
-        if abs(sum(vals) - 1.0) > INPUT_TOL:
+        if not abs(sum(vals) - 1.0) <= INPUT_TOL:
             raise DomainError(f"simplex angles must sum to 1, got {sum(vals)}")
         self.alpha, self.beta, self.gamma = (max(v, 0.0) for v in vals)
 
@@ -154,45 +154,20 @@ def ndim_shapes(m: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
 
 def classify(s: SquaredSides) -> ClassifiedShape:
     """Acute/right/obtuse by the largest squared side against the 1/2 threshold."""
-    top = max(s.a2, s.b2, s.c2)
-    if abs(top - 0.5) <= RIGHT_ANGLE_TOL:
-        kind = "right"
-    elif top > 0.5:
-        kind = "obtuse"
-    else:
-        kind = "acute"
+    kind = CLASS_NAMES[_classify_codes(s.as_array()[None])[0]]
     return ClassifiedShape(s, kind, sides_to_disk(s))
 
 
-def _classify_codes(s2: np.ndarray) -> np.ndarray:
-    """0 acute / 1 right / 2 obtuse for an (n, 3) squared-sides array."""
-    top = s2.max(axis=1)
+def _classify_codes(vals: np.ndarray) -> np.ndarray:
+    """0 acute / 1 right / 2 obtuse for an (n, 3) array of squared sides or of
+    angles over pi: either is obtuse when its largest entry exceeds 1/2."""
+    top = vals.max(axis=1)
     codes = np.where(top > 0.5, 2, 0)
     codes[np.abs(top - 0.5) <= RIGHT_ANGLE_TOL] = 1
     return codes
 
 
 # vectorized pipeline helpers -----------------------------------------------
-
-
-def _shapes_to_xy(m: np.ndarray):
-    """Disk Cartesian coordinates (r cos phi, r sin phi) of a (n,2,2) batch."""
-    g11 = m[:, 0, 0] ** 2 + m[:, 1, 0] ** 2
-    g22 = m[:, 0, 1] ** 2 + m[:, 1, 1] ** 2
-    g12 = m[:, 0, 0] * m[:, 0, 1] + m[:, 1, 0] * m[:, 1, 1]
-    return (g11 - g22) / 2.0, g12
-
-
-def _sides_from_xy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    a2 = (1.0 + x + SQRT3 * y) / 3.0
-    b2 = (1.0 + x - SQRT3 * y) / 3.0
-    c2 = (1.0 - 2.0 * x) / 3.0
-    return np.stack([a2, b2, c2], axis=1)
-
-
-def _shapes_to_sides(m: np.ndarray) -> np.ndarray:
-    x, y = _shapes_to_xy(m)
-    return _sides_from_xy(x, y)
 
 
 def _ndim_to_sides(z: np.ndarray) -> np.ndarray:
@@ -209,55 +184,73 @@ def _sides_to_angles(s2: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# blocks and models
+
+
+def iter_blocks(n: int, seed):
+    """Yield (generator, count) for each block of an n-sample budget; block i
+    draws from the generator keyed by (seed, stream, i)."""
+    seed = as_rng_seed(seed)
+    for i in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
+        yield seed.generator(block=i), min(BLOCK_SIZE, n - i * BLOCK_SIZE)
+
+
+def disk_batch(model: str, rng: np.random.Generator, count: int):
+    """Disk coordinates (x, y) of count shapes from the 'gaussian' or
+    'hemisphere' model; both are uniform on the hemisphere."""
+    if model == "gaussian":
+        return _shapes_to_xy(gaussian_shapes(rng, count))
+    if model == "hemisphere":
+        lat, lon = uniform_hemisphere_batch(rng, count)
+        r = np.cos(lat) / 2.0
+        return r * np.cos(lon), r * np.sin(lon)
+    raise ValueError(f"disk coordinates need model 'gaussian' or 'hemisphere', got {model!r}")
+
+
+def sides_batch(model: str, rng: np.random.Generator, count: int, m: int = 2) -> np.ndarray:
+    """(count, 3) squared sides from 'gaussian', 'hemisphere' or 'ndim'
+    (Gaussian triangles in R^m)."""
+    if model == "ndim":
+        return _ndim_to_sides(ndim_shapes(m, 3, rng, count))
+    return _sides_from_xy(*disk_batch(model, rng, count))
+
+
+# ---------------------------------------------------------------------------
 # block-wise Monte Carlo
 
 
 def _mc_sum(n_samples: int, block_fn, seed, workers: int = 1) -> np.ndarray:
-    """Sum block_fn(rng, count) over deterministic blocks of the sample budget.
+    """Sum block_fn(rng, count) over the blocks of iter_blocks(n_samples, seed).
 
     block_fn must return integer counts so the total is exactly independent
     of how blocks are scheduled across workers.
     """
     if n_samples < 1:
         raise ValueError(f"need at least one sample, got {n_samples}")
-    seed = as_rng_seed(seed)
-    n_blocks = (n_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def run(i: int) -> np.ndarray:
-        count = min(BLOCK_SIZE, n_samples - i * BLOCK_SIZE)
-        return np.asarray(block_fn(seed.generator(block=i), count), dtype=np.int64)
+    def run(block) -> np.ndarray:
+        return np.asarray(block_fn(*block), dtype=np.int64)
 
     if workers <= 1:
-        total = run(0)
-        for i in range(1, n_blocks):
-            total = total + run(i)
-        return total
+        return np.sum([run(b) for b in iter_blocks(n_samples, seed)], axis=0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(run, range(n_blocks)))
-    return np.sum(results, axis=0)
+        return np.sum(list(pool.map(run, iter_blocks(n_samples, seed))), axis=0)
 
 
 def _class_counts_block(model: str, m: int):
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        if model == "gaussian":
-            s2 = _shapes_to_sides(gaussian_shapes(rng, count))
-        elif model == "ndim":
-            s2 = _ndim_to_sides(ndim_shapes(m, 3, rng, count))
-        elif model == "hemisphere":
-            lat, lon = uniform_hemisphere_batch(rng, count)
-            r = np.cos(lat) / 2.0
-            s2 = _sides_from_xy(r * np.cos(lon), r * np.sin(lon))
-        elif model == "angles":
-            ang = uniform_angles_batch(rng, count)
-            top = ang.max(axis=1)
-            codes = np.where(top > 0.5, 2, 0)
-            codes[np.abs(top - 0.5) <= RIGHT_ANGLE_TOL] = 1
-            return np.bincount(codes, minlength=3)
+        if model == "angles":
+            vals = uniform_angles_batch(rng, count)
         else:
-            raise ValueError(f"unknown sampling model {model!r}")
-        return np.bincount(_classify_codes(s2), minlength=3)
+            vals = sides_batch(model, rng, count, m)
+        return np.bincount(_classify_codes(vals), minlength=3)
 
     return block
+
+
+def _binomial(count, n_samples: int) -> MonteCarloEstimate:
+    p = count / n_samples
+    return MonteCarloEstimate(p, math.sqrt(p * (1.0 - p) / n_samples), n_samples)
 
 
 def class_fractions(model: str, n_samples: int, seed=0, m: int = 2,
@@ -269,9 +262,8 @@ def class_fractions(model: str, n_samples: int, seed=0, m: int = 2,
     counts = _mc_sum(n_samples, _class_counts_block(model, m), seed, workers)
     out = {"n_samples": n_samples, "counts": {n: int(c) for n, c in zip(CLASS_NAMES, counts)}}
     for name, c in zip(CLASS_NAMES, counts):
-        p = c / n_samples
-        out[name] = p
-        out[f"{name}_stderr"] = math.sqrt(p * (1.0 - p) / n_samples)
+        est = _binomial(c, n_samples)
+        out[name], out[f"{name}_stderr"] = est.estimate, est.stderr
     return out
 
 
@@ -279,16 +271,14 @@ def acute_probability_mc(n_samples: int, seed=0, workers: int = 1) -> MonteCarlo
     """Fraction of Gaussian shapes that are acute (exact right angles count as acute;
     the boundary has probability zero)."""
     fr = class_fractions("gaussian", n_samples, seed=seed, workers=workers)
-    p = (fr["counts"]["acute"] + fr["counts"]["right"]) / n_samples
-    return MonteCarloEstimate(p, math.sqrt(p * (1.0 - p) / n_samples), n_samples)
+    return _binomial(fr["counts"]["acute"] + fr["counts"]["right"], n_samples)
 
 
 def obtuse_fraction_ndim_mc(n_dim: int, n_samples: int, seed=0,
                             workers: int = 1) -> MonteCarloEstimate:
     """Monte Carlo obtuse fraction for Gaussian triangles in R^n."""
     fr = class_fractions("ndim", n_samples, seed=seed, m=n_dim, workers=workers)
-    p = fr["counts"]["obtuse"] / n_samples
-    return MonteCarloEstimate(p, math.sqrt(p * (1.0 - p) / n_samples), n_samples)
+    return _binomial(fr["counts"]["obtuse"], n_samples)
 
 
 def broken_stick_fraction(n_samples: int, seed=0, workers: int = 1) -> MonteCarloEstimate:
@@ -299,14 +289,11 @@ def broken_stick_fraction(n_samples: int, seed=0, workers: int = 1) -> MonteCarl
     """
 
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        e = rng.exponential(size=(count, 3))
-        s2 = e / e.sum(axis=1)[:, None]
+        s2 = uniform_angles_batch(rng, count)
         good = int(((s2 * s2).sum(axis=1) <= 0.5).sum())
         return np.array([good])
 
-    good = int(_mc_sum(n_samples, block, seed, workers)[0])
-    p = good / n_samples
-    return MonteCarloEstimate(p, math.sqrt(p * (1.0 - p) / n_samples), n_samples)
+    return _binomial(int(_mc_sum(n_samples, block, seed, workers)[0]), n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +301,12 @@ def broken_stick_fraction(n_samples: int, seed=0, workers: int = 1) -> MonteCarl
 
 
 def obtuse_probability_ndim(n: int) -> float:
-    """Probability that a Gaussian triangle in R^n is obtuse:
-    3 (1 - I(3/4; n/2, n/2)) with I the regularized incomplete beta."""
+    """Probability that a Gaussian triangle in R^n is obtuse: 3 I(1/4; n/2, n/2)
+    with I the regularized incomplete beta, which equals 3 (1 - I(3/4; n/2, n/2))
+    but keeps full relative precision at large n."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    return 3.0 * (1.0 - specfun.betainc_reg(n / 2.0, n / 2.0, 0.75))
+    return 3.0 * specfun.betainc_reg(n / 2.0, n / 2.0, 0.25)
 
 
 def acute_probability_ndim(n: int) -> float:
@@ -497,10 +485,10 @@ def angle_bin_counts(model: str, n_samples: int, seed=0, bins_per_side: int = 10
     down_base = up_base[n] + np.cumsum([0] + [n - 1 - ii for ii in range(n - 1)])
 
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        if model == "gaussian":
-            ang = _sides_to_angles(_shapes_to_sides(gaussian_shapes(rng, count)))
-        elif model == "angles":
+        if model == "angles":
             ang = uniform_angles_batch(rng, count)
+        elif model == "gaussian":
+            ang = _sides_to_angles(sides_batch(model, rng, count))
         else:
             raise ValueError(f"angle bins need model 'gaussian' or 'angles', got {model!r}")
         i = np.minimum((ang[:, 0] * n).astype(np.int64), n - 1)

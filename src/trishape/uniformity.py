@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conversions import _shapes_to_xy
 from .specfun import gamma_q, gauss_2f1, kolmogorov_sf
 
 __all__ = [
@@ -65,6 +66,8 @@ def _as_sample_array(samples) -> np.ndarray:
         raise ValueError("samples must share a common m x (k-1) matrix shape")
     if arr.shape[0] == 0:
         raise ValueError("empty sample set")
+    if not np.isfinite(arr).all():
+        raise ValueError("preshapes must be finite")
     norms = np.linalg.norm(arr.reshape(arr.shape[0], -1), axis=1)
     if np.abs(norms - 1.0).max() > 1e-6:
         raise ValueError("preshapes must have unit Frobenius norm")
@@ -159,28 +162,38 @@ def ks_test(samples, cdf, name: str = "ks") -> TestReport:
 def _hemisphere_marginals(z: np.ndarray):
     """Height |det Z| and longitude of planar triangle preshapes (m=2, k=3)."""
     height = np.abs(z[:, 0, 0] * z[:, 1, 1] - z[:, 0, 1] * z[:, 1, 0])
-    g11 = z[:, 0, 0] ** 2 + z[:, 1, 0] ** 2
-    g22 = z[:, 0, 1] ** 2 + z[:, 1, 1] ** 2
-    g12 = z[:, 0, 0] * z[:, 0, 1] + z[:, 1, 0] * z[:, 1, 1]
-    lon = np.mod(np.arctan2(g12, (g11 - g22) / 2.0), 2.0 * math.pi)
-    return height, lon
+    x, y = _shapes_to_xy(z)
+    return height, np.mod(np.arctan2(y, x), 2.0 * math.pi)
 
 
-def uniformity_suite(samples) -> SuiteReport:
-    """Run all applicable uniformity tests on a common preshape sample.
+SUITE_TESTS = ("chikuse-jupp", "sigma-min", "hemisphere")
 
-    Always runs the second-moment test; adds the 1/sigma_min KS test when
-    the preshapes are square, and the hemisphere height/longitude KS tests
-    for planar triangles (m = 2, k = 3).
+
+def uniformity_suite(samples, which: str = "all") -> SuiteReport:
+    """Run one of SUITE_TESTS, or with which='all' every one that applies.
+
+    'chikuse-jupp' applies to any preshapes, 'sigma-min' to square ones and
+    'hemisphere' to planar triangles (m = 2, k = 3); naming a test that does
+    not apply raises ValueError.
     """
+    if which not in (*SUITE_TESTS, "all"):
+        raise ValueError(f"unknown uniformity test {which!r}")
     z = _as_sample_array(samples)
     _, m, q = z.shape
-    suite = SuiteReport([chikuse_jupp(z)])
-    if m == q:
+
+    def runs(name: str, applies: bool, needs: str) -> bool:
+        if which == name and not applies:
+            raise ValueError(f"{name} test needs {needs} preshapes, got {m}x{q}")
+        return applies and which in (name, "all")
+
+    suite = SuiteReport()
+    if which in ("chikuse-jupp", "all"):
+        suite.reports.append(chikuse_jupp(z))
+    if runs("sigma-min", m == q, "square"):
         inv_smin = 1.0 / np.linalg.svd(z, compute_uv=False)[:, -1]
         suite.reports.append(
             ks_test(inv_smin, lambda v: inv_sigma_min_cdf(v, m), name="sigma-min-ks"))
-    if m == 2 and q == 2:
+    if runs("hemisphere", m == q == 2, "m=2, k=3"):
         height, lon = _hemisphere_marginals(z)
         suite.reports.append(
             ks_test(height, lambda v: min(max(2.0 * v, 0.0), 1.0), name="height-ks"))

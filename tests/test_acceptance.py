@@ -30,7 +30,8 @@ def report(number, ok, detail):
 
 def test_criterion_01_roundtrip_completeness():
     n = 10_000
-    sides = samp._shapes_to_sides(samp.gaussian_shapes(samp.RngSeed(101).generator(), n))
+    m = samp.gaussian_shapes(samp.RngSeed(101).generator(), n)
+    sides = conv._sides_from_xy(*conv._shapes_to_xy(m))
     t0 = time.perf_counter()
     worst = 0.0
     for row in sides:
@@ -70,10 +71,10 @@ def test_criterion_03_acute_fraction():
 def test_criterion_04_hemisphere_uniformity():
     n = 100_000
     m = samp.gaussian_shapes(samp.RngSeed(104).generator(), n)
-    x, y = samp._shapes_to_xy(m)
+    x, y = conv._shapes_to_xy(m)
     height = np.sqrt(np.maximum(0.25 - (x * x + y * y), 0.0))
     lon = np.mod(np.arctan2(y, x), 2.0 * math.pi)
-    s2 = samp._sides_from_xy(x, y)
+    s2 = conv._sides_from_xy(x, y)
     area = np.sqrt(np.maximum(1.0 - 2.0 * (s2**2).sum(axis=1), 0.0)) / 4.0
     pvals = {
         "height": uni.ks_test(2.0 * height, lambda v: v).p_value,

@@ -57,6 +57,27 @@ def test_convert_usage_errors(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("rep,values", [
+    ("sides", ["nan", "0.5", "0.5"]),
+    ("sides", ["0.5", "inf", "0.25"]),
+    ("disk", ["nan", "0"]),
+    ("disk", ["0.25", "nan"]),
+    ("disk", ["0.25", "inf"]),
+    ("hemisphere", ["nan", "1"]),
+    ("hemisphere", ["0.5", "inf"]),
+    ("svd", ["nan", "0", "0"]),
+    ("svd", ["1", "0", "nan"]),
+    ("matrix", ["nan", "1", "0", "1"]),
+    ("matrix", ["inf", "1", "0", "1"]),
+])
+def test_convert_non_finite_input_is_domain_error(rep, values, capsys):
+    to = "disk" if rep != "disk" else "svd"
+    code, out, err = run_cli(["convert", "--from", rep, "--to", to, *values], capsys)
+    assert code == 2
+    assert out == ""
+    assert "domain error" in err
+
+
 def test_convert_roundtrip_flag_and_json(capsys):
     code, out, _ = run_cli(["convert", "--from", "sides", "--to", "svd",
                             "0.5", "0.25", "0.25", "--roundtrip", "--format", "json"],
@@ -228,8 +249,30 @@ def test_sigma_min_requires_square(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("which", ["chikuse-jupp", "sigma-min", "hemisphere", "all"])
+def test_non_finite_preshape_file_usage_error(which, tmp_path, capsys):
+    f = tmp_path / "pre.csv"
+    run_cli(["sample", "gaussian", "-n", "50", "--seed", "3", "--emit", "preshapes",
+             "--output", str(f)], capsys)
+    lines = f.read_text().splitlines()
+    lines[10] = "nan," + lines[10].split(",", 1)[1]
+    f.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["test", str(f), "--which", which], capsys)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # plot-data
+
+
+@pytest.mark.parametrize("kind", ["disk-scatter", "radius-histogram"])
+def test_plot_disk_data_needs_shape_model(kind, capsys):
+    code, out, err = run_cli(["plot-data", kind, "-n", "10", "--model", "angles"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "'gaussian' or 'hemisphere'" in err
 
 
 def test_plot_disk_scatter_inside_disk(tmp_path, capsys):

@@ -51,6 +51,25 @@ def test_quaternion_validation():
         conv.UnitQuaternion(1.0, 1.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda v: conv.SquaredSides(v, 0.5, 0.5),
+    lambda v: conv.SquaredSides(0.5, v, 0.25),
+    lambda v: conv.DiskPoint(v, 0.0),
+    lambda v: conv.DiskPoint(0.25, v),
+    lambda v: conv.HemispherePoint(v, 0.0),
+    lambda v: conv.HemispherePoint(0.5, v),
+    lambda v: conv.SvdShape(v, 0.0, 0.0),
+    lambda v: conv.SvdShape(1.0, 0.0, v),
+    lambda v: conv.UnitQuaternion(v, 0.0, 0.0, 0.0),
+    lambda v: conv.shape_to_sides(np.array([[v, 0.0], [0.0, 0.0]])),
+], ids=["a2", "b2", "r", "phi", "latitude", "longitude", "sigma1", "theta",
+        "quaternion", "matrix"])
+def test_non_finite_values_rejected(make, bad):
+    with pytest.raises(DomainError):
+        make(bad)
+
+
 # ---------------------------------------------------------------------------
 # closed-form SVD
 

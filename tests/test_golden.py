@@ -1,0 +1,240 @@
+"""Golden bytes of seeded CLI output.
+
+Each case runs one ``trishape`` command and pins the sha256 of its stdout,
+of every file it writes and its exit code.  The cases cover every sampled
+path (row emission, summaries, preshape files, plot data) with sample
+counts past ``BLOCK_SIZE``, so a block boundary is crossed, and the
+``test`` command with each ``--which`` on square and non-square files.
+Any change to these bytes must be deliberate and named in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from trishape import cli
+from trishape.sampling import BLOCK_SIZE
+
+N_ROWS = BLOCK_SIZE + 500      # crosses one block boundary
+N_SUMMARY = 3 * BLOCK_SIZE + 17
+
+# Input files for the ``test`` cases, written by the commands that make them.
+INPUTS = {
+    "pre22.csv": ["sample", "gaussian", "-n", "3000", "--seed", "21", "--emit", "preshapes"],
+    "pre33.csv": ["sample", "ndim", "--m", "3", "--k", "4", "-n", "40", "--seed", "22",
+                  "--emit", "preshapes"],
+    "pre24.csv": ["sample", "ndim", "--m", "2", "--k", "5", "-n", "500", "--seed", "23",
+                  "--emit", "preshapes"],
+}
+
+# (case id, argv, output file names passed as -o / --svg)
+CASES = [
+    ("rows-gaussian", ["sample", "gaussian", "-n", str(N_ROWS), "--seed", "3"], ("out",)),
+    ("rows-hemisphere", ["sample", "hemisphere", "-n", str(N_ROWS), "--seed", "4"], ("out",)),
+    ("rows-angles", ["sample", "angles", "-n", str(N_ROWS), "--seed", "5"], ("out",)),
+    ("rows-ndim", ["sample", "ndim", "--m", "4", "-n", str(N_ROWS), "--seed", "6",
+                   "--stream", "2"], ("out",)),
+    ("summary-gaussian", ["sample", "gaussian", "-n", str(N_SUMMARY), "--seed", "7",
+                          "--summary"], ()),
+    ("summary-hemisphere", ["sample", "hemisphere", "-n", str(N_SUMMARY), "--seed", "8",
+                            "--summary", "--workers", "2"], ()),
+    ("summary-angles", ["sample", "angles", "-n", str(N_SUMMARY), "--seed", "9",
+                        "--summary", "--format", "json"], ()),
+    ("summary-ndim", ["sample", "ndim", "--m", "5", "-n", str(N_SUMMARY), "--seed", "10",
+                      "--summary", "--format", "csv"], ()),
+    ("preshapes-gaussian", ["sample", "gaussian", "-n", str(N_ROWS), "--seed", "11",
+                            "--emit", "preshapes"], ("out",)),
+    ("preshapes-ndim-k5", ["sample", "ndim", "--m", "3", "--k", "5", "-n", str(N_ROWS),
+                           "--seed", "12", "--emit", "preshapes"], ("out",)),
+    ("scatter-gaussian", ["plot-data", "disk-scatter", "-n", str(N_ROWS), "--seed", "13"],
+     ("out", "svg")),
+    ("scatter-hemisphere", ["plot-data", "disk-scatter", "-n", str(N_ROWS), "--seed", "14",
+                            "--model", "hemisphere"], ("out", "svg")),
+    ("radius-gaussian", ["plot-data", "radius-histogram", "-n", str(N_SUMMARY),
+                         "--seed", "15"], ("out",)),
+    ("radius-hemisphere", ["plot-data", "radius-histogram", "-n", str(N_SUMMARY),
+                           "--seed", "16", "--model", "hemisphere", "--workers", "2"],
+     ("out",)),
+    ("angle-bins-angles", ["plot-data", "angle-bins", "-n", str(N_SUMMARY), "--seed", "17",
+                           "--model", "angles"], ("out",)),
+    ("angle-bins-gaussian", ["plot-data", "angle-bins", "-n", str(N_SUMMARY), "--seed", "18",
+                             "--bins-per-side", "3"], ("out",)),
+    ("test22-all", ["test", "pre22.csv", "--which", "all"], ()),
+    ("test22-chikuse-jupp", ["test", "pre22.csv", "--which", "chikuse-jupp"], ()),
+    ("test22-sigma-min", ["test", "pre22.csv", "--which", "sigma-min"], ()),
+    ("test22-hemisphere", ["test", "pre22.csv", "--which", "hemisphere",
+                           "--format", "json"], ()),
+    ("test33-all", ["test", "pre33.csv", "--which", "all"], ()),
+    ("test33-hemisphere", ["test", "pre33.csv", "--which", "hemisphere"], ()),
+    ("test24-all", ["test", "pre24.csv", "--which", "all", "--format", "json"], ()),
+    ("test24-sigma-min", ["test", "pre24.csv", "--which", "sigma-min"], ()),
+    ("convert-sides-disk", ["convert", "--from", "sides", "--to", "disk",
+                            "0.5", "0.25", "0.25"], ()),
+    ("convert-matrix-svd", ["convert", "--from", "matrix", "--to", "svd",
+                            "0.3", "-1.2", "0.7", "0.1", "--format", "json"], ()),
+    ("convert-hemisphere-roundtrip", ["convert", "--from", "hemisphere", "--to", "sides",
+                                      "0.4", "7.5", "--roundtrip"], ()),
+]
+
+GOLDEN = {
+    "rows-gaussian": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "80bc43a42846d560222e5f15a93d047147cda3b15ea74fba79a35d7976fdedfa",
+    },
+    "rows-hemisphere": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "44e84186412095751e70d9b676e536314d320a8511a5673f0dd02394b4830d9b",
+    },
+    "rows-angles": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "808225db677ffb28bc52e447660405551eb9b41a8423a9c0e91f5b847394b9ce",
+    },
+    "rows-ndim": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "7ad5ece0187fca0e207f09bb2cbb2c6ac633a15c393bddbbe259ff13783eef26",
+    },
+    "summary-gaussian": {
+        "code": 0,
+        "stdout": "1411e68220a5fc28a63e86f753466f7b78bc15c40ca57681a748fd54fab197bc",
+    },
+    "summary-hemisphere": {
+        "code": 0,
+        "stdout": "e18851f70af0992f7354602fc8b04be79f7cd9daa16ffbf95ef19616602bea4b",
+    },
+    "summary-angles": {
+        "code": 0,
+        "stdout": "a4405fda9637923f8633733018c203bc26e0cebf626d358375cd140ec0b045e9",
+    },
+    "summary-ndim": {
+        "code": 0,
+        "stdout": "860fe6338659d919d5c29adc7ae6c1a4b7a74d9d5690685a82a933f7d6150e7e",
+    },
+    "preshapes-gaussian": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "b9bfb88274b65125f669b9c89748eaebfa8f56d93c7ef688b443d3e1dfadb37a",
+    },
+    "preshapes-ndim-k5": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "6125694b2be98d8cba13ba8abaaf7f125649c257c18a8001bd15c8e3629dc333",
+    },
+    "scatter-gaussian": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "5477d34b7c6afe217edd4936e134fb93584e8293d0f2c276f0cc5cf20a0095c2",
+        "svg": "9d92e5234b3a52d43f3ee5cf8f0d2a3831ba60e7ad75df41022e16dca8c92d97",
+    },
+    "scatter-hemisphere": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "52f4bd43d3fc683aa3b90a195eec71f577ad54c0dbee9b577490c4bd4d8784aa",
+        "svg": "29013cbe42479ce27b4506a926ffa06e85be33facc0d06d91b950fa139366aa7",
+    },
+    "radius-gaussian": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "ae6d55a49bc7ac354b536ed68ed5b975c00fb6616a27ea3d21875d10c7fe1ea3",
+    },
+    "radius-hemisphere": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "b9d6ceffc2fedfa3e9d19cc814f328962bdb61c87b15c4d7e0bde85949edc679",
+    },
+    "angle-bins-angles": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "2d51615f25664dff894b8c66160cee06f8afee0c00f23c8151023d24edb48ac2",
+    },
+    "angle-bins-gaussian": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "5688bd23fd616eee8a4cf61f2b4bf9efd0403615491846168ae5d6884517eb16",
+    },
+    "test22-all": {
+        "code": 0,
+        "stdout": "8972cfd469dfd8c92a1b0648c27d07f8325530f63e7645a302fe88c19e14ac94",
+    },
+    "test22-chikuse-jupp": {
+        "code": 0,
+        "stdout": "214b61e0acb120259a3d5cacd24e5ccf38f78bf597df916626c86b245232f829",
+    },
+    "test22-sigma-min": {
+        "code": 0,
+        "stdout": "5c3d2f4960f1cf76b4ecac6c5455743b6cd6c370772004154c89aace359c982e",
+    },
+    "test22-hemisphere": {
+        "code": 0,
+        "stdout": "6133736700b490c0108e174eab59e24dcab01e457e6e22fe9bcb62f6aa1d0ccd",
+    },
+    "test33-all": {
+        "code": 0,
+        "stdout": "b73b994d2ee89a58098c4c7509d571efafdf5ab9302eb5ff0ef00573bf6fd046",
+    },
+    "test33-hemisphere": {
+        "code": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "test24-all": {
+        "code": 3,
+        "stdout": "3f52452469ac32b49e53e9c0f36c504852e4dfbfe64e14e8278c6ba1fa647e4b",
+    },
+    "test24-sigma-min": {
+        "code": 1,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "convert-sides-disk": {
+        "code": 0,
+        "stdout": "c6a7a8719925841f8756cdf80a06ccd7526687131bdcf67b3aaaf6ccc8138696",
+    },
+    "convert-matrix-svd": {
+        "code": 0,
+        "stdout": "09cb31fd65c992154ea723bd0f43e0e29ad81ca35266237079ae577541611298",
+    },
+    "convert-hemisphere-roundtrip": {
+        "code": 0,
+        "stdout": "aaa554f157b15769bfb577834f58f0cc779a886b39b003e0ebe1b8c6f6558ce2",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run(argv, capsys):
+    capsys.readouterr()
+    code = cli.main(argv)
+    return code, capsys.readouterr().out.encode()
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+def digest_case(case_id, argv, files, workdir, capsys):
+    """Run one case in workdir; return {"code", "stdout", <file>: sha256}."""
+    for name, make in INPUTS.items():
+        if not (workdir / name).exists():
+            code, _ = _run(make + ["-o", str(workdir / name)], capsys)
+            assert code == 0, name
+    argv = [str(workdir / a) if a in INPUTS else a for a in argv]
+    paths = {f: workdir / f"{case_id}.{f}" for f in files}
+    flags = {"out": "-o", "svg": "--svg"}
+    for f, path in paths.items():
+        argv = argv + [flags[f], str(path)]
+    code, stdout = _run(argv, capsys)
+    rec = {"code": code, "stdout": _sha(stdout)}
+    for f, path in paths.items():
+        rec[f] = _sha(path.read_bytes())
+    return rec
+
+
+@pytest.mark.parametrize("case_id,argv,files", CASES, ids=[c[0] for c in CASES])
+def test_golden_bytes(case_id, argv, files, workdir, capsys):
+    assert digest_case(case_id, argv, files, workdir, capsys) == GOLDEN[case_id]

@@ -35,6 +35,25 @@ def test_mc_totals_independent_of_workers():
         assert est.estimate == base
 
 
+def test_iter_blocks_partition_budget_by_block_generator():
+    n = 2 * samp.BLOCK_SIZE + 5
+    blocks = list(samp.iter_blocks(n, (7, 3)))
+    assert [c for _, c in blocks] == [samp.BLOCK_SIZE, samp.BLOCK_SIZE, 5]
+    for i, (rng, _) in enumerate(blocks):
+        ref = samp.RngSeed(7, 3).generator(block=i)
+        assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
+
+
+def test_sides_batch_models():
+    for model, m in (("gaussian", 2), ("hemisphere", 2), ("ndim", 5)):
+        s2 = samp.sides_batch(model, samp.RngSeed(8).generator(), 100, m)
+        assert s2.shape == (100, 3)
+        assert np.allclose(s2.sum(axis=1), 1.0)
+        assert ((s2 * s2).sum(axis=1) <= 0.5 + 1e-12).all()
+    with pytest.raises(ValueError):
+        samp.disk_batch("angles", samp.RngSeed(8).generator(), 10)
+
+
 def test_sampler_guard_and_errors():
     with pytest.raises(ValueError):
         samp.acute_probability_mc(0)
@@ -73,7 +92,7 @@ def test_gaussian_det_ratio_uniform():
 
 def test_gaussian_longitude_uniform():
     m = samp.gaussian_shapes(samp.RngSeed(22).generator(), 100_000)
-    x, y = samp._shapes_to_xy(m)
+    x, y = conv._shapes_to_xy(m)
     lon = np.mod(np.arctan2(y, x), 2 * np.pi)
     result = stats.kstest(lon / (2 * np.pi), "uniform")
     assert result.statistic < 0.01
@@ -82,21 +101,21 @@ def test_gaussian_longitude_uniform():
 
 def test_gaussian_squared_sides_uniform_on_two_thirds():
     m = samp.gaussian_shapes(samp.RngSeed(23).generator(), 50_000)
-    s2 = samp._shapes_to_sides(m)
+    s2 = conv._sides_from_xy(*conv._shapes_to_xy(m))
     for i in range(3):
         assert ks_pvalue(s2[:, i] * 1.5, "uniform") > 0.01
 
 
 def test_gaussian_area_uniform():
     m = samp.gaussian_shapes(samp.RngSeed(24).generator(), 50_000)
-    s2 = samp._shapes_to_sides(m)
+    s2 = conv._sides_from_xy(*conv._shapes_to_xy(m))
     k = np.sqrt(np.maximum(1.0 - 2.0 * (s2**2).sum(axis=1), 0.0)) / 4.0
     assert ks_pvalue(k * math.sqrt(48.0), "uniform") > 0.01
 
 
 def test_gaussian_height_longitude_independent():
     m = samp.gaussian_shapes(samp.RngSeed(25).generator(), 100_000)
-    x, y = samp._shapes_to_xy(m)
+    x, y = conv._shapes_to_xy(m)
     height = np.sqrt(np.maximum(0.25 - (x * x + y * y), 0.0))
     lon = np.mod(np.arctan2(y, x), 2 * np.pi)
     assert distance_correlation(height, lon) < 0.02
@@ -168,6 +187,12 @@ def test_obtuse_probability_values():
         assert abs(samp.obtuse_probability_ndim(n) - ref) < 1e-12
     with pytest.raises(ValueError):
         samp.obtuse_probability_ndim(1)
+
+
+@pytest.mark.parametrize("n", [3, 12, 50, 200, 2000])
+def test_obtuse_probability_full_relative_precision(n):
+    ref = 3.0 * special.betainc(n / 2, n / 2, 0.25)
+    assert samp.obtuse_probability_ndim(n) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_ndim_mc_agrees_with_analytic():

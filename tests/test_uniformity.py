@@ -219,3 +219,33 @@ def test_suite_nonsquare_skips_sigma_min():
     z = uniform_preshapes(100, m=3, q=4, seed=12)
     suite = uni.uniformity_suite(z)
     assert [r.name for r in suite.reports] == ["chikuse-jupp"]
+
+
+def test_suite_which_runs_one_test():
+    z = uniform_preshapes(500, seed=13)
+    full = uni.uniformity_suite(z)
+    for which, names in (("chikuse-jupp", ["chikuse-jupp"]),
+                         ("sigma-min", ["sigma-min-ks"]),
+                         ("hemisphere", ["height-ks", "longitude-ks"])):
+        suite = uni.uniformity_suite(z, which=which)
+        assert [r.name for r in suite.reports] == names
+        for r in suite.reports:
+            assert vars(r) == vars(next(f for f in full.reports if f.name == r.name))
+
+
+def test_suite_which_rejects_inapplicable_and_unknown_tests():
+    z = uniform_preshapes(50, m=2, q=4, seed=14)
+    for which in ("sigma-min", "hemisphere"):
+        with pytest.raises(ValueError, match=f"{which} test needs"):
+            uni.uniformity_suite(z, which=which)
+    with pytest.raises(ValueError, match="unknown"):
+        uni.uniformity_suite(z, which="bogus")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_suite_rejects_non_finite_preshapes(bad):
+    z = uniform_preshapes(50, seed=15)
+    z[7, 1, 0] = bad
+    for which in (*uni.SUITE_TESTS, "all"):
+        with pytest.raises(ValueError, match="finite"):
+            uni.uniformity_suite(z, which=which)
