@@ -152,11 +152,12 @@ def _cmd_convert(args, out) -> int:
 
 def _sample_rows(model, n, seed, m):
     """Yield CSV lines, generated block-wise from deterministic substreams."""
+    blocks = iter_blocks(n, seed)   # rejects n < 1 before the header
     if model == "angles":
         yield "alpha,beta,gamma,class"
     else:
         yield "a2,b2,c2,r,phi,class"
-    for rng, count in iter_blocks(n, seed):
+    for rng, count in blocks:
         if model == "angles":
             ang = sampling.uniform_angles_batch(rng, count)
             for row, c in zip(ang, sampling._classify_codes(ang)):
@@ -174,9 +175,10 @@ def _sample_rows(model, n, seed, m):
 
 
 def _preshape_lines(n, seed, m, k):
+    blocks = iter_blocks(n, seed)
     yield "m,k"
     yield f"{m},{k}"
-    for rng, count in iter_blocks(n, seed):
+    for rng, count in blocks:
         for mat in sampling.ndim_shapes(m, k, rng, count):
             yield ",".join(f"{v:.17g}" for v in mat.ravel(order="C"))
 
@@ -318,9 +320,10 @@ def _svg_scatter(points, classes, path):
 
 
 def _plot_disk_scatter(args, out):
+    blocks = iter_blocks(args.n, (args.seed, args.stream))
     out.write("x,y,class\n")
     pts, classes = [], []
-    for rng, count in iter_blocks(args.n, (args.seed, args.stream)):
+    for rng, count in blocks:
         x, y = sampling.disk_batch(args.model, rng, count)
         codes = sampling._classify_codes(conv._sides_from_xy(x, y))
         for xx, yy, c in zip(x, y, codes):
@@ -482,7 +485,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"trishape: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"trishape: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .conversions import (SQRT3, DiskPoint, HemispherePoint, SquaredSides, _shapes_to_xy,
-                          _sides_from_xy, sides_to_disk)
+from .conversions import (DISK_FROM_SIDES, SQRT3, DiskPoint, HemispherePoint, SquaredSides,
+                          _shapes_to_xy, _sides_from_xy, sides_to_disk)
 from .core import HELMERT3, INPUT_TOL
 from .errors import DomainError
 
@@ -188,11 +188,14 @@ def _sides_to_angles(s2: np.ndarray) -> np.ndarray:
 
 
 def iter_blocks(n: int, seed):
-    """Yield (generator, count) for each block of an n-sample budget; block i
-    draws from the generator keyed by (seed, stream, i)."""
+    """Iterator of (generator, count) for each block of an n-sample budget;
+    block i draws from the generator keyed by (seed, stream, i).  n < 1
+    raises ValueError at the call, before any caller writes output."""
+    if n < 1:
+        raise ValueError(f"need at least one sample, got {n}")
     seed = as_rng_seed(seed)
-    for i in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE):
-        yield seed.generator(block=i), min(BLOCK_SIZE, n - i * BLOCK_SIZE)
+    return ((seed.generator(block=i), min(BLOCK_SIZE, n - i * BLOCK_SIZE))
+            for i in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE))
 
 
 def disk_batch(model: str, rng: np.random.Generator, count: int):
@@ -225,16 +228,15 @@ def _mc_sum(n_samples: int, block_fn, seed, workers: int = 1) -> np.ndarray:
     block_fn must return integer counts so the total is exactly independent
     of how blocks are scheduled across workers.
     """
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
+    blocks = iter_blocks(n_samples, seed)
 
     def run(block) -> np.ndarray:
         return np.asarray(block_fn(*block), dtype=np.int64)
 
     if workers <= 1:
-        return np.sum([run(b) for b in iter_blocks(n_samples, seed)], axis=0)
+        return np.sum([run(b) for b in blocks], axis=0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.sum(list(pool.map(run, iter_blocks(n_samples, seed))), axis=0)
+        return np.sum(list(pool.map(run, blocks)), axis=0)
 
 
 def _class_counts_block(model: str, m: int):
@@ -391,89 +393,76 @@ def angle_bins(bins_per_side: int = 10) -> list:
     return out
 
 
+def _bin_coords(ang: np.ndarray, n: int):
+    """(i, j, up) arrays placing rows (alpha, beta, ...) of angles over pi in
+    the n^2 bins."""
+    i = np.minimum((ang[:, 0] * n).astype(np.int64), n - 1)
+    j = np.minimum((ang[:, 1] * n).astype(np.int64), n - 1)
+    # points exactly on a cell diagonal or the simplex edge count as 'up'
+    up = (ang[:, 0] * n + ang[:, 1] * n <= i + j + 1.0) | (i + j >= n - 1)
+    return i, np.where(up, np.minimum(j, n - 1 - i), j), up
+
+
 def angle_bin_index(alpha: float, beta: float, bins_per_side: int = 10) -> tuple:
-    n = bins_per_side
-    i = min(int(alpha * n), n - 1)
-    j = min(int(beta * n), n - 1)
-    up = (alpha * n + beta * n <= i + j + 1.0) or (i + j >= n - 1)
-    if up:
-        j = min(j, n - 1 - i)
-    return (i, j, "up" if up else "down")
+    """Label of the bin holding one point, by the rule angle_bin_counts uses."""
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError(f"angles must be finite, got ({alpha}, {beta})")
+    i, j, up = _bin_coords(np.array([[alpha, beta]], dtype=float), bins_per_side)
+    return (int(i[0]), int(j[0]), "up" if up[0] else "down")
 
 
-def _bin_triangle(label, bins_per_side: int) -> np.ndarray:
-    """Vertices of a bin in (alpha, beta) coordinates, rows = 3 corners."""
-    i, j, orient = label
-    h = 1.0 / bins_per_side
-    a0, b0 = i * h, j * h
-    if orient == "up":
-        return np.array([[a0, b0], [a0 + h, b0], [a0, b0 + h]])
-    return np.array([[a0 + h, b0], [a0 + h, b0 + h], [a0, b0 + h]])
+def _angle_cap(k: int, n: int, side: int):
+    """(m, d) with {A >= pi k/n} = {m . p >= d} on the upper unit shape sphere
+    p = 2 (x, y, z), A the angle opposite side `side`.  On the hemisphere
+    z = (sqrt(3)/2) tan A (1 - 2 s_A), so every level set of A is a plane
+    section; k = 0 gives the whole hemisphere."""
+    s, c = math.sin(math.pi * k / n), math.cos(math.pi * k / n)
+    norm = math.sqrt(3.0 + s * s)
+    ux, uy = DISK_FROM_SIDES[:, side]
+    return np.array([2.0 * s * ux, 2.0 * s * uy, SQRT3 * c]) / norm, s / norm
 
 
-# 7-point degree-5 symmetric triangle rule (barycentric nodes, weights sum 1)
-_TRI_A = (6.0 - math.sqrt(15.0)) / 21.0
-_TRI_B = (6.0 + math.sqrt(15.0)) / 21.0
-_TRI_NODES = np.array(
-    [[1 / 3, 1 / 3, 1 / 3]]
-    + [[_TRI_A, _TRI_A, 1 - 2 * _TRI_A], [_TRI_A, 1 - 2 * _TRI_A, _TRI_A],
-       [1 - 2 * _TRI_A, _TRI_A, _TRI_A]]
-    + [[_TRI_B, _TRI_B, 1 - 2 * _TRI_B], [_TRI_B, 1 - 2 * _TRI_B, _TRI_B],
-       [1 - 2 * _TRI_B, _TRI_B, _TRI_B]])
-_TRI_WTS = np.array([9 / 40]
-                    + [(155.0 - math.sqrt(15.0)) / 1200.0] * 3
-                    + [(155.0 + math.sqrt(15.0)) / 1200.0] * 3)
-
-_SIMPLEX_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
-def _leaf_triangles(tri: np.ndarray, depth: int, corner_depth: int) -> list:
-    """Uniform bisection refinement, pushed deeper toward simplex corners
-    (where the density has its integrable 1/distance singularity)."""
-    near_corner = any(
-        np.linalg.norm(tri - c, axis=1).min() < 1e-12 for c in _SIMPLEX_CORNERS
-    )
-    budget = corner_depth if near_corner else depth
-    if budget <= 0:
-        return [tri]
-    mids = np.array([(tri[0] + tri[1]) / 2, (tri[1] + tri[2]) / 2, (tri[2] + tri[0]) / 2])
-    out = []
-    for child in (
-        np.array([tri[0], mids[0], mids[2]]),
-        np.array([mids[0], tri[1], mids[1]]),
-        np.array([mids[2], mids[1], tri[2]]),
-        np.array([mids[0], mids[1], mids[2]]),
-    ):
-        out.extend(_leaf_triangles(child, depth - 1, corner_depth - 1))
-    return out
+def _angle_pair_tail(p: int, q: int, n: int) -> float:
+    """P(alpha >= p/n, beta >= q/n): the area over 2 pi of the lens cut by the
+    two caps, whose vertices are the angle point and the collision of the
+    vertices A and B.  By Gauss-Bonnet the area is 2 (pi - phi - d1 psi1 -
+    d2 psi2): pi - phi is the interior angle at both vertices, and d_i psi_i
+    the geodesic curvature of circle i along its half-arc in the other cap."""
+    if p + q >= n:
+        return 0.0
+    if p == q == 0:
+        return 1.0
+    (m1, d1), (m2, d2) = _angle_cap(p, n, 0), _angle_cap(q, n, 1)
+    c = float(m1 @ m2)
+    s1, s2, st = math.sqrt(1.0 - d1 * d1), math.sqrt(1.0 - d2 * d2), math.sqrt(1.0 - c * c)
+    acos = lambda v: math.acos(min(max(v, -1.0), 1.0))
+    phi = acos((c - d1 * d2) / (s1 * s2))
+    psi1 = acos((d2 - c * d1) / (st * s1))
+    psi2 = acos((d1 - c * d2) / (st * s2))
+    return (math.pi - phi - d1 * psi1 - d2 * psi2) / math.pi
 
 
-def _integrate_bins(labels, bins_per_side: int, depth: int, corner_depth: int) -> np.ndarray:
-    vals = np.empty(len(labels))
-    for pos, label in enumerate(labels):
-        leaves = _leaf_triangles(_bin_triangle(label, bins_per_side), depth, corner_depth)
-        verts = np.stack(leaves)                        # (L, 3, 2)
-        pts = _TRI_NODES @ verts                        # (L, 7, 2) via barycentric
-        e1 = verts[:, 1] - verts[:, 0]
-        e2 = verts[:, 2] - verts[:, 0]
-        areas = 0.5 * np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        a = pts[..., 0]
-        b = pts[..., 1]
-        f = _angle_density_arrays(a, b, 1.0 - a - b)
-        vals[pos] = float(((f * _TRI_WTS).sum(axis=1) * areas).sum())
-    return vals
+def angle_bin_probabilities(bins_per_side: int = 10) -> dict:
+    """Exact probability mass of each barycentric bin under the uniform shape measure.
 
-
-def angle_bin_probabilities(bins_per_side: int = 10, depth: int = 6,
-                            corner_depth: int = 24) -> dict:
-    """Probability mass of each barycentric bin under the uniform shape measure.
-
-    Integrates the normalized angle density over every bin triangle; the
-    values sum to one (up to quadrature error well below 1e-3).
+    Uniform shapes are uniform on the hemisphere, so a bin's mass is its
+    spherical area over 2 pi.  An 'up' bin is {angles >= b} for the lower
+    bounds b = (i, j, n-1-i-j)/n and a 'down' bin is {angles <= b} for the
+    upper bounds b = (i+1, j+1, n-1-i-j)/n.  Either way inclusion-exclusion
+    gives 1 - sum_s G(b_s, 0) + sum_{s<t} G(b_s, b_t) with G the pair tail
+    of _angle_pair_tail, the same for every pair of angles by symmetry; no
+    triple term occurs because lower bounds sum to at most 1 and upper
+    bounds to at least 1.  The masses sum to one up to rounding.
     """
-    labels = angle_bins(bins_per_side)
-    raw = _integrate_bins(labels, bins_per_side, depth, corner_depth)
-    return dict(zip(labels, raw * ANGLE_DENSITY_NORM))
+    n = bins_per_side
+    out = {}
+    for label in angle_bins(n):
+        i, j, orient = label
+        b = (i, j, n - 1 - i - j) if orient == "up" else (i + 1, j + 1, n - 1 - i - j)
+        out[label] = (1.0 - sum(_angle_pair_tail(v, 0, n) for v in b)
+                      + _angle_pair_tail(b[0], b[1], n) + _angle_pair_tail(b[0], b[2], n)
+                      + _angle_pair_tail(b[1], b[2], n))
+    return out
 
 
 def angle_bin_counts(model: str, n_samples: int, seed=0, bins_per_side: int = 10,
@@ -491,11 +480,7 @@ def angle_bin_counts(model: str, n_samples: int, seed=0, bins_per_side: int = 10
             ang = _sides_to_angles(sides_batch(model, rng, count))
         else:
             raise ValueError(f"angle bins need model 'gaussian' or 'angles', got {model!r}")
-        i = np.minimum((ang[:, 0] * n).astype(np.int64), n - 1)
-        j = np.minimum((ang[:, 1] * n).astype(np.int64), n - 1)
-        # points exactly on a cell diagonal or the simplex edge count as 'up'
-        up = (ang[:, 0] * n + ang[:, 1] * n <= i + j + 1.0) | (i + j >= n - 1)
-        j = np.where(up, np.minimum(j, n - 1 - i), j)
+        i, j, up = _bin_coords(ang, n)
         flat = np.where(up, up_base[i] + j, down_base[np.minimum(i, n - 2)] + j)
         return np.bincount(flat, minlength=len(labels))
 

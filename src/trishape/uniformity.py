@@ -118,11 +118,14 @@ def inv_sigma_min_density(t: float, m: int) -> float:
     t = float(t)
     if t * t <= m:
         return 0.0
+    e = m * (m + 1) / 2.0
     const = (2.0 * m * math.gamma((m + 1) / 2.0) * math.gamma(m * m / 2.0)
-             / (math.sqrt(math.pi) * math.gamma(m * (m + 1) / 2.0 - 1.0)))
-    u = t * t - m
-    hyp = gauss_2f1((m - 1) / 2.0, m / 2.0 + 1.0, (m * m + m) / 2.0 - 1.0, -u)
-    return const * t ** (1 - m * m) * u ** (m * (m + 1) / 2.0 - 2.0) * hyp
+             / (math.sqrt(math.pi) * math.gamma(e - 1.0)))
+    # t^(1 - m^2) (t^2 - m)^(e - 2) = t^(m - 3) (1 - m/t^2)^(e - 2); the two
+    # factors on the left under- and overflow for m >= 8, so build it from logs
+    power = math.exp((m - 3) * math.log(t) + (e - 2.0) * math.log1p(-m / (t * t)))
+    hyp = gauss_2f1((m - 1) / 2.0, m / 2.0 + 1.0, e - 1.0, m - t * t)
+    return const * power * hyp
 
 
 def inv_sigma_min_cdf(t: float, m: int) -> float:

@@ -263,6 +263,33 @@ def test_non_finite_preshape_file_usage_error(which, tmp_path, capsys):
     assert "finite" in err and "Traceback" not in err
 
 
+def test_sigma_min_overflow_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "pre20.csv"
+    code, _, _ = run_cli(["sample", "ndim", "--m", "20", "--k", "21", "-n", "20",
+                          "--emit", "preshapes", "-o", str(f)], capsys)
+    assert code == 0
+    code, out, err = run_cli(["test", str(f), "--which", "sigma-min"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("trishape: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["sample", "gaussian"], ["sample", "hemisphere"], ["sample", "angles"],
+    ["sample", "ndim", "--m", "3"], ["sample", "gaussian", "--summary"],
+    ["sample", "gaussian", "--emit", "preshapes"],
+    ["sample", "ndim", "--m", "3", "--k", "5", "--emit", "preshapes"],
+    ["plot-data", "disk-scatter"], ["plot-data", "radius-histogram"],
+    ["plot-data", "angle-bins"], ["plot-data", "angle-bins", "--model", "angles"],
+], ids=" ".join)
+def test_sample_count_below_one_is_usage_error(argv, n, capsys):
+    code, out, err = run_cli(argv + ["-n", n], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"need at least one sample, got {n}" in err
+
+
 # ---------------------------------------------------------------------------
 # plot-data
 

@@ -153,7 +153,7 @@ GOLDEN = {
     "angle-bins-gaussian": {
         "code": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "out": "5688bd23fd616eee8a4cf61f2b4bf9efd0403615491846168ae5d6884517eb16",
+        "out": "4bcacafc4fa64a7805e50c2d6a01e4a3e32bb89cc16c29154ef4e7b3d8e5e2e2",
     },
     "test22-all": {
         "code": 0,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import integrate, special, stats
 
 from trishape import conversions as conv
 from trishape import sampling as samp
@@ -57,6 +57,9 @@ def test_sides_batch_models():
 def test_sampler_guard_and_errors():
     with pytest.raises(ValueError):
         samp.acute_probability_mc(0)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="at least one sample"):
+            samp.iter_blocks(n, 0)   # at the call, before any block is drawn
     with pytest.raises(ValueError):
         samp.ndim_shapes(0, 3, samp.RngSeed(0).generator(), 2)
     m = samp.sample_gaussian_shape(samp.RngSeed(0).generator())
@@ -276,7 +279,7 @@ def test_angle_density_matches_jacobian_route():
 def test_angle_density_normalization():
     probs = samp.angle_bin_probabilities(bins_per_side=10)
     assert len(probs) == 100
-    assert abs(sum(probs.values()) - 1.0) < 1e-3
+    assert abs(sum(probs.values()) - 1.0) < 1e-12
     # obtuse region (any angle over 1/2) carries 3/4 of the mass; the
     # bin edges tile the three right-angle lines exactly
     obtuse_mass = sum(
@@ -284,7 +287,53 @@ def test_angle_density_normalization():
         if i >= 5 or j >= 5
         or (orient == "up" and i + j <= 4) or (orient == "down" and i + j <= 3)
     )
-    assert abs(obtuse_mass - 0.75) < 1e-3
+    assert abs(obtuse_mass - 0.75) < 1e-12
+
+
+def test_angle_bin_probabilities_small_n():
+    assert samp.angle_bin_probabilities(bins_per_side=1) == {(0, 0, "up"): 1.0}
+    probs = samp.angle_bin_probabilities(bins_per_side=2)
+    assert list(probs) == samp.angle_bins(2)
+    for p in probs.values():
+        assert abs(p - 0.25) < 1e-15
+
+
+def _relabel(label, perm, n):
+    """Bin holding the angles of `label` permuted by perm; a bin is fixed by
+    its lower ('up') or upper ('down') bounds on (alpha, beta, gamma)."""
+    i, j, orient = label
+    if orient == "up":
+        b = (i, j, n - 1 - i - j)
+        return (b[perm[0]], b[perm[1]], "up")
+    b = (i + 1, j + 1, n - 1 - i - j)
+    return (b[perm[0]] - 1, b[perm[1]] - 1, "down")
+
+
+@pytest.mark.parametrize("n", [3, 7, 10])
+def test_angle_bin_probabilities_sum_and_symmetry(n):
+    probs = samp.angle_bin_probabilities(bins_per_side=n)
+    assert len(probs) == n * n
+    assert abs(math.fsum(probs.values()) - 1.0) < 1e-12
+    assert min(probs.values()) > 0.0
+    for perm in ((0, 1, 2), (1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)):
+        for label, p in probs.items():
+            assert abs(probs[_relabel(label, perm, n)] - p) < 1e-13
+
+
+@pytest.mark.parametrize("n,label", [(10, (3, 3, "up")), (10, (2, 5, "down")),
+                                     (7, (1, 2, "down"))])
+def test_angle_bin_probabilities_match_density_integral(n, label):
+    i, j, orient = label
+    h = 1.0 / n
+    a0, b0 = i * h, j * h
+    if orient == "up":
+        lo, hi = (lambda a: b0), (lambda a: b0 + h - (a - a0))
+    else:
+        lo, hi = (lambda a: b0 + h - (a - a0)), (lambda a: b0 + h)
+    ref, _ = integrate.dblquad(
+        lambda b, a: samp.angle_density((a, b, 1.0 - a - b), normalized=True),
+        a0, a0 + h, lo, hi, epsabs=1e-12, epsrel=1e-12)
+    assert abs(samp.angle_bin_probabilities(n)[label] - ref) < 1e-8
 
 
 def test_angle_bin_counts_match_index_helper():
@@ -296,6 +345,9 @@ def test_angle_bin_counts_match_index_helper():
         manual[lab] = manual.get(lab, 0) + 1
     for lab, c in counts.items():
         assert manual.get(lab, 0) == c
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            samp.angle_bin_index(bad, 0.2)
 
 
 def test_angle_bins_uniform_model_flat():

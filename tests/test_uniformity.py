@@ -127,6 +127,13 @@ def test_inv_sigma_min_density_normalizes(m):
     assert abs(val - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("m", [8, 12])
+def test_inv_sigma_min_density_normalizes_large_m(m):
+    val, _ = integrate.quad(uni.inv_sigma_min_density, math.sqrt(m), np.inf,
+                            args=(m,), limit=300)
+    assert abs(val - 1.0) < 1e-10
+
+
 def test_inv_sigma_min_cdf():
     for t in (1.5, 2.0, 5.0):
         closed = 1.0 - 2.0 * math.sqrt(t * t - 1.0) / (t * t)
