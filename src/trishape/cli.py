@@ -10,6 +10,7 @@ produce byte-identical bytes.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -26,13 +27,9 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_REJECTED = 3
 
-_REP_FIELDS = {
-    "sides": ("a2", "b2", "c2"),
-    "disk": ("r", "phi"),
-    "hemisphere": ("latitude", "longitude"),
-    "svd": ("sigma1", "sigma2", "theta"),
-    "matrix": ("m11", "m12", "m21", "m22"),
-}
+# class name per classification code; an object array shares the three
+# strings instead of copying one per row
+_CLASS_NAMES = np.array(CLASS_NAMES, dtype=object)
 
 
 def _fmt(v) -> str:
@@ -49,33 +46,26 @@ def _fmt(v) -> str:
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; the contract reserves 2 for
-    # domain violations, so remap usage problems to exit code 1
+    # domain violations, so raise usage problems as ValueError, which main
+    # reports with exit 1 like every other usage error
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit_(EXIT_USAGE, f"{self.prog}: error: {message}")
+        raise ValueError(message)
 
 
-class SystemExit_(Exception):
-    def __init__(self, code, message=None):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+def _rep_fields(kind: str) -> tuple:
+    if kind == "matrix":
+        return ("m11", "m12", "m21", "m22")
+    return tuple(f.name for f in dataclasses.fields(conv.REPRESENTATIONS[kind]))
 
 
 def _rep_value(rep: str, values):
-    fields = _REP_FIELDS[rep]
+    fields = _rep_fields(rep)
     if len(values) != len(fields):
-        raise SystemExit_(EXIT_USAGE,
-                          f"representation '{rep}' needs {len(fields)} values "
-                          f"({', '.join(fields)}), got {len(values)}")
-    if rep == "sides":
-        return conv.SquaredSides(*values)
-    if rep == "disk":
-        return conv.DiskPoint(*values)
-    if rep == "hemisphere":
-        return conv.HemispherePoint(*values)
-    if rep == "svd":
-        return conv.SvdShape(*values)
+        raise ValueError(f"representation '{rep}' needs {len(fields)} values "
+                         f"({', '.join(fields)}), got {len(values)}")
+    if rep != "matrix":
+        return conv.REPRESENTATIONS[rep](*values)
     m = np.array(values, dtype=float).reshape(2, 2)
     norm = np.linalg.norm(m)
     if not 0.0 < norm < math.inf:
@@ -85,14 +75,9 @@ def _rep_value(rep: str, values):
 
 def _rep_record(value) -> dict:
     kind = conv.kind_of(value)
-    rec = {"representation": kind}
-    if kind == "matrix":
-        m = np.asarray(value)
-        rec.update(m11=m[0, 0], m12=m[0, 1], m21=m[1, 0], m22=m[1, 1])
-    else:
-        for f in _REP_FIELDS[kind]:
-            rec[f] = getattr(value, f)
-    return rec
+    fields = _rep_fields(kind)
+    values = np.ravel(value) if kind == "matrix" else [getattr(value, f) for f in fields]
+    return {"representation": kind, **dict(zip(fields, values))}
 
 
 def _jsonable(v):
@@ -130,6 +115,22 @@ def _open_output(path):
     return open(path, "w", newline="\n"), True
 
 
+def _write_rows(out, columns):
+    """Write equal-length columns as CSV rows: float columns with 17
+    significant digits, ints and strings as they are.  Rows are formatted
+    1024 at a time, so memory stays flat however long the columns are."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    for lo in range(0, len(columns[0]), 1024):
+        rows = zip(*(c[lo:lo + 1024].tolist() for c in columns))
+        out.write("".join(line % row for row in rows))
+
+
+def _check_size(flag: str, value: int, least: int = 1):
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 # ---------------------------------------------------------------------------
 # convert
 
@@ -150,45 +151,13 @@ def _cmd_convert(args, out) -> int:
 # sample
 
 
-def _sample_rows(model, n, seed, m):
-    """Yield CSV lines, generated block-wise from deterministic substreams."""
-    blocks = iter_blocks(n, seed)   # rejects n < 1 before the header
-    if model == "angles":
-        yield "alpha,beta,gamma,class"
-    else:
-        yield "a2,b2,c2,r,phi,class"
-    for rng, count in blocks:
-        if model == "angles":
-            ang = sampling.uniform_angles_batch(rng, count)
-            for row, c in zip(ang, sampling._classify_codes(ang)):
-                yield (f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},{CLASS_NAMES[c]}")
-            continue
-        s2 = sampling.sides_batch(model, rng, count, m)
-        x = (s2[:, 0] + s2[:, 1]) / 2.0 - s2[:, 2]
-        y = sampling.SQRT3 * (s2[:, 0] - s2[:, 1]) / 2.0
-        r = np.hypot(x, y)
-        phi = np.mod(np.arctan2(y, x), 2.0 * math.pi)
-        codes = sampling._classify_codes(s2)
-        for row, rr, pp, c in zip(s2, r, phi, codes):
-            yield (f"{row[0]:.17g},{row[1]:.17g},{row[2]:.17g},"
-                   f"{rr:.17g},{pp:.17g},{CLASS_NAMES[c]}")
-
-
-def _preshape_lines(n, seed, m, k):
-    blocks = iter_blocks(n, seed)
-    yield "m,k"
-    yield f"{m},{k}"
-    for rng, count in blocks:
-        for mat in sampling.ndim_shapes(m, k, rng, count):
-            yield ",".join(f"{v:.17g}" for v in mat.ravel(order="C"))
-
-
 def _cmd_sample(args, out) -> int:
     model = args.model
-    if model == "ndim" and args.m is None:
-        raise SystemExit_(EXIT_USAGE, "model 'ndim' requires --m")
+    if model == "ndim":
+        if args.m is None:
+            raise ValueError("model 'ndim' requires --m")
+        _check_size("--m", args.m)
     m = args.m if args.m is not None else 2
-    k = args.k
     seed = (args.seed, args.stream)
 
     if args.summary:
@@ -204,17 +173,31 @@ def _cmd_sample(args, out) -> int:
 
     if args.emit == "preshapes":
         if model not in ("gaussian", "ndim"):
-            raise SystemExit_(EXIT_USAGE, "--emit preshapes needs model 'gaussian' or 'ndim'")
-        mm, kk = (2, 3) if model == "gaussian" else (m, k)
-        for line in _preshape_lines(args.n, seed, mm, kk):
-            out.write(line + "\n")
+            raise ValueError("--emit preshapes needs model 'gaussian' or 'ndim'")
+        m, k = (2, 3) if model == "gaussian" else (m, args.k)
+        _check_size("--k", k, 2)
+        blocks = iter_blocks(args.n, seed)
+        out.write(f"m,k\n{m},{k}\n")
+        for rng, count in blocks:
+            _write_rows(out, sampling.ndim_shapes(m, k, rng, count).reshape(count, -1).T)
         return EXIT_OK
 
-    if model == "ndim" and k != 3:
-        raise SystemExit_(EXIT_USAGE, "per-sample rows need triangles (k = 3); "
-                                      "use --emit preshapes for general k")
-    for line in _sample_rows(model, args.n, seed, m):
-        out.write(line + "\n")
+    if model == "ndim" and args.k != 3:
+        raise ValueError("per-sample rows need triangles (k = 3); "
+                         "use --emit preshapes for general k")
+    blocks = iter_blocks(args.n, seed)
+    out.write("alpha,beta,gamma,class\n" if model == "angles" else "a2,b2,c2,r,phi,class\n")
+    for rng, count in blocks:
+        if model == "angles":
+            vals = sampling.uniform_angles_batch(rng, count)
+            polar = ()
+        else:
+            vals = sampling.sides_batch(model, rng, count, m)
+            x = (vals[:, 0] + vals[:, 1]) / 2.0 - vals[:, 2]
+            y = sampling.SQRT3 * (vals[:, 0] - vals[:, 1]) / 2.0
+            polar = (np.hypot(x, y), np.mod(np.arctan2(y, x), 2.0 * math.pi))
+        codes = sampling._classify_codes(vals)
+        _write_rows(out, (*vals.T, *polar, _CLASS_NAMES[codes]))
     return EXIT_OK
 
 
@@ -224,7 +207,7 @@ def _cmd_sample(args, out) -> int:
 
 def _cmd_prob(args, out) -> int:
     if args.n < 2:
-        raise SystemExit_(EXIT_USAGE, f"dimension must be >= 2, got {args.n}")
+        raise ValueError(f"dimension must be >= 2, got {args.n}")
     obtuse = sampling.obtuse_probability_ndim(args.n)
     _emit_record({"n": args.n, "obtuse": obtuse, "acute": 1.0 - obtuse},
                  args.format, out)
@@ -277,19 +260,21 @@ def _read_preshape_file(path) -> np.ndarray:
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
     if len(lines) < 3:
-        raise SystemExit_(EXIT_USAGE, f"sample file {path!r} is empty or truncated")
+        raise ValueError(f"sample file {path!r} is empty or truncated")
     if lines[0].replace(" ", "") != "m,k":
-        raise SystemExit_(EXIT_USAGE, f"sample file {path!r} must start with an 'm,k' header")
+        raise ValueError(f"sample file {path!r} must start with an 'm,k' header")
     try:
         m, k = (int(v) for v in lines[1].split(","))
         rows = [np.array([float(v) for v in line.split(",")]) for line in lines[2:]]
     except ValueError as exc:
-        raise SystemExit_(EXIT_USAGE, f"cannot parse sample file {path!r}: {exc}")
+        raise ValueError(f"cannot parse sample file {path!r}: {exc}") from exc
     z = np.stack(rows).reshape(len(rows), m, k - 1)
     return z
 
 
 def _cmd_test(args, out) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     reports = uniformity.uniformity_suite(_read_preshape_file(args.file), args.which).reports
     if args.format == "json":
         _emit_record({"alpha": args.alpha, "tests": [vars(r) for r in reports]},
@@ -307,36 +292,35 @@ def _cmd_test(args, out) -> int:
 # plot-data
 
 
-def _svg_scatter(points, classes, path):
+def _svg_scatter(blocks, path):
     colors = {"acute": "#1f77b4", "right": "#000000", "obtuse": "#d62728"}
     with open(path, "w", newline="\n") as fh:
         fh.write('<svg xmlns="http://www.w3.org/2000/svg" viewBox="-0.55 -0.55 1.1 1.1">\n')
         fh.write('<circle cx="0" cy="0" r="0.5" fill="none" stroke="#888" '
                  'stroke-width="0.003"/>\n')
-        for (x, y), cls in zip(points, classes):
-            fh.write(f'<circle cx="{x:.6f}" cy="{-y:.6f}" r="0.004" '
-                     f'fill="{colors[cls]}"/>\n')
+        for x, y, classes in blocks:
+            for xx, yy, cls in zip(x.tolist(), y.tolist(), classes.tolist()):
+                fh.write(f'<circle cx="{xx:.6f}" cy="{-yy:.6f}" r="0.004" '
+                         f'fill="{colors[cls]}"/>\n')
         fh.write("</svg>\n")
 
 
 def _plot_disk_scatter(args, out):
     blocks = iter_blocks(args.n, (args.seed, args.stream))
     out.write("x,y,class\n")
-    pts, classes = [], []
+    drawn = []
     for rng, count in blocks:
         x, y = sampling.disk_batch(args.model, rng, count)
-        codes = sampling._classify_codes(conv._sides_from_xy(x, y))
-        for xx, yy, c in zip(x, y, codes):
-            name = CLASS_NAMES[c]
-            out.write(f"{xx:.17g},{yy:.17g},{name}\n")
-            if args.svg:
-                pts.append((xx, yy))
-                classes.append(name)
+        classes = _CLASS_NAMES[sampling._classify_codes(conv._sides_from_xy(x, y))]
+        _write_rows(out, (x, y, classes))
+        if args.svg:
+            drawn.append((x, y, classes))
     if args.svg:
-        _svg_scatter(pts, classes, args.svg)
+        _svg_scatter(drawn, args.svg)
 
 
 def _plot_radius_histogram(args, out):
+    _check_size("--bins", args.bins)
     edges = np.linspace(0.0, 0.5, args.bins + 1)
 
     def block(rng, count):
@@ -344,26 +328,24 @@ def _plot_radius_histogram(args, out):
                             bins=edges)[0]
 
     counts = sampling._mc_sum(args.n, block, (args.seed, args.stream), args.workers)
-    cdf = lambda r: 1.0 - math.sqrt(max(1.0 - 4.0 * r * r, 0.0))
+    lo, hi, mid = edges[:-1], edges[1:], (edges[:-1] + edges[1:]) / 2.0
+    cdf = lambda r: 1.0 - np.sqrt(np.maximum(1.0 - 4.0 * r * r, 0.0))
+    density = 4.0 * mid / np.sqrt(np.maximum(1.0 - 4.0 * mid * mid, 1e-300))
     out.write("bin_lo,bin_hi,count,expected,density_mid\n")
-    for lo, hi, c in zip(edges[:-1], edges[1:], counts):
-        expected = args.n * (cdf(hi) - cdf(lo))
-        mid = (lo + hi) / 2.0
-        dens = 4.0 * mid / math.sqrt(max(1.0 - 4.0 * mid * mid, 1e-300))
-        out.write(f"{lo:.17g},{hi:.17g},{int(c)},{expected:.17g},{dens:.17g}\n")
+    _write_rows(out, (lo, hi, counts, args.n * (cdf(hi) - cdf(lo)), density))
 
 
 def _plot_angle_bins(args, out):
+    n = args.bins_per_side
+    _check_size("--bins-per-side", n)
     counts = sampling.angle_bin_counts(args.model, args.n, seed=(args.seed, args.stream),
-                                       bins_per_side=args.bins_per_side,
-                                       workers=args.workers)
-    n2 = args.bins_per_side ** 2
+                                       bins_per_side=n, workers=args.workers)
     if args.model == "angles":
-        probs = {lab: 1.0 / n2 for lab in counts}
+        probs = {lab: 1.0 / n ** 2 for lab in counts}
     else:
-        probs = sampling.angle_bin_probabilities(args.bins_per_side)
-    h = 1.0 / args.bins_per_side
-    out.write("i,j,orientation,count,expected,density_centroid\n")
+        probs = sampling.angle_bin_probabilities(n)
+    h = 1.0 / n
+    rows = []
     for lab, c in counts.items():
         i, j, orient = lab
         off = h / 3.0 if orient == "up" else 2.0 * h / 3.0
@@ -372,23 +354,27 @@ def _plot_angle_bins(args, out):
             dens = 2.0
         else:
             dens = sampling.angle_density((ca, cb, 1.0 - ca - cb), normalized=True)
-        out.write(f"{i},{j},{orient},{c},{args.n * probs[lab]:.17g},{dens:.17g}\n")
+        rows.append((i, j, orient, c, args.n * probs[lab], dens))
+    out.write("i,j,orientation,count,expected,density_centroid\n")
+    _write_rows(out, zip(*rows))
 
 
 def _plot_hemisphere_map(args, out):
-    out.write("latitude,longitude,alpha,beta,gamma\n")
     g = args.grid
-    for lat in np.linspace(0.0, math.pi / 2.0, g):
-        for lon in np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False):
-            sides = conv.hemisphere_to_sides(conv.HemispherePoint(lat, lon))
-            ang = geometry.angles_from_sides(sides).as_array() / math.pi
-            out.write(f"{lat:.17g},{lon:.17g},"
-                      f"{ang[0]:.17g},{ang[1]:.17g},{ang[2]:.17g}\n")
+    _check_size("--grid", g)
+    lat = np.repeat(np.linspace(0.0, math.pi / 2.0, g), 2 * g)
+    lon = np.tile(np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False), g)
+    ang = np.array([
+        geometry.angles_from_sides(conv.hemisphere_to_sides(conv.HemispherePoint(a, b)))
+        .as_array() for a, b in zip(lat, lon)
+    ]) / math.pi
+    out.write("latitude,longitude,alpha,beta,gamma\n")
+    _write_rows(out, (lat, lon, *ang.T))
 
 
 def _cmd_plot_data(args, out) -> int:
     if args.kind in ("disk-scatter", "radius-histogram") and args.model == "angles":
-        raise SystemExit_(EXIT_USAGE, f"{args.kind} needs model 'gaussian' or 'hemisphere'")
+        raise ValueError(f"{args.kind} needs model 'gaussian' or 'hemisphere'")
     if args.kind == "disk-scatter":
         _plot_disk_scatter(args, out)
     elif args.kind == "radius-histogram":
@@ -404,32 +390,36 @@ def _cmd_plot_data(args, out) -> int:
 # parser
 
 
+# Option sets shared by several subcommands; each subcommand takes only the
+# sets it reads.  They are templates, copied into each parser that names them.
+_OUTPUT = argparse.ArgumentParser(prog="trishape", add_help=False)
+_OUTPUT.add_argument("--output", "-o", default=None, help="output file (default stdout)")
+_RECORD = argparse.ArgumentParser(prog="trishape", add_help=False, parents=[_OUTPUT])
+_RECORD.add_argument("--format", choices=("structured", "csv", "json"),
+                     default="structured", help="record output format")
+_DRAWS = argparse.ArgumentParser(prog="trishape", add_help=False)
+_DRAWS.add_argument("--seed", type=int, default=0, help="base RNG seed")
+_DRAWS.add_argument("--stream", type=int, default=0, help="RNG stream id")
+_DRAWS.add_argument("--workers", type=int, default=1,
+                    help="worker hint for Monte Carlo block streams")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trishape",
                      description="Triangle shape space toolkit: conversions, "
                                  "sampling, constructions, and uniformity tests.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    common.add_argument("--stream", type=int, default=0, help="RNG stream id")
-    common.add_argument("--output", "-o", default=None, help="output file (default stdout)")
-    common.add_argument("--format", choices=("structured", "csv", "json"),
-                        default="structured", help="record output format")
-    common.add_argument("--alpha", type=float, default=0.01,
-                        help="rejection threshold for statistical tests")
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker hint for Monte Carlo block streams")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convert", parents=[common], help="convert between representations")
-    p.add_argument("--from", dest="from_rep", required=True, choices=sorted(_REP_FIELDS))
-    p.add_argument("--to", dest="to_rep", required=True, choices=sorted(_REP_FIELDS))
+    p = sub.add_parser("convert", parents=[_RECORD], help="convert between representations")
+    reps = sorted(conv.REPRESENTATIONS)
+    p.add_argument("--from", dest="from_rep", required=True, choices=reps)
+    p.add_argument("--to", dest="to_rep", required=True, choices=reps)
     p.add_argument("values", type=float, nargs="+")
     p.add_argument("--roundtrip", action="store_true",
                    help="also report the max discrepancy over all conversion cycles")
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("sample", parents=[common], help="draw random shapes")
+    p = sub.add_parser("sample", parents=[_RECORD, _DRAWS], help="draw random shapes")
     p.add_argument("model", choices=("gaussian", "hemisphere", "angles", "ndim"))
     p.add_argument("-n", type=int, required=True, help="number of samples")
     p.add_argument("--m", type=int, default=None, help="ambient dimension (ndim model)")
@@ -439,25 +429,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--emit", choices=("rows", "preshapes"), default="rows")
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("prob", parents=[common],
+    p = sub.add_parser("prob", parents=[_RECORD],
                        help="analytic obtuse/acute probabilities in dimension n")
     p.add_argument("n", type=int)
     p.set_defaults(func=_cmd_prob)
 
-    p = sub.add_parser("construct", parents=[common],
+    p = sub.add_parser("construct", parents=[_RECORD],
                        help="in-hemisphere construction for given squared sides")
     p.add_argument("a2", type=float)
     p.add_argument("b2", type=float)
     p.add_argument("c2", type=float)
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("test", parents=[common], help="uniformity tests on a sample file")
+    p = sub.add_parser("test", parents=[_RECORD], help="uniformity tests on a sample file")
     p.add_argument("file")
+    p.add_argument("--alpha", type=float, default=0.01,
+                   help="rejection threshold, strictly between 0 and 1")
     p.add_argument("--which", choices=(*uniformity.SUITE_TESTS, "all"),
                    default="all")
     p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("plot-data", parents=[common], help="emit figure data as CSV")
+    p = sub.add_parser("plot-data", parents=[_OUTPUT, _DRAWS], help="emit figure data as CSV")
     p.add_argument("kind", choices=("disk-scatter", "radius-histogram",
                                     "angle-bins", "hemisphere-map"))
     p.add_argument("-n", type=int, default=10000)
@@ -478,10 +470,6 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         out, close = _open_output(args.output)
         return args.func(args, out)
-    except SystemExit_ as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
-        return exc.code
     except DomainError as exc:
         print(f"trishape: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

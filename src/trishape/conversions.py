@@ -427,7 +427,16 @@ def hopf_equivariance_check(quat: UnitQuaternion, m) -> float:
 # ---------------------------------------------------------------------------
 # roundtrips
 
-_KINDS = ("svd", "sides", "hemisphere", "disk", "matrix")
+# Each representation kind and its type; a "matrix" is any 2x2 array-like.
+# The order is the order in which roundtrip_all visits the kinds.
+REPRESENTATIONS = {
+    "svd": SvdShape,
+    "sides": SquaredSides,
+    "hemisphere": HemispherePoint,
+    "disk": DiskPoint,
+    "matrix": np.ndarray,
+}
+_KIND_OF_TYPE = {cls: kind for kind, cls in REPRESENTATIONS.items() if kind != "matrix"}
 
 _CONVERT = {
     ("svd", "sides"): svd_to_sides,
@@ -454,17 +463,11 @@ _CONVERT = {
 
 
 def kind_of(x) -> str:
-    """Representation tag of a value ('svd', 'sides', 'hemisphere', 'disk', 'matrix')."""
-    if isinstance(x, SvdShape):
-        return "svd"
-    if isinstance(x, SquaredSides):
-        return "sides"
-    if isinstance(x, HemispherePoint):
-        return "hemisphere"
-    if isinstance(x, DiskPoint):
-        return "disk"
-    arr = np.asarray(x)
-    if arr.shape == (2, 2):
+    """Representation tag of a value: a key of REPRESENTATIONS."""
+    kind = _KIND_OF_TYPE.get(type(x))
+    if kind is not None:
+        return kind
+    if np.shape(x) == (2, 2):
         return "matrix"
     raise ValueError(f"not a shape representation: {x!r}")
 
@@ -472,7 +475,7 @@ def kind_of(x) -> str:
 def convert(x, target: str):
     """Convert a shape value to the named target representation."""
     src = kind_of(x)
-    if target not in _KINDS:
+    if target not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {target!r}")
     if src == target:
         return x
@@ -528,7 +531,7 @@ def roundtrip_all(x, include_matrix: bool = True) -> RoundtripReport:
     The returned report carries the largest discrepancy found.
     """
     start = kind_of(x)
-    others = [k for k in _KINDS if k != start and (include_matrix or k != "matrix")]
+    others = [k for k in REPRESENTATIONS if k != start and (include_matrix or k != "matrix")]
     worst = 0.0
     worst_cycle = (start, start)
     n = 0

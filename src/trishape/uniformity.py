@@ -131,10 +131,12 @@ def inv_sigma_min_density(t: float, m: int) -> float:
 def inv_sigma_min_cdf(t: float, m: int) -> float:
     """CDF of 1/sigma_min; closed form for m = 2, quadrature otherwise."""
     t = float(t)
-    if t * t <= m:
+    t2 = t * t
+    if t2 <= m:
         return 0.0
     if m == 2:
-        return 1.0 - 2.0 * math.sqrt(t * t - 1.0) / (t * t)
+        # where t^2 overflows, the tail 2 sqrt(t^2 - 1) / t^2 < 2 / t rounds away
+        return 1.0 if t2 == math.inf else 1.0 - 2.0 * math.sqrt(t2 - 1.0) / t2
     # substitute t = sqrt(m)/x to put the integral on the finite interval (x, 1]
     nodes, weights = np.polynomial.legendre.leggauss(200)
     lo = math.sqrt(m) / t
@@ -193,7 +195,8 @@ def uniformity_suite(samples, which: str = "all") -> SuiteReport:
     if which in ("chikuse-jupp", "all"):
         suite.reports.append(chikuse_jupp(z))
     if runs("sigma-min", m == q, "square"):
-        inv_smin = 1.0 / np.linalg.svd(z, compute_uv=False)[:, -1]
+        with np.errstate(divide="ignore"):     # singular preshape: 1/sigma_min = inf
+            inv_smin = 1.0 / np.linalg.svd(z, compute_uv=False)[:, -1]
         suite.reports.append(
             ks_test(inv_smin, lambda v: inv_sigma_min_cdf(v, m), name="sigma-min-ks"))
     if runs("hemisphere", m == q == 2, "m=2, k=3"):

@@ -263,6 +263,33 @@ def test_non_finite_preshape_file_usage_error(which, tmp_path, capsys):
     assert "finite" in err and "Traceback" not in err
 
 
+def test_sigma_min_singular_preshape(tmp_path, capsys):
+    f = tmp_path / "pre.csv"
+    run_cli(["sample", "gaussian", "-n", "40", "--seed", "3", "--emit", "preshapes",
+             "--output", str(f)], capsys)
+    with f.open("a") as fh:
+        fh.write("1,0,0,0\n")              # unit norm, sigma_min = 0
+    code, out, err = run_cli(["test", str(f), "--which", "sigma-min", "--format", "json"],
+                             capsys)
+
+    def no_constant(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    (report,) = json.loads(out, parse_constant=no_constant)["tests"]
+    assert math.isfinite(report["statistic"]) and math.isfinite(report["p_value"])
+    assert code == (3 if report["p_value"] < 0.01 else 0)
+    assert err == ""
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "-0.5"])
+def test_alpha_outside_unit_interval_is_usage_error(alpha, tmp_path, capsys):
+    missing = tmp_path / "never-read.csv"
+    code, out, err = run_cli(["test", str(missing), f"--alpha={alpha}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("trishape: error: --alpha")
+
+
 def test_sigma_min_overflow_is_usage_error(tmp_path, capsys):
     f = tmp_path / "pre20.csv"
     code, _, _ = run_cli(["sample", "ndim", "--m", "20", "--k", "21", "-n", "20",
@@ -288,6 +315,50 @@ def test_sample_count_below_one_is_usage_error(argv, n, capsys):
     assert code == 1
     assert out == ""
     assert f"need at least one sample, got {n}" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["plot-data", "angle-bins", "-n", "10", "--bins-per-side", "0"], "--bins-per-side"),
+    (["plot-data", "angle-bins", "-n", "10", "--bins-per-side", "-2"], "--bins-per-side"),
+    (["plot-data", "radius-histogram", "-n", "10", "--bins", "0"], "--bins"),
+    (["plot-data", "radius-histogram", "-n", "10", "--bins", "-3"], "--bins"),
+    (["plot-data", "hemisphere-map", "--grid", "0"], "--grid"),
+    (["sample", "ndim", "--m", "0", "-n", "5"], "--m"),
+    (["sample", "ndim", "--m", "3", "--k", "1", "-n", "5", "--emit", "preshapes"], "--k"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_size_flag_below_range_is_usage_error(argv, flag, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"trishape: error: {flag} must be at least")
+
+
+# Every subcommand takes only the options it reads; these are the pairs that
+# a shared option set used to accept and ignore.
+_BASE_ARGV = {
+    "convert": ["convert", "--from", "sides", "--to", "disk", "0.5", "0.25", "0.25"],
+    "sample": ["sample", "gaussian", "-n", "5"],
+    "prob": ["prob", "12"],
+    "construct": ["construct", "0.5", "0.25", "0.25"],
+    "test": ["test", "pre.csv"],
+    "plot-data": ["plot-data", "hemisphere-map", "--grid", "2"],
+}
+_UNREAD = [
+    *((cmd, flag) for cmd in ("convert", "prob", "construct")
+      for flag in ("--seed", "--stream", "--alpha", "--workers")),
+    ("sample", "--alpha"),
+    ("test", "--seed"), ("test", "--stream"), ("test", "--workers"),
+    ("plot-data", "--format"), ("plot-data", "--alpha"),
+]
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD)
+def test_unread_option_is_usage_error(command, flag, capsys):
+    value = {"--format": "json", "--alpha": "0.1"}.get(flag, "2")
+    code, out, err = run_cli([*_BASE_ARGV[command], flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag} {value}" in err
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,11 @@ def test_inv_sigma_min_cdf():
     assert abs(uni.inv_sigma_min_cdf(4.0, 3) - ref) < 1e-9
 
 
+@pytest.mark.parametrize("t", [1e160, np.inf])
+def test_inv_sigma_min_cdf_m2_where_t_squared_overflows(t):
+    assert uni.inv_sigma_min_cdf(t, 2) == 1.0
+
+
 def test_inv_sigma_min_histogram_matches_density():
     z = uniform_preshapes(50_000, seed=6)
     tt = 1.0 / np.linalg.svd(z, compute_uv=False)[:, -1]
