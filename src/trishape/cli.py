@@ -11,6 +11,7 @@ produce byte-identical bytes.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -265,11 +266,10 @@ def _read_preshape_file(path) -> np.ndarray:
         raise ValueError(f"sample file {path!r} must start with an 'm,k' header")
     try:
         m, k = (int(v) for v in lines[1].split(","))
-        rows = [np.array([float(v) for v in line.split(",")]) for line in lines[2:]]
+        rows = np.loadtxt(lines[2:], delimiter=",", comments=None, ndmin=2)
+        return rows.reshape(len(rows), m, k - 1)
     except ValueError as exc:
         raise ValueError(f"cannot parse sample file {path!r}: {exc}") from exc
-    z = np.stack(rows).reshape(len(rows), m, k - 1)
-    return z
 
 
 def _cmd_test(args, out) -> int:
@@ -404,6 +404,7 @@ _DRAWS.add_argument("--workers", type=int, default=1,
                     help="worker hint for Monte Carlo block streams")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="trishape",
                      description="Triangle shape space toolkit: conversions, "

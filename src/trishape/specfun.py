@@ -135,9 +135,12 @@ def _hyp2f1_series(a: float, b: float, c: float, z: float, max_terms: int = 2000
     term = 1.0
     total = 1.0
     for n in range(max_terms):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
+        term *= ratio
         total += term
-        if abs(term) < abs(total) * _EPS and n > 2:
+        # once the term ratio r settles below 1 the tail is about term r / (1 - r),
+        # which is what is left out; near |r| = 1 it is much larger than the term
+        if n > 2 and abs(term) <= abs(total) * _EPS * max(1.0 - abs(ratio), 0.0):
             return total
     raise RuntimeError(f"2F1 series did not converge at z={z}")
 
@@ -148,35 +151,63 @@ def _hyp2f1_pfaff(a: float, b: float, c: float, z: float) -> float:
     return (1.0 - z) ** (-a) * _hyp2f1_series(a, c - b, c, w)
 
 
-def _hyp2f1_large_negative(a: float, b: float, c: float, z: float) -> float:
-    # connection formula at infinity; requires b - a not an integer
-    t1 = (math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
-          * (-z) ** (-a) * _hyp2f1_series(a, a - c + 1.0, a - b + 1.0, 1.0 / z))
-    t2 = (math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
-          * (-z) ** (-b) * _hyp2f1_series(b, b - c + 1.0, b - a + 1.0, 1.0 / z))
-    return t1 + t2
+# Pfaff's series in w = z/(z - 1) needs about 25 |z| terms; beyond this |z|
+# the expansion at infinity is used even where its two terms cancel
+_PFAFF_MAX_NEG_Z = 1000.0
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
+def _hyp2f1_at_infinity(a: float, b: float, c: float, z: float):
+    """The two parts u, v of the expansion of 2F1(a, b; c; z) at infinity,
+
+        2F1(a, b; c; z) = (-z)^(-a) u + (-z)^(-b) v,
+
+    with z = -inf giving their limits.  None where the expansion does not
+    apply (z > -2, or b - a an integer) or, while Pfaff is affordable, would
+    lose digits: its two terms are large and of opposite sign unless |z| is
+    at least a quarter of the first coefficients of its series (for the
+    sigma-min density family, m <= 18, that keeps it within 1e-13 of mpmath).
+    """
+    if z > -2.0 or abs((b - a) - round(b - a)) < 1e-9:
+        return None
+    if -z < min(_PFAFF_MAX_NEG_Z, max(abs(a * (a - c + 1.0) / (a - b + 1.0)),
+                                      abs(b * (b - c + 1.0) / (b - a + 1.0))) / 4.0):
+        return None
+    w = 1.0 / z
+    u = (math.gamma(c) * math.gamma(b - a) * _rgamma(b) * _rgamma(c - a)
+         * _hyp2f1_series(a, a - c + 1.0, a - b + 1.0, w))
+    v = (math.gamma(c) * math.gamma(a - b) * _rgamma(a) * _rgamma(c - b)
+         * _hyp2f1_series(b, b - c + 1.0, b - a + 1.0, w))
+    return u, v
+
+
+def gauss_2f1(a: float, b: float, c: float, z: float, scaled: bool = False) -> float:
     """Gauss hypergeometric 2F1(a, b; c; z) for real parameters and z < 0.9.
 
-    Direct series inside the disk, the Pfaff transformation on [-2, -0.9],
-    and the expansion at infinity below that (falling back to Pfaff when
-    b - a is an integer and the expansion degenerates).
+    Direct series inside the disk, the expansion at infinity where it is
+    accurate, and the Pfaff transformation for the rest of z <= -0.9.
+
+    scaled=True returns (-z)^a 2F1(a, b; c; z) for z < 0 instead, with the
+    power folded into the expansion at infinity: for b > a it stays finite
+    up to z = -inf, where the plain value underflows.
     """
     if _is_nonpositive_integer(c):
         raise ValueError(f"2F1 undefined for non-positive integer c = {c}")
+    if scaled and not z < 0.0:
+        raise ValueError(f"scaled 2F1 needs z < 0, got {z}")
     if a == 0.0 or b == 0.0 or z == 0.0:
-        return 1.0
-    if z >= 0.9:
+        value = 1.0
+    elif z >= 0.9:
         raise ValueError(f"2F1 argument must satisfy z < 0.9, got {z}")
-    if z > -0.9:
-        return _hyp2f1_series(a, b, c, z)
-    if z > -2.0:
-        return _hyp2f1_pfaff(a, b, c, z)
-    if abs((b - a) - round(b - a)) < 1e-9:
-        return _hyp2f1_pfaff(a, b, c, z)
-    return _hyp2f1_large_negative(a, b, c, z)
+    elif z > -0.9:
+        value = _hyp2f1_series(a, b, c, z)
+    elif (parts := _hyp2f1_at_infinity(a, b, c, z)) is not None:
+        u, v = parts
+        if scaled:
+            return u + (-z) ** (a - b) * v
+        return (-z) ** (-a) * u + (-z) ** (-b) * v
+    else:
+        value = _hyp2f1_pfaff(a, b, c, z)
+    return (-z) ** a * value if scaled else value
 
 
 def kolmogorov_sf(x: float) -> float:

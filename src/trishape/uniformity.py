@@ -7,6 +7,7 @@ against its exact density; and for planar triangles the hemisphere
 marginals (height, longitude) get Kolmogorov-Smirnov checks.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -107,56 +108,97 @@ def chikuse_jupp(samples) -> TestReport:
     return TestReport("chikuse-jupp", stat, f"chi2(df={df:g})", p, t)
 
 
+def _check_matrix_size(m):
+    if not isinstance(m, (int, np.integer)) or m < 2:
+        raise ValueError(f"matrix size must be an integer >= 2, got {m!r}")
+
+
+def _t2_density(t: float, m: int) -> float:
+    """t^2 times the density of 1/sigma_min at t: finite on (sqrt(m), inf],
+    where it tends to a constant, and zero at and below sqrt(m)."""
+    if t * t <= m:
+        return 0.0
+    e = m * (m + 1) / 2.0
+    a = (m - 1) / 2.0
+    const = (2.0 * m * math.gamma((m + 1) / 2.0) * math.gamma(m * m / 2.0)
+             / (math.sqrt(math.pi) * math.gamma(e - 1.0)))
+    # t^2 t^(1 - m^2) (t^2 - m)^(e - 2) 2F1(z), with -z = t^2 - m = t^2 (1 - m/t^2)
+    # and t^(m - 1) = t^(2a), is (1 - m/t^2)^(e - 2 - a) (-z)^a 2F1(z): no factor
+    # under- or overflows, and the scaled 2F1 tends to a constant as t -> inf
+    return (const * math.exp((e - 2.0 - a) * math.log1p(-m / (t * t)))
+            * gauss_2f1(a, m / 2.0 + 1.0, e - 1.0, m - t * t, scaled=True))
+
+
 def inv_sigma_min_density(t: float, m: int) -> float:
     """Exact density of 1/sigma_min for a square m x m uniform preshape.
 
     Supported on t >= sqrt(m) (the unit Frobenius norm forces
-    sigma_min <= 1/sqrt(m)); zero below.
+    sigma_min <= 1/sqrt(m)); zero below.  Finite for every t, it decays
+    like 1/t^2.
     """
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ValueError(f"matrix size must be an integer >= 2, got {m!r}")
+    _check_matrix_size(m)
     t = float(t)
-    if t * t <= m:
-        return 0.0
-    e = m * (m + 1) / 2.0
-    const = (2.0 * m * math.gamma((m + 1) / 2.0) * math.gamma(m * m / 2.0)
-             / (math.sqrt(math.pi) * math.gamma(e - 1.0)))
-    # t^(1 - m^2) (t^2 - m)^(e - 2) = t^(m - 3) (1 - m/t^2)^(e - 2); the two
-    # factors on the left under- and overflow for m >= 8, so build it from logs
-    power = math.exp((m - 3) * math.log(t) + (e - 2.0) * math.log1p(-m / (t * t)))
-    hyp = gauss_2f1((m - 1) / 2.0, m / 2.0 + 1.0, e - 1.0, m - t * t)
-    return const * power * hyp
+    return _t2_density(t, m) / t / t
 
 
-def inv_sigma_min_cdf(t: float, m: int) -> float:
-    """CDF of 1/sigma_min; closed form for m = 2, quadrature otherwise."""
-    t = float(t)
-    t2 = t * t
-    if t2 <= m:
-        return 0.0
+@functools.cache
+def _cdf_rule():
+    """The one Gauss-Legendre rule for every gap of the sigma-min CDF, built
+    on first use (numpy.polynomial is not imported with numpy).  31 nodes is
+    the fewest that keep one panel over [x, 1] within 1e-13 of a 200-node
+    rule and of adaptive quadrature for every x and m <= 18."""
+    return np.polynomial.legendre.leggauss(31)
+
+
+def inv_sigma_min_cdf(t, m: int):
+    """CDF of 1/sigma_min at t, a float or an array of any shape.
+
+    Closed form for m = 2.  Otherwise the density is integrated in
+    x = sqrt(m)/t, which maps the support onto (0, 1]: the values are sorted
+    once, the gap between each one and the next smaller x gets the fixed
+    Gauss-Legendre rule, and a running sum gives the CDF.  A scalar is a
+    batch of one and returns a float.
+    """
+    _check_matrix_size(m)
+    t = np.asarray(t, dtype=float)
     if m == 2:
         # where t^2 overflows, the tail 2 sqrt(t^2 - 1) / t^2 < 2 / t rounds away
-        return 1.0 if t2 == math.inf else 1.0 - 2.0 * math.sqrt(t2 - 1.0) / t2
-    # substitute t = sqrt(m)/x to put the integral on the finite interval (x, 1]
-    nodes, weights = np.polynomial.legendre.leggauss(200)
-    lo = math.sqrt(m) / t
-    mid, half = (1.0 + lo) / 2.0, (1.0 - lo) / 2.0
-    x = mid + half * nodes
-    tt = math.sqrt(m) / x
-    vals = np.array([inv_sigma_min_density(v, m) for v in tt])
-    return float(np.sum(weights * vals * math.sqrt(m) / x**2) * half)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t2 = t * t
+            tail = 2.0 * np.sqrt(t2 - 1.0) / t2
+        cdf = np.where(t2 <= m, 0.0, np.where(t2 == np.inf, 1.0, 1.0 - tail))
+    else:
+        root = math.sqrt(m)
+        order = np.argsort(t, axis=None)
+        x = root / np.maximum(t.ravel()[order], root)    # 1 on and below the support edge
+        upper = np.concatenate(([1.0], x[:-1]))
+        half, mid = (upper - x) / 2.0, (upper + x) / 2.0
+        gaps = np.zeros(x.size)
+        open_ = half > 0.0                                 # duplicates leave empty gaps
+        nodes, weights = _cdf_rule()
+        y = mid[open_, None] + half[open_, None] * nodes
+        g = np.array([_t2_density(v, m) for v in (root / y).ravel()]).reshape(y.shape)
+        gaps[open_] = half[open_] * (g @ weights) / root
+        cdf = np.empty(x.size)
+        cdf[order] = np.cumsum(gaps)
+        cdf = cdf.reshape(t.shape)
+        cdf[t == np.inf] = 1.0                  # the running sum reaches 1 only to rounding
+        cdf[np.isnan(t)] = np.nan
+    return float(cdf) if cdf.ndim == 0 else cdf
 
 
 def ks_test(samples, cdf, name: str = "ks") -> TestReport:
     """One-sample Kolmogorov-Smirnov test against a continuous CDF.
 
-    The p-value uses the asymptotic Kolmogorov series at sqrt(t) * D.
+    cdf is called once, on the sorted sample, and maps an array to an
+    array of the same shape.  The p-value uses the asymptotic Kolmogorov
+    series at sqrt(t) * D.
     """
     x = np.sort(np.asarray(samples, dtype=float))
     t = x.size
     if t == 0:
         raise ValueError("empty sample set")
-    f = np.asarray([cdf(v) for v in x], dtype=float)
+    f = np.asarray(cdf(x), dtype=float)
     hi = np.arange(1, t + 1) / t - f
     lo = f - np.arange(0, t) / t
     d = float(max(hi.max(), lo.max(), 0.0))
@@ -202,8 +244,7 @@ def uniformity_suite(samples, which: str = "all") -> SuiteReport:
     if runs("hemisphere", m == q == 2, "m=2, k=3"):
         height, lon = _hemisphere_marginals(z)
         suite.reports.append(
-            ks_test(height, lambda v: min(max(2.0 * v, 0.0), 1.0), name="height-ks"))
+            ks_test(height, lambda v: np.clip(2.0 * v, 0.0, 1.0), name="height-ks"))
         suite.reports.append(
-            ks_test(lon, lambda v: min(max(v / (2.0 * math.pi), 0.0), 1.0),
-                    name="longitude-ks"))
+            ks_test(lon, lambda v: v / (2.0 * math.pi), name="longitude-ks"))
     return suite

@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -279,6 +281,67 @@ def test_sigma_min_singular_preshape(tmp_path, capsys):
     assert math.isfinite(report["statistic"]) and math.isfinite(report["p_value"])
     assert code == (3 if report["p_value"] < 0.01 else 0)
     assert err == ""
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_sigma_min_near_singular_rows(m, tmp_path, capsys):
+    # two rows with sigma_min about 1e-100 and 1e-70 put quadrature nodes out
+    # where t^(m - 3) overflows
+    f = tmp_path / "pre.csv"
+    run_cli(["sample", "ndim", "--m", str(m), "--k", str(m + 1), "-n", "30", "--seed", "5",
+             "--emit", "preshapes", "-o", str(f)], capsys)
+    lines = f.read_text().splitlines()
+    for tiny in (1e-100, 1e-70):
+        z = np.eye(m)
+        z[-1, -1] = tiny
+        z /= np.linalg.norm(z)
+        lines.append(",".join(f"{v:.17g}" for v in z.ravel()))
+    f.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(["test", str(f), "--which", "sigma-min", "--format", "json"],
+                             capsys)
+
+    def no_constant(name):
+        raise ValueError(f"invalid JSON constant {name}")
+
+    (report,) = json.loads(out, parse_constant=no_constant)["tests"]
+    assert math.isfinite(report["statistic"]) and math.isfinite(report["p_value"])
+    assert code == (3 if report["p_value"] < 0.01 else 0)
+    assert err == ""
+
+
+@pytest.mark.parametrize("rows", [
+    ["0.5,0.5,0.5,0.5", "1,0,0"],                   # ragged
+    ["0.5,0.5,0.5,0.5,0", "0.5,0.5,0.5,0.5,0"],     # width 5, not m (k - 1) = 4
+    ["0.5,0.5,0.5", "1,0,0"],                       # width 3
+    ["0.5,0.5,0.5,0.5", "# a comment"],             # no comment lines
+    ["0.5,0.5,0.5,0.5 # a comment"],
+])
+def test_malformed_sample_file_usage_error(rows, tmp_path, capsys):
+    f = tmp_path / "bad.csv"
+    f.write_text("\n".join(["m,k", "2,3", *rows]) + "\n")
+    code, out, err = run_cli(["test", str(f)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("trishape: error: cannot parse sample file")
+
+
+def test_sample_file_reader_values(tmp_path):
+    f = tmp_path / "pre.csv"
+    rows = ["0.5, 0.5,0.5 ,0.5", "1e-3,-0.25,nan,inf", "", "0.125,0,0,-0"]
+    f.write_text("\r\n".join(["m,k", "2,3", *rows]) + "\r\n")
+    z = cli._read_preshape_file(f)
+    expected = [[float(v) for v in row.split(",")] for row in rows if row]
+    assert z.shape == (3, 2, 2)
+    assert np.array_equal(z.reshape(3, 4), np.array(expected), equal_nan=True)
+
+
+def test_parser_built_once_and_not_at_import():
+    code = ("import trishape.cli as c; assert c._build_parser.cache_info().currsize == 0; "
+            "c.main(['prob', '3']); c.main(['prob', '4']); "
+            "assert c._build_parser.cache_info().misses == 1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "-0.5"])

@@ -173,7 +173,7 @@ GOLDEN = {
     },
     "test33-all": {
         "code": 0,
-        "stdout": "b73b994d2ee89a58098c4c7509d571efafdf5ab9302eb5ff0ef00573bf6fd046",
+        "stdout": "54694857e0eda0b650df5fe653d7b3f53f70ed5ae4009d290d7f9d574c0b0fd0",
     },
     "test33-hemisphere": {
         "code": 1,

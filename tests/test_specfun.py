@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -121,8 +122,32 @@ def test_2f1_route_overlap_bands():
     # Pfaff vs expansion at infinity on the handover band
     for z in np.linspace(-3.0, -2.0, 11):
         p = specfun._hyp2f1_pfaff(0.5, 2.0, 3.5, z)
-        i = specfun._hyp2f1_large_negative(0.5, 2.0, 3.5, z)
+        u, v = specfun._hyp2f1_at_infinity(0.5, 2.0, 3.5, z)
+        i = (-z) ** -0.5 * u + (-z) ** -2.0 * v
         assert abs(p - i) < 1e-10 * max(1.0, abs(p))
+
+
+def test_2f1_b_minus_a_near_integer_at_large_z():
+    # the expansion at infinity nearly cancels here, but Pfaff would need
+    # millions of terms at z = -1e5; it stays within reach of mpmath
+    b = 1.5 + 1e-6
+    with mpmath.workdps(40):
+        for z in (-2e3, -1e5):
+            ref = mpmath.hyp2f1(0.5, b, 3.0, z)
+            assert abs(specfun.gauss_2f1(0.5, b, 3.0, z) - ref) < 1e-11 * abs(ref)
+
+
+def test_2f1_scaled_folds_the_power():
+    # (-z)^a 2F1 on every route, for the m = 18 sigma-min density parameters
+    a, b, c = 8.5, 10.0, 170.0
+    with mpmath.workdps(40):
+        for z in (-0.5, -1.5, -30.0, -700.0, -1e4, -1e300):
+            ref = (-mpmath.mpf(z)) ** a * mpmath.hyp2f1(a, b, c, z)
+            assert abs(specfun.gauss_2f1(a, b, c, z, scaled=True) - ref) < 1e-13 * abs(ref)
+    limit = specfun.gauss_2f1(a, b, c, -math.inf, scaled=True)
+    assert limit == pytest.approx(specfun.gauss_2f1(a, b, c, -1e300, scaled=True), rel=1e-15)
+    with pytest.raises(ValueError):
+        specfun.gauss_2f1(a, b, c, 0.5, scaled=True)
 
 
 def test_2f1_rejects_bad_c_and_large_z():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -147,6 +148,76 @@ def test_inv_sigma_min_cdf_m2_where_t_squared_overflows(t):
     assert uni.inv_sigma_min_cdf(t, 2) == 1.0
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 8, 12, 18])
+def test_inv_sigma_min_density_against_mpmath(m):
+    with mpmath.workdps(40):
+        e = mpmath.mpf(m * (m + 1)) / 2
+        const = (2 * m * mpmath.gamma(mpmath.mpf(m + 1) / 2) * mpmath.gamma(mpmath.mpf(m * m) / 2)
+                 / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(e - 1)))
+        for t in (2.0 * math.sqrt(m), 10.0, 1e3, 1e70, 1e200):
+            tt = mpmath.mpf(t)
+            ref = float(const * tt ** (1 - m * m) * (tt * tt - m) ** (e - 2)
+                        * mpmath.hyp2f1(mpmath.mpf(m - 1) / 2, mpmath.mpf(m) / 2 + 1, e - 1,
+                                        m - tt * tt))
+            assert abs(uni.inv_sigma_min_density(t, m) - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("m", [3, 8, 18])
+def test_inv_sigma_min_density_finite_everywhere(m):
+    for t in math.sqrt(m) * np.logspace(1e-6, 307, 400):
+        assert math.isfinite(uni.inv_sigma_min_density(t, m))
+
+
+def _cdf_200_node_rule(t, m):
+    # the whole interval [sqrt(m)/t, 1] in x = sqrt(m)/t under one 200-node rule
+    if t * t <= m:
+        return 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(200)
+    lo = math.sqrt(m) / t
+    half = (1.0 - lo) / 2.0
+    x = (1.0 + lo) / 2.0 + half * nodes
+    vals = np.array([uni.inv_sigma_min_density(v, m) for v in math.sqrt(m) / x])
+    return float(np.sum(weights * vals * math.sqrt(m) / x**2) * half)
+
+
+def _cdf_quad(t, m):
+    if t * t <= m:
+        return 0.0
+    r = math.sqrt(m)
+    val, _ = integrate.quad(lambda x: uni.inv_sigma_min_density(r / x, m) * r / x**2,
+                            r / t, 1.0, limit=500, epsabs=1e-15, epsrel=1e-13)
+    return val
+
+
+@pytest.mark.parametrize("m", [3, 4, 8, 12, 18])
+def test_inv_sigma_min_cdf_array_matches_scalar_rule_and_quad(m):
+    r = math.sqrt(m)
+    # unsorted, with duplicates, values on and below the support edge, and inf
+    t = np.array([3.0 * r, 0.5 * r, 1.2 * r, np.inf, r, 3.0 * r, 30.0 * r, 1.05 * r,
+                  r * 1e3, 2.0, 1.2 * r, 6.0 * r])
+    cdf = uni.inv_sigma_min_cdf(t, m)
+    assert cdf.shape == t.shape
+    scalar = [uni.inv_sigma_min_cdf(v, m) for v in t]
+    assert all(isinstance(v, float) for v in scalar)
+    assert np.abs(cdf - scalar).max() <= 1e-13
+    assert cdf[1] == 0.0 and cdf[4] == 0.0 and cdf[3] == 1.0
+    assert cdf[0] == cdf[5] and cdf[2] == cdf[10]
+    finite = np.isfinite(t)
+    rule = np.array([_cdf_200_node_rule(v, m) for v in t[finite]])
+    quad = np.array([_cdf_quad(v, m) for v in t[finite]])
+    assert np.abs(cdf[finite] - rule).max() <= 1e-13
+    assert np.abs(cdf[finite] - quad).max() <= 1e-13
+    # the 2-d layout is kept
+    assert np.array_equal(uni.inv_sigma_min_cdf(t.reshape(3, 4), m), cdf.reshape(3, 4))
+
+
+def test_inv_sigma_min_cdf_m2_array_matches_scalar():
+    t = np.array([1.5, 0.3, np.inf, 1e160, 2.0, math.sqrt(2.0), 1.5])
+    cdf = uni.inv_sigma_min_cdf(t, 2)
+    assert cdf.tolist() == [uni.inv_sigma_min_cdf(v, 2) for v in t]
+    assert cdf[1] == 0.0 and cdf[2] == 1.0 and cdf[3] == 1.0
+
+
 def test_inv_sigma_min_histogram_matches_density():
     z = uniform_preshapes(50_000, seed=6)
     tt = 1.0 / np.linalg.svd(z, compute_uv=False)[:, -1]
@@ -189,8 +260,22 @@ def test_ks_det_ratio_uniform_non_rejection():
     rng = samp.RngSeed(8).generator()
     g = rng.standard_normal((50_000, 2, 2))
     ratio = np.abs(g[:, 0, 0] * g[:, 1, 1] - g[:, 0, 1] * g[:, 1, 0]) / (g**2).sum(axis=(1, 2))
-    report = uni.ks_test(ratio, lambda v: min(max(2.0 * v, 0.0), 1.0))
+    report = uni.ks_test(ratio, lambda v: np.clip(2.0 * v, 0.0, 1.0))
     assert report.p_value > 0.01
+
+
+def test_ks_array_cdf_matches_scalar_loop():
+    rng = samp.RngSeed(16).generator()
+    samples = rng.gamma(2.0, size=300) + math.sqrt(3.0)
+    # the same arithmetic elementwise gives the same D and p bit for bit
+    array = uni.ks_test(samples, lambda v: np.clip(v / 6.0, 0.0, 1.0))
+    loop = uni.ks_test(samples, lambda v: np.array([min(max(x / 6.0, 0.0), 1.0) for x in v]))
+    assert (array.statistic, array.p_value) == (loop.statistic, loop.p_value)
+    # the sigma-min CDF integrates over other gaps when called one value at a time
+    array = uni.ks_test(samples, lambda v: uni.inv_sigma_min_cdf(v, 3))
+    loop = uni.ks_test(samples, lambda v: np.array([uni.inv_sigma_min_cdf(x, 3) for x in v]))
+    assert abs(array.statistic - loop.statistic) <= 1e-13
+    assert abs(array.p_value - loop.p_value) <= 1e-11
 
 
 def test_ks_empty_rejected():
