@@ -158,7 +158,14 @@ def _cmd_sample(args, out) -> int:
         if args.m is None:
             raise ValueError("model 'ndim' requires --m")
         _check_size("--m", args.m)
+    elif args.m is not None or args.k is not None:
+        raise ValueError(f"--m and --k apply to model 'ndim' only, not {model!r}")
+    if args.summary and args.emit == "preshapes":
+        raise ValueError("--summary prints class fractions; it cannot --emit preshapes")
+    if args.summary and args.k not in (None, 3):
+        raise ValueError(f"--summary classifies triangles (k = 3), got --k {args.k}")
     m = args.m if args.m is not None else 2
+    k = args.k if args.k is not None else 3
     seed = (args.seed, args.stream)
 
     if args.summary:
@@ -175,7 +182,6 @@ def _cmd_sample(args, out) -> int:
     if args.emit == "preshapes":
         if model not in ("gaussian", "ndim"):
             raise ValueError("--emit preshapes needs model 'gaussian' or 'ndim'")
-        m, k = (2, 3) if model == "gaussian" else (m, args.k)
         _check_size("--k", k, 2)
         blocks = iter_blocks(args.n, seed)
         out.write(f"m,k\n{m},{k}\n")
@@ -183,7 +189,7 @@ def _cmd_sample(args, out) -> int:
             _write_rows(out, sampling.ndim_shapes(m, k, rng, count).reshape(count, -1).T)
         return EXIT_OK
 
-    if model == "ndim" and args.k != 3:
+    if model == "ndim" and k != 3:
         raise ValueError("per-sample rows need triangles (k = 3); "
                          "use --emit preshapes for general k")
     blocks = iter_blocks(args.n, seed)
@@ -197,7 +203,7 @@ def _cmd_sample(args, out) -> int:
             x = (vals[:, 0] + vals[:, 1]) / 2.0 - vals[:, 2]
             y = sampling.SQRT3 * (vals[:, 0] - vals[:, 1]) / 2.0
             polar = (np.hypot(x, y), np.mod(np.arctan2(y, x), 2.0 * math.pi))
-        codes = sampling._classify_codes(vals)
+        codes = sampling._classify_codes(sampling._column_max(vals))
         _write_rows(out, (*vals.T, *polar, _CLASS_NAMES[codes]))
     return EXIT_OK
 
@@ -266,6 +272,9 @@ def _read_preshape_file(path) -> np.ndarray:
         raise ValueError(f"sample file {path!r} must start with an 'm,k' header")
     try:
         m, k = (int(v) for v in lines[1].split(","))
+        # checked before the reshape, which would infer a -1 from the rows
+        if m < 1 or k < 2:
+            raise ValueError(f"header needs m >= 1 and k >= 2, got m={m}, k={k}")
         rows = np.loadtxt(lines[2:], delimiter=",", comments=None, ndmin=2)
         return rows.reshape(len(rows), m, k - 1)
     except ValueError as exc:
@@ -311,7 +320,8 @@ def _plot_disk_scatter(args, out):
     drawn = []
     for rng, count in blocks:
         x, y = sampling.disk_batch(args.model, rng, count)
-        classes = _CLASS_NAMES[sampling._classify_codes(conv._sides_from_xy(x, y))]
+        classes = _CLASS_NAMES[sampling._classify_codes(
+            sampling._column_max(conv._sides_from_xy(x, y)))]
         _write_rows(out, (x, y, classes))
         if args.svg:
             drawn.append((x, y, classes))
@@ -424,7 +434,8 @@ def _build_parser() -> _Parser:
     p.add_argument("model", choices=("gaussian", "hemisphere", "angles", "ndim"))
     p.add_argument("-n", type=int, required=True, help="number of samples")
     p.add_argument("--m", type=int, default=None, help="ambient dimension (ndim model)")
-    p.add_argument("--k", type=int, default=3, help="number of points (ndim model)")
+    p.add_argument("--k", type=int, default=None,
+                   help="number of points (ndim model; default 3)")
     p.add_argument("--summary", action="store_true",
                    help="print class fractions instead of per-sample rows")
     p.add_argument("--emit", choices=("rows", "preshapes"), default="rows")

@@ -24,6 +24,7 @@ from .core import HELMERT3, INPUT_TOL
 from .errors import DomainError
 
 BLOCK_SIZE = 1 << 16
+CHUNK_ROWS = 1 << 12      # rows a count kernel classifies at a time
 RIGHT_ANGLE_TOL = 1e-9
 
 BROKEN_STICK_FRACTION = math.pi / math.sqrt(27.0)
@@ -154,17 +155,66 @@ def ndim_shapes(m: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
 
 def classify(s: SquaredSides) -> ClassifiedShape:
     """Acute/right/obtuse by the largest squared side against the 1/2 threshold."""
-    kind = CLASS_NAMES[_classify_codes(s.as_array()[None])[0]]
+    kind = CLASS_NAMES[_classify_codes(_column_max(s.as_array()[None]))[0]]
     return ClassifiedShape(s, kind, sides_to_disk(s))
 
 
-def _classify_codes(vals: np.ndarray) -> np.ndarray:
-    """0 acute / 1 right / 2 obtuse for an (n, 3) array of squared sides or of
-    angles over pi: either is obtuse when its largest entry exceeds 1/2."""
-    top = vals.max(axis=1)
-    codes = np.where(top > 0.5, 2, 0)
-    codes[np.abs(top - 0.5) <= RIGHT_ANGLE_TOL] = 1
-    return codes
+def _column_max(vals: np.ndarray) -> np.ndarray:
+    """Largest entry of each row of an (n, 3) array; three column maxima cost
+    a fraction of vals.max(axis=1), which reduces over the short axis."""
+    return np.maximum(np.maximum(vals[:, 0], vals[:, 1]), vals[:, 2])
+
+
+def _class_masks(top: np.ndarray, total=1.0):
+    """(right or obtuse, obtuse) for rows whose largest squared side or angle
+    is top and whose entries sum to total (1 for normalised rows).  A row is
+    obtuse when top exceeds half the total by more than RIGHT_ANGLE_TOL times
+    the total, and right within that.  The rule is the same at every scale,
+    so unnormalised rows need no division."""
+    d = top - 0.5 * total
+    tol = RIGHT_ANGLE_TOL * total
+    return d >= -tol, d > tol
+
+
+def _classify_codes(top: np.ndarray, total=1.0) -> np.ndarray:
+    """0 acute / 1 right / 2 obtuse, by _class_masks."""
+    return np.add(*_class_masks(top, total), dtype=np.intp)
+
+
+def _class_counts(top: np.ndarray, total=1.0) -> np.ndarray:
+    """(acute, right, obtuse) counts, by _class_masks."""
+    not_acute, obtuse = (np.count_nonzero(v) for v in _class_masks(top, total))
+    return np.array([top.size - not_acute, not_acute - obtuse, obtuse])
+
+
+def _disk_counts(x: np.ndarray, y: np.ndarray, t=1.0) -> np.ndarray:
+    """Class counts of shapes of squared size t whose disk point, times t, is
+    (x, y).  Their squared sides times 3t are t + x + sqrt(3) y,
+    t + x - sqrt(3) y and t - 2x, so three times the largest is
+    t + max(x + sqrt(3) |y|, -2x)."""
+    top = t + np.maximum(x + SQRT3 * np.abs(y), -2.0 * x)
+    return _class_counts(top, 3.0 * t)
+
+
+def _preshape_counts(z: np.ndarray) -> np.ndarray:
+    """Class counts of (n, m, 2) triangle preshapes, unnormalised.
+
+    With the two columns as one complex vector c = z[..., 0] + i z[..., 1],
+    sum(c^2) = (g11 - g22) + 2i g12 and sum(|c|^2) = g11 + g22 = t, for the
+    Gram matrix g of the columns; sum(c^2)/2 is the disk point times t.  So
+    sum(c^2) and 2t give the classes at doubled scale, from one pass each.
+    """
+    n, m, _ = z.shape
+    c = z.view(np.complex128).reshape(n, m)
+    flat = z.reshape(n, 2 * m)
+    w = np.einsum("ij,ij->i", c, c)
+    return _disk_counts(w.real, w.imag, 2.0 * np.einsum("ij,ij->i", flat, flat))
+
+
+def _angle_counts(e: np.ndarray) -> np.ndarray:
+    """Class counts of (n, 3) exponentials, whose rows over their sums are
+    angles over pi."""
+    return _class_counts(_column_max(e), e[:, 0] + e[:, 1] + e[:, 2])
 
 
 # vectorized pipeline helpers -----------------------------------------------
@@ -239,13 +289,36 @@ def _mc_sum(n_samples: int, block_fn, seed, workers: int = 1) -> np.ndarray:
         return np.sum(list(pool.map(run, blocks)), axis=0)
 
 
+def _chunked(draw, row_shape: tuple, count: int, kernel):
+    """Sum of kernel over count rows that draw(out=...) writes CHUNK_ROWS at a
+    time into one reused buffer.  Consecutive draws continue one stream, so
+    the rows are those of one draw of count rows; the buffer and every
+    temporary stay in cache and below malloc's mmap threshold, which spares
+    a page fault per page touched."""
+    buf = np.empty((min(CHUNK_ROWS, count), *row_shape))
+    return sum(kernel(draw(out=buf[:min(CHUNK_ROWS, count - lo)]))
+               for lo in range(0, count, CHUNK_ROWS))
+
+
 def _class_counts_block(model: str, m: int):
+    """Counts of one block, classified from the raw draws: the class of a
+    shape does not depend on its scale, so nothing is normalised."""
+    if model == "gaussian":
+        m = 2
+    elif model == "ndim":
+        if m < 1:
+            raise ValueError(f"need m >= 1, got m={m}")
+    elif model not in ("hemisphere", "angles"):
+        raise ValueError(f"unknown model {model!r}")
+
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
+        if model == "hemisphere":
+            return _disk_counts(*disk_batch(model, rng, count))
         if model == "angles":
-            vals = uniform_angles_batch(rng, count)
-        else:
-            vals = sides_batch(model, rng, count, m)
-        return np.bincount(_classify_codes(vals), minlength=3)
+            # the draws of uniform_angles_batch, before normalisation
+            return _chunked(rng.standard_exponential, (3,), count, _angle_counts)
+        # the draws of gaussian_shapes and ndim_shapes, before normalisation
+        return _chunked(rng.standard_normal, (m, 2), count, _preshape_counts)
 
     return block
 
@@ -290,10 +363,13 @@ def broken_stick_fraction(n_samples: int, seed=0, workers: int = 1) -> MonteCarl
     the fraction converges to pi / sqrt(27).
     """
 
+    def good(e: np.ndarray) -> int:
+        # the simplex point is e / sum(e): test sum(e^2) <= sum(e)^2 / 2 unscaled
+        total = e[:, 0] + e[:, 1] + e[:, 2]
+        return np.count_nonzero(np.einsum("ij,ij->i", e, e) <= 0.5 * total * total)
+
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        s2 = uniform_angles_batch(rng, count)
-        good = int(((s2 * s2).sum(axis=1) <= 0.5).sum())
-        return np.array([good])
+        return np.array([_chunked(rng.standard_exponential, (3,), count, good)])
 
     return _binomial(int(_mc_sum(n_samples, block, seed, workers)[0]), n_samples)
 

@@ -129,16 +129,19 @@ def _t2_density(t: float, m: int) -> float:
             * gauss_2f1(a, m / 2.0 + 1.0, e - 1.0, m - t * t, scaled=True))
 
 
-def inv_sigma_min_density(t: float, m: int) -> float:
+def inv_sigma_min_density(t, m: int):
     """Exact density of 1/sigma_min for a square m x m uniform preshape.
 
     Supported on t >= sqrt(m) (the unit Frobenius norm forces
-    sigma_min <= 1/sqrt(m)); zero below.  Finite for every t, it decays
-    like 1/t^2.
+    sigma_min <= 1/sqrt(m)); zero below, negative t included.  Finite for
+    every t, it decays like 1/t^2.  t is a float or an array of any shape
+    (same shape back); a scalar returns a float.
     """
     _check_matrix_size(m)
-    t = float(t)
-    return _t2_density(t, m) / t / t
+    t = np.asarray(t, dtype=float)
+    dens = np.array([0.0 if v <= 0.0 else _t2_density(v, m) / v / v
+                     for v in t.ravel().tolist()]).reshape(t.shape)
+    return float(dens) if dens.ndim == 0 else dens
 
 
 @functools.cache
@@ -153,11 +156,12 @@ def _cdf_rule():
 def inv_sigma_min_cdf(t, m: int):
     """CDF of 1/sigma_min at t, a float or an array of any shape.
 
-    Closed form for m = 2.  Otherwise the density is integrated in
-    x = sqrt(m)/t, which maps the support onto (0, 1]: the values are sorted
-    once, the gap between each one and the next smaller x gets the fixed
-    Gauss-Legendre rule, and a running sum gives the CDF.  A scalar is a
-    batch of one and returns a float.
+    Zero at and below sqrt(m), negative t included.  Closed form for m = 2.
+    Otherwise the density is integrated in x = sqrt(m)/t, which maps the
+    support onto (0, 1]: the values are sorted once, the gap between each
+    one and the next smaller x gets the fixed Gauss-Legendre rule, and a
+    running sum gives the CDF.  A scalar is a batch of one and returns a
+    float.
     """
     _check_matrix_size(m)
     t = np.asarray(t, dtype=float)
@@ -166,7 +170,7 @@ def inv_sigma_min_cdf(t, m: int):
         with np.errstate(over="ignore", invalid="ignore"):
             t2 = t * t
             tail = 2.0 * np.sqrt(t2 - 1.0) / t2
-        cdf = np.where(t2 <= m, 0.0, np.where(t2 == np.inf, 1.0, 1.0 - tail))
+        cdf = np.where((t <= 0.0) | (t2 <= m), 0.0, np.where(t2 == np.inf, 1.0, 1.0 - tail))
     else:
         root = math.sqrt(m)
         order = np.argsort(t, axis=None)

@@ -325,6 +325,19 @@ def test_malformed_sample_file_usage_error(rows, tmp_path, capsys):
     assert err.startswith("trishape: error: cannot parse sample file")
 
 
+@pytest.mark.parametrize("header", ["-1,5", "2,-1", "0,3", "2,1"])
+def test_bad_header_usage_error(header, tmp_path, capsys):
+    # 4-value rows, which a reshape inferring a -1 would accept
+    f = tmp_path / "bad.csv"
+    f.write_text("\n".join(["m,k", header, *["0.5,0.5,0.5,0.5"] * 3]) + "\n")
+    for which in ("all", "chikuse-jupp"):
+        code, out, err = run_cli(["test", str(f), "--which", which], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("trishape: error: cannot parse sample file")
+        assert "m >= 1 and k >= 2" in err
+
+
 def test_sample_file_reader_values(tmp_path):
     f = tmp_path / "pre.csv"
     rows = ["0.5, 0.5,0.5 ,0.5", "1e-3,-0.25,nan,inf", "", "0.125,0,0,-0"]
@@ -394,6 +407,30 @@ def test_size_flag_below_range_is_usage_error(argv, flag, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith(f"trishape: error: {flag} must be at least")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["sample", "gaussian", "--summary", "--emit", "preshapes"], "--summary"),
+    (["sample", "ndim", "--m", "3", "--summary", "--emit", "preshapes"], "--summary"),
+    (["sample", "gaussian", "--m", "3"], "--m and --k apply to model 'ndim' only"),
+    (["sample", "hemisphere", "--m", "2", "--summary"], "--m and --k apply"),
+    (["sample", "angles", "--k", "4"], "--m and --k apply"),
+    (["sample", "gaussian", "--k", "4", "--emit", "preshapes"], "--m and --k apply"),
+    (["sample", "ndim", "--m", "3", "--k", "4", "--summary"], "--summary classifies triangles"),
+    (["sample", "ndim", "--m", "3", "--k", "2", "--summary"], "--summary classifies triangles"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_sample_option_its_mode_ignores_is_usage_error(argv, message, tmp_path, capsys):
+    f = tmp_path / "out.csv"
+    code, out, err = run_cli([*argv, "-n", "5", "-o", str(f)], capsys)
+    assert code == 1
+    assert out == "" and f.read_text() == ""
+    assert err.startswith("trishape: error:") and message in err
+
+
+def test_sample_summary_accepts_k_3(capsys):
+    code, out, _ = run_cli(["sample", "ndim", "--m", "3", "--k", "3", "-n", "50", "--summary"],
+                           capsys)
+    assert code == 0 and "obtuse = " in out
 
 
 # Every subcommand takes only the options it reads; these are the pairs that

@@ -6,6 +6,7 @@ from scipy import integrate, special, stats
 
 from trishape import conversions as conv
 from trishape import sampling as samp
+from trishape.core import HELMERT3
 from trishape.errors import DomainError
 
 from helpers import distance_correlation
@@ -387,3 +388,92 @@ def test_broken_stick_quartic_equivalence():
     raw = lengths[:, 0] + lengths[:, 1] >= lengths[:, 2]
     margin = np.abs((s2**2).sum(axis=1) - 0.5) > 1e-12
     assert np.array_equal(quartic[margin], raw[margin])
+
+
+# ---------------------------------------------------------------------------
+# counting from raw draws against the normalised rule
+
+# more rows than one chunk, and not a multiple of it
+_ROWS = 2 * samp.CHUNK_ROWS + 1808
+
+
+def _reference_counts(model, rng, count, m):
+    """Acute/right/obtuse counts by the normalised rule: unit-size squared
+    sides (or angles over pi), the largest against 1/2."""
+    if model == "angles":
+        vals = samp.uniform_angles_batch(rng, count)
+    else:
+        vals = samp.sides_batch(model, rng, count, m)
+    d = vals.max(axis=1) - 0.5
+    right = np.abs(d) <= samp.RIGHT_ANGLE_TOL
+    obtuse = d > samp.RIGHT_ANGLE_TOL
+    return [count - right.sum() - obtuse.sum(), right.sum(), obtuse.sum()]
+
+
+@pytest.mark.parametrize("model,m", [("gaussian", 2), ("hemisphere", 2), ("angles", 2),
+                                     ("ndim", 3), ("ndim", 5), ("ndim", 12)])
+def test_block_counts_equal_normalised_reference(model, m):
+    block = samp._class_counts_block(model, m)
+    for seed in range(30):
+        rng = lambda: samp.RngSeed(seed, 4).generator(block=seed)
+        assert list(block(rng(), _ROWS)) == _reference_counts(model, rng(), _ROWS, m)
+
+
+def test_broken_stick_block_equals_normalised_reference():
+    for seed in range(30):
+        est = samp.broken_stick_fraction(_ROWS, seed=(seed, 4))
+        s2 = samp.uniform_angles_batch(samp.RngSeed(seed, 4).generator(block=0), _ROWS)
+        assert round(est.estimate * _ROWS) == ((s2 * s2).sum(axis=1) <= 0.5).sum()
+
+
+def _row_codes(counts_of, rows):
+    # the class of each row alone: the index of its one nonzero count
+    return [int(np.argmax(counts_of(row[None]))) for row in rows]
+
+
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_preshape_codes_unchanged_by_scale(m):
+    z = samp.RngSeed(60 + m).generator().standard_normal((400, m, 2))
+    codes = _row_codes(samp._preshape_counts, z)
+    assert set(codes) >= {0, 2}
+    for scale in (2.0**40, 2.0**-40):
+        assert _row_codes(samp._preshape_counts, z * scale) == codes
+        assert np.array_equal(samp._preshape_counts(z * scale), samp._preshape_counts(z))
+
+
+def test_angle_codes_unchanged_by_scale():
+    e = samp.RngSeed(64).generator().standard_exponential((400, 3))
+    codes = _row_codes(samp._angle_counts, e)
+    for scale in (2.0**40, 2.0**-40):
+        assert _row_codes(samp._angle_counts, e * scale) == codes
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+def test_exact_right_preshape_is_right_at_every_scale(m):
+    # the columns of z @ HELMERT3 are the edge vectors, whose squared lengths
+    # are the squared sides: edges (1, 0), (-1, 1), (0, -1) have 1, 2, 1, a
+    # right angle; in R^m the plane is turned by a random rotation
+    edges = np.zeros((m, 3))
+    edges[:2] = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]
+    rot, _ = np.linalg.qr(samp.RngSeed(65).generator().standard_normal((m, m)))
+    z = (rot @ edges) @ HELMERT3.T
+    assert np.allclose(samp._ndim_to_sides(z[None] / np.linalg.norm(z)), [[0.25, 0.5, 0.25]])
+    for scale in (2.0**-40, 1e-7, 1.0, 3.7e5, 2.0**40):
+        assert list(samp._preshape_counts(scale * z[None])) == [0, 1, 0]
+
+
+@pytest.mark.parametrize("model,m", [("gaussian", 2), ("hemisphere", 2), ("angles", 2),
+                                     ("ndim", 3)])
+def test_class_fractions_workers_agree(model, m):
+    n = 3 * samp.BLOCK_SIZE + 7
+    one = samp.class_fractions(model, n, seed=66, m=m, workers=1)
+    assert samp.class_fractions(model, n, seed=66, m=m, workers=2) == one
+    assert (samp.broken_stick_fraction(n, seed=66, workers=2)
+            == samp.broken_stick_fraction(n, seed=66, workers=1))
+
+
+def test_class_fractions_rejects_bad_model_and_m():
+    with pytest.raises(ValueError, match="unknown model"):
+        samp.class_fractions("disk", 10)
+    with pytest.raises(ValueError, match="m >= 1"):
+        samp.class_fractions("ndim", 10, m=0)

@@ -115,6 +115,26 @@ def test_inv_sigma_min_density_support():
         uni.inv_sigma_min_density(2.0, 1)
 
 
+_BELOW_ZERO = [-10.0, -1.0, -1e-300, 0.0, -np.inf]
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_inv_sigma_min_density_and_cdf_vanish_at_negative_t(m):
+    for fn in (uni.inv_sigma_min_density, uni.inv_sigma_min_cdf):
+        for t in _BELOW_ZERO:
+            assert fn(t, m) == 0.0
+        vals = fn(np.array(_BELOW_ZERO), m)
+        assert vals.shape == (len(_BELOW_ZERO),) and not vals.any()
+    # an array mixing both sides of the support keeps each value
+    t = np.array([[-10.0, 10.0], [-3.0, 3.0]])
+    dens = uni.inv_sigma_min_density(t, m)
+    assert dens.shape == (2, 2) and dens[0, 0] == dens[1, 0] == 0.0
+    assert dens[0, 1] == uni.inv_sigma_min_density(10.0, m) > 0.0
+    # (for m >= 3 a running sum over the sorted batch, so equal to rounding)
+    assert uni.inv_sigma_min_cdf(t, m)[0, 1] == pytest.approx(uni.inv_sigma_min_cdf(10.0, m),
+                                                              rel=1e-13)
+
+
 def test_inv_sigma_min_density_m2_closed_form():
     for t in (1.5, 1.9, 2.5, 4.0, 10.0, 40.0):
         closed = 2.0 * (t * t - 2.0) / (t**3 * math.sqrt(t * t - 1.0))
