@@ -81,25 +81,10 @@ def _rep_record(value) -> dict:
     return {"representation": kind, **dict(zip(fields, values))}
 
 
-def _jsonable(v):
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.bool_,)):
-        return bool(v)
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
-
-
 def _emit_record(rec: dict, fmt: str, out):
     if fmt == "json":
-        out.write(json.dumps({k: _jsonable(v) for k, v in rec.items()}, indent=2))
+        # NumPy floats are floats to json; other NumPy scalars and arrays go through tolist
+        out.write(json.dumps(rec, indent=2, default=lambda v: v.tolist()))
         out.write("\n")
     elif fmt == "csv":
         # one header row, one value row; vector cells are space-separated
@@ -222,12 +207,7 @@ def _cmd_prob(args, out) -> int:
 
 
 def _triangle_ratio_residual(tri: np.ndarray, sides: np.ndarray) -> float:
-    lengths = np.array([
-        np.linalg.norm(tri[0] - tri[1]),
-        np.linalg.norm(tri[0] - tri[2]),
-        np.linalg.norm(tri[1] - tri[2]),
-    ])
-    lengths.sort()
+    lengths = np.sort([np.linalg.norm(tri[i] - tri[j]) for i, j in ((0, 1), (0, 2), (1, 2))])
     ref = np.sort(np.sqrt(sides))
     if ref[2] == 0.0:
         return 0.0
@@ -350,21 +330,16 @@ def _plot_angle_bins(args, out):
     _check_size("--bins-per-side", n)
     counts = sampling.angle_bin_counts(args.model, args.n, seed=(args.seed, args.stream),
                                        bins_per_side=n, workers=args.workers)
-    if args.model == "angles":
-        probs = {lab: 1.0 / n ** 2 for lab in counts}
-    else:
-        probs = sampling.angle_bin_probabilities(n)
+    uniform = args.model == "angles"      # mass 1/n^2 and density 2 in every bin
+    probs = None if uniform else sampling.angle_bin_probabilities(n)
     h = 1.0 / n
     rows = []
-    for lab, c in counts.items():
-        i, j, orient = lab
+    for (i, j, orient), c in counts.items():
         off = h / 3.0 if orient == "up" else 2.0 * h / 3.0
         ca, cb = i * h + off, j * h + off
-        if args.model == "angles":
-            dens = 2.0
-        else:
-            dens = sampling.angle_density((ca, cb, 1.0 - ca - cb), normalized=True)
-        rows.append((i, j, orient, c, args.n * probs[lab], dens))
+        mass = 1.0 / n ** 2 if uniform else probs[(i, j, orient)]
+        dens = 2.0 if uniform else sampling.angle_density((ca, cb, 1.0 - ca - cb), normalized=True)
+        rows.append((i, j, orient, c, args.n * mass, dens))
     out.write("i,j,orientation,count,expected,density_centroid\n")
     _write_rows(out, zip(*rows))
 
@@ -382,17 +357,34 @@ def _plot_hemisphere_map(args, out):
     _write_rows(out, (lat, lon, *ang.T))
 
 
-def _cmd_plot_data(args, out) -> int:
+# Each plot-data kind: its writer and the options it reads.  The parser leaves
+# these options None; _plot_options rejects one given to a kind that does not
+# read it, before -o creates a file, and fills in the defaults of the rest.
+_DRAW_DEFAULTS = {"seed": 0, "stream": 0, "workers": 1}
+_PLOT_DEFAULTS = {"n": 10000, "model": "gaussian", "svg": None, "bins": 50,
+                  "bins_per_side": 10, "grid": 24, **_DRAW_DEFAULTS}
+_PLOTS = {
+    "disk-scatter": (_plot_disk_scatter, ("n", "model", "svg", *_DRAW_DEFAULTS)),
+    "radius-histogram": (_plot_radius_histogram, ("n", "model", "bins", *_DRAW_DEFAULTS)),
+    "angle-bins": (_plot_angle_bins, ("n", "model", "bins_per_side", *_DRAW_DEFAULTS)),
+    "hemisphere-map": (_plot_hemisphere_map, ("grid",)),
+}
+
+
+def _plot_options(args):
+    reads = _PLOTS[args.kind][1]
+    for name, default in _PLOT_DEFAULTS.items():
+        if name in reads and getattr(args, name) is None:
+            setattr(args, name, default)
+        elif name not in reads and getattr(args, name) is not None:
+            flag = "-n" if name == "n" else "--" + name.replace("_", "-")
+            raise ValueError(f"plot-data {args.kind} does not read {flag}")
     if args.kind in ("disk-scatter", "radius-histogram") and args.model == "angles":
         raise ValueError(f"{args.kind} needs model 'gaussian' or 'hemisphere'")
-    if args.kind == "disk-scatter":
-        _plot_disk_scatter(args, out)
-    elif args.kind == "radius-histogram":
-        _plot_radius_histogram(args, out)
-    elif args.kind == "angle-bins":
-        _plot_angle_bins(args, out)
-    else:
-        _plot_hemisphere_map(args, out)
+
+
+def _cmd_plot_data(args, out) -> int:
+    _PLOTS[args.kind][0](args, out)
     return EXIT_OK
 
 
@@ -407,11 +399,16 @@ _OUTPUT.add_argument("--output", "-o", default=None, help="output file (default 
 _RECORD = argparse.ArgumentParser(prog="trishape", add_help=False, parents=[_OUTPUT])
 _RECORD.add_argument("--format", choices=("structured", "csv", "json"),
                      default="structured", help="record output format")
-_DRAWS = argparse.ArgumentParser(prog="trishape", add_help=False)
-_DRAWS.add_argument("--seed", type=int, default=0, help="base RNG seed")
-_DRAWS.add_argument("--stream", type=int, default=0, help="RNG stream id")
-_DRAWS.add_argument("--workers", type=int, default=1,
-                    help="worker hint for Monte Carlo block streams")
+
+
+def _draws(defaults: dict) -> argparse.ArgumentParser:
+    """--seed, --stream and --workers as a parent parser, with these defaults."""
+    p = argparse.ArgumentParser(prog="trishape", add_help=False)
+    p.add_argument("--seed", type=int, default=defaults["seed"], help="base RNG seed")
+    p.add_argument("--stream", type=int, default=defaults["stream"], help="RNG stream id")
+    p.add_argument("--workers", type=int, default=defaults["workers"],
+                   help="worker hint for Monte Carlo block streams")
+    return p
 
 
 @functools.cache
@@ -430,7 +427,8 @@ def _build_parser() -> _Parser:
                    help="also report the max discrepancy over all conversion cycles")
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("sample", parents=[_RECORD, _DRAWS], help="draw random shapes")
+    p = sub.add_parser("sample", parents=[_RECORD, _draws(_DRAW_DEFAULTS)],
+                       help="draw random shapes")
     p.add_argument("model", choices=("gaussian", "hemisphere", "angles", "ndim"))
     p.add_argument("-n", type=int, required=True, help="number of samples")
     p.add_argument("--m", type=int, default=None, help="ambient dimension (ndim model)")
@@ -448,9 +446,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("construct", parents=[_RECORD],
                        help="in-hemisphere construction for given squared sides")
-    p.add_argument("a2", type=float)
-    p.add_argument("b2", type=float)
-    p.add_argument("c2", type=float)
+    for side in ("a2", "b2", "c2"):
+        p.add_argument(side, type=float)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("test", parents=[_RECORD], help="uniformity tests on a sample file")
@@ -461,16 +458,16 @@ def _build_parser() -> _Parser:
                    default="all")
     p.set_defaults(func=_cmd_test)
 
-    p = sub.add_parser("plot-data", parents=[_OUTPUT, _DRAWS], help="emit figure data as CSV")
-    p.add_argument("kind", choices=("disk-scatter", "radius-histogram",
-                                    "angle-bins", "hemisphere-map"))
-    p.add_argument("-n", type=int, default=10000)
-    p.add_argument("--bins", type=int, default=50, help="radius histogram bins")
-    p.add_argument("--bins-per-side", type=int, default=10, help="angle bin subdivisions")
-    p.add_argument("--grid", type=int, default=24, help="hemisphere-map latitude grid")
-    p.add_argument("--model", choices=("gaussian", "hemisphere", "angles"),
-                   default="gaussian")
-    p.add_argument("--svg", default=None, help="also write a minimal SVG scatter")
+    # defaults in _PLOT_DEFAULTS, filled in by _plot_options for the kinds that read them
+    p = sub.add_parser("plot-data", parents=[_OUTPUT, _draws(dict.fromkeys(_DRAW_DEFAULTS))],
+                       help="emit figure data as CSV")
+    p.add_argument("kind", choices=tuple(_PLOTS))
+    p.add_argument("-n", type=int)
+    p.add_argument("--bins", type=int, help="radius histogram bins")
+    p.add_argument("--bins-per-side", type=int, help="angle bin subdivisions")
+    p.add_argument("--grid", type=int, help="hemisphere-map latitude grid")
+    p.add_argument("--model", choices=("gaussian", "hemisphere", "angles"))
+    p.add_argument("--svg", help="also write a minimal SVG scatter")
     p.set_defaults(func=_cmd_plot_data)
 
     return parser
@@ -480,6 +477,8 @@ def main(argv=None) -> int:
     out, close = None, False
     try:
         args = _build_parser().parse_args(argv)
+        if args.command == "plot-data":
+            _plot_options(args)           # before -o creates a file
         out, close = _open_output(args.output)
         return args.func(args, out)
     except DomainError as exc:

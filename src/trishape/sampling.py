@@ -132,7 +132,8 @@ def sample_uniform_angles(rng: np.random.Generator) -> SimplexAngles:
 
 def uniform_angles_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     e = rng.exponential(size=(n, 3))
-    return e / e.sum(axis=1)[:, None]
+    # the column sum adds in the same order as e.sum(axis=1), several times faster
+    return e / (e[:, 0] + e[:, 1] + e[:, 2])[:, None]
 
 
 def sample_ndim_shape(m: int, k: int, rng: np.random.Generator) -> np.ndarray:

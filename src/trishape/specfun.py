@@ -13,6 +13,14 @@ _TINY = 1e-300
 _MAX_ITER = 500
 
 
+def _lentz(an: float, bn: float, c: float, d: float):
+    """One modified-Lentz step for the partial fraction an / (bn + ...): the
+    new (c, d), each kept off zero by _TINY."""
+    d = an * d + bn
+    c = bn + an / c
+    return (_TINY if abs(c) < _TINY else c), 1.0 / (_TINY if abs(d) < _TINY else d)
+
+
 def _betacf(a: float, b: float, x: float) -> float:
     # Lentz evaluation of the continued fraction for the incomplete beta.
     qab, qap, qam = a + b, a + 1.0, a - 1.0
@@ -24,23 +32,9 @@ def _betacf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        c, d = _lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
         h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        c, d = _lentz(-(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)), 1.0, c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
@@ -87,15 +81,8 @@ def _gamma_q_cf(s: float, x: float) -> float:
     d = 1.0 / b if abs(b) > _TINY else 1.0 / _TINY
     h = d
     for i in range(1, _MAX_ITER * 4):
-        an = -i * (i - s)
         b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
+        c, d = _lentz(-i * (i - s), b, c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:

@@ -473,6 +473,26 @@ def test_plot_disk_data_needs_shape_model(kind, capsys):
     assert "'gaussian' or 'hemisphere'" in err
 
 
+# each plot-data kind with each option that it does not read
+_PLOT_IGNORED = [
+    *(("disk-scatter", flag) for flag in ("--bins", "--bins-per-side", "--grid")),
+    *(("radius-histogram", flag) for flag in ("--bins-per-side", "--grid", "--svg")),
+    *(("angle-bins", flag) for flag in ("--bins", "--grid", "--svg")),
+    *(("hemisphere-map", flag) for flag in ("-n", "--bins", "--bins-per-side", "--model",
+                                            "--svg", "--seed", "--stream", "--workers")),
+]
+
+
+@pytest.mark.parametrize("kind,flag", _PLOT_IGNORED)
+def test_plot_data_option_its_kind_ignores_is_usage_error(kind, flag, tmp_path, capsys):
+    f, svg = tmp_path / "out.csv", tmp_path / "x.svg"
+    value = {"--model": "angles", "--svg": str(svg)}.get(flag, "2")
+    code, out, err = run_cli(["plot-data", kind, flag, value, "-o", str(f)], capsys)
+    assert code == 1
+    assert out == "" and err == f"trishape: error: plot-data {kind} does not read {flag}\n"
+    assert not f.exists() and not svg.exists()
+
+
 def test_plot_disk_scatter_inside_disk(tmp_path, capsys):
     f = tmp_path / "scatter.csv"
     svg = tmp_path / "scatter.svg"

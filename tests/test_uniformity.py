@@ -1,4 +1,8 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -130,9 +134,7 @@ def test_inv_sigma_min_density_and_cdf_vanish_at_negative_t(m):
     dens = uni.inv_sigma_min_density(t, m)
     assert dens.shape == (2, 2) and dens[0, 0] == dens[1, 0] == 0.0
     assert dens[0, 1] == uni.inv_sigma_min_density(10.0, m) > 0.0
-    # (for m >= 3 a running sum over the sorted batch, so equal to rounding)
-    assert uni.inv_sigma_min_cdf(t, m)[0, 1] == pytest.approx(uni.inv_sigma_min_cdf(10.0, m),
-                                                              rel=1e-13)
+    assert uni.inv_sigma_min_cdf(t, m)[0, 1] == uni.inv_sigma_min_cdf(10.0, m)
 
 
 def test_inv_sigma_min_density_m2_closed_form():
@@ -188,11 +190,33 @@ def test_inv_sigma_min_density_finite_everywhere(m):
         assert math.isfinite(uni.inv_sigma_min_density(t, m))
 
 
+@functools.cache
+def _legendre_rule(n=200):
+    # Gauss-Legendre nodes and weights correct to the last bit: leggauss(200)
+    # carries weight errors of about 1e-14 relative (its rule misses the
+    # integral of exp(3x) over [-1, 1] by 8e-14), as large as the tolerance
+    # below, so each node takes Newton steps on P_n at 40 digits
+    start, _ = np.polynomial.legendre.leggauss(n)
+    nodes, weights = [], []
+    with mpmath.workdps(40):
+        for x in map(mpmath.mpf, start[:n // 2]):
+            for _ in range(3):
+                p0, p1 = 1, x
+                for k in range(2, n + 1):
+                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+                dp = n * (x * p1 - p0) / (x * x - 1)
+                x -= p1 / dp
+            nodes.append(float(x))
+            weights.append(float(2 / ((1 - x * x) * dp * dp)))
+    nodes, weights = np.array(nodes), np.array(weights)
+    return np.concatenate([nodes, -nodes[::-1]]), np.concatenate([weights, weights[::-1]])
+
+
 def _cdf_200_node_rule(t, m):
     # the whole interval [sqrt(m)/t, 1] in x = sqrt(m)/t under one 200-node rule
     if t * t <= m:
         return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(200)
+    nodes, weights = _legendre_rule()
     lo = math.sqrt(m) / t
     half = (1.0 - lo) / 2.0
     x = (1.0 + lo) / 2.0 + half * nodes
@@ -212,30 +236,38 @@ def _cdf_quad(t, m):
 @pytest.mark.parametrize("m", [3, 4, 8, 12, 18])
 def test_inv_sigma_min_cdf_array_matches_scalar_rule_and_quad(m):
     r = math.sqrt(m)
-    # unsorted, with duplicates, values on and below the support edge, and inf
+    # unsorted, with duplicates, values on and below the support edge, inf,
+    # NaN, and x = sqrt(m)/t from 1e-12 up to 1 - 1e-6
     t = np.array([3.0 * r, 0.5 * r, 1.2 * r, np.inf, r, 3.0 * r, 30.0 * r, 1.05 * r,
-                  r * 1e3, 2.0, 1.2 * r, 6.0 * r])
+                  r * 1e3, 2.0, 1.2 * r, 6.0 * r, r * 1e12, r / (1.0 - 1e-6), np.nan, -r])
     cdf = uni.inv_sigma_min_cdf(t, m)
     assert cdf.shape == t.shape
     scalar = [uni.inv_sigma_min_cdf(v, m) for v in t]
     assert all(isinstance(v, float) for v in scalar)
-    assert np.abs(cdf - scalar).max() <= 1e-13
-    assert cdf[1] == 0.0 and cdf[4] == 0.0 and cdf[3] == 1.0
+    assert np.array_equal(cdf, scalar, equal_nan=True)
+    assert cdf[1] == cdf[4] == cdf[15] == 0.0 and cdf[3] == 1.0 and np.isnan(cdf[14])
     assert cdf[0] == cdf[5] and cdf[2] == cdf[10]
-    finite = np.isfinite(t)
+    finite = np.isfinite(t) & (t > 0.0)
     rule = np.array([_cdf_200_node_rule(v, m) for v in t[finite]])
     quad = np.array([_cdf_quad(v, m) for v in t[finite]])
-    assert np.abs(cdf[finite] - rule).max() <= 1e-13
-    assert np.abs(cdf[finite] - quad).max() <= 1e-13
+    assert np.abs(cdf[finite] - rule).max() <= 1e-14
+    assert np.abs(cdf[finite] - quad).max() <= 1e-14
+    # the total mass of the series, which t = inf would give if not set to 1
+    assert abs(uni._cdf_series(m)[1] - 1.0) <= 1e-14
+    # a probability on a dense grid, down in the lower tail where the series
+    # is only accurate to rounding
+    dense = uni.inv_sigma_min_cdf(r / np.linspace(1e-12, 1.0, 2001), m)
+    assert dense.min() >= 0.0 and dense.max() <= 1.0 and (np.diff(dense) <= 1e-15).all()
     # the 2-d layout is kept
-    assert np.array_equal(uni.inv_sigma_min_cdf(t.reshape(3, 4), m), cdf.reshape(3, 4))
+    assert np.array_equal(uni.inv_sigma_min_cdf(t.reshape(4, 4), m), cdf.reshape(4, 4),
+                          equal_nan=True)
 
 
 def test_inv_sigma_min_cdf_m2_array_matches_scalar():
-    t = np.array([1.5, 0.3, np.inf, 1e160, 2.0, math.sqrt(2.0), 1.5])
+    t = np.array([1.5, 0.3, np.inf, 1e160, 2.0, math.sqrt(2.0), 1.5, np.nan])
     cdf = uni.inv_sigma_min_cdf(t, 2)
-    assert cdf.tolist() == [uni.inv_sigma_min_cdf(v, 2) for v in t]
-    assert cdf[1] == 0.0 and cdf[2] == 1.0 and cdf[3] == 1.0
+    assert np.array_equal(cdf, [uni.inv_sigma_min_cdf(v, 2) for v in t], equal_nan=True)
+    assert cdf[1] == 0.0 and cdf[2] == 1.0 and cdf[3] == 1.0 and np.isnan(cdf[7])
 
 
 def test_inv_sigma_min_histogram_matches_density():
@@ -252,6 +284,64 @@ def test_inv_sigma_min_histogram_matches_density():
     expected = len(tt) / 40.0
     chi2 = ((counts - expected) ** 2 / expected).sum()
     assert stats.chi2.sf(chi2, 39) > 0.01
+
+
+def _near_singular_2x2(seed):
+    # rank-one matrices plus a perturbation of size eps, so kappa =
+    # sigma_max/sigma_min runs up to about 1/eps = 1e8; each norm is then put
+    # off 1 by up to 1e-6, as far as the suite's check allows; and last the
+    # singular row 1,0,0,0
+    rng = samp.RngSeed(seed).generator()
+    blocks = []
+    for eps in (1.0, 1e-2, 1e-4, 1e-6, 1e-8):
+        u, v = rng.standard_normal((2, 20, 2))
+        z = u[:, :, None] * v[:, None, :] + eps * rng.standard_normal((20, 2, 2))
+        z /= np.linalg.norm(z.reshape(20, 4), axis=1)[:, None, None]
+        blocks.append(z * (1.0 + rng.uniform(-1e-6, 1e-6, 20))[:, None, None])
+    return np.concatenate([*blocks, [[[1.0, 0.0], [0.0, 0.0]]]])
+
+
+def test_inv_sigma_min_2x2_closed_form_against_mpmath():
+    z = _near_singular_2x2(seed=17)
+    got = uni._inv_sigma_min(z)
+    assert got[-1] == np.inf
+    kappas = []
+    with mpmath.workdps(40):
+        for zi, g in zip(z[:-1], got[:-1]):
+            s = mpmath.svd_r(mpmath.matrix(zi.tolist()), compute_uv=False)
+            kappa = float(max(s) / min(s))
+            assert abs(float(g * min(s)) - 1.0) <= 1e-13 * kappa
+            kappas.append(kappa)
+    assert max(kappas) > 1e7
+    # the suite takes the same values: the KS statistic against the closed
+    # form of the CDF comes out as with LAPACK's sigma_min
+    svd = 1.0 / np.linalg.svd(z[:-1], compute_uv=False)[:, -1]
+    cdf = lambda v: uni.inv_sigma_min_cdf(v, 2)
+    report = uni.uniformity_suite(z[:-1], which="sigma-min").reports[0]
+    assert abs(report.statistic - uni.ks_test(svd, cdf).statistic) <= 1e-12
+
+
+def test_sigma_min_series_built_once_and_only_above_2x2(tmp_path):
+    # in a fresh interpreter: importing the CLI and testing a 2x2 file leave
+    # numpy.polynomial unimported (startup time); two 3x3 runs build the
+    # m = 3 series once
+    code = """if True:
+        import sys
+        from trishape import cli, uniformity
+        assert "numpy.polynomial" not in sys.modules
+        for argv in (["gaussian", "-o", "p2.csv"], ["ndim", "--m", "3", "--k", "4", "-o", "p3.csv"]):
+            assert cli.main(["sample", *argv, "-n", "40", "--emit", "preshapes"]) == 0
+        assert cli.main(["test", "p2.csv", "-o", "r2.txt"]) in (0, 3)
+        assert "numpy.polynomial" not in sys.modules
+        for _ in range(2):
+            assert cli.main(["test", "p3.csv", "-o", "r3.txt"]) in (0, 3)
+        assert uniformity._cdf_series.cache_info().misses == 1
+    """
+    src = os.path.dirname(os.path.dirname(uni.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=tmp_path, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +381,10 @@ def test_ks_array_cdf_matches_scalar_loop():
     array = uni.ks_test(samples, lambda v: np.clip(v / 6.0, 0.0, 1.0))
     loop = uni.ks_test(samples, lambda v: np.array([min(max(x / 6.0, 0.0), 1.0) for x in v]))
     assert (array.statistic, array.p_value) == (loop.statistic, loop.p_value)
-    # the sigma-min CDF integrates over other gaps when called one value at a time
+    # and so does the sigma-min series, which evaluates each value on its own
     array = uni.ks_test(samples, lambda v: uni.inv_sigma_min_cdf(v, 3))
     loop = uni.ks_test(samples, lambda v: np.array([uni.inv_sigma_min_cdf(x, 3) for x in v]))
-    assert abs(array.statistic - loop.statistic) <= 1e-13
-    assert abs(array.p_value - loop.p_value) <= 1e-11
+    assert (array.statistic, array.p_value) == (loop.statistic, loop.p_value)
 
 
 def test_ks_empty_rejected():
