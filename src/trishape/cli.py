@@ -149,6 +149,7 @@ def _cmd_sample(args, out) -> int:
         raise ValueError("--summary prints class fractions; it cannot --emit preshapes")
     if args.summary and args.k not in (None, 3):
         raise ValueError(f"--summary classifies triangles (k = 3), got --k {args.k}")
+    _check_size("--workers", args.workers)
     m = args.m if args.m is not None else 2
     k = args.k if args.k is not None else 3
     seed = (args.seed, args.stream)
@@ -158,9 +159,7 @@ def _cmd_sample(args, out) -> int:
         rec = {"model": model, "n_samples": args.n, "seed": args.seed, "stream": args.stream}
         if model == "ndim":
             rec["m"] = m
-        for name in CLASS_NAMES:
-            rec[name] = fr[name]
-            rec[f"{name}_stderr"] = fr[f"{name}_stderr"]
+        rec.update((key, fr[key]) for name in CLASS_NAMES for key in (name, f"{name}_stderr"))
         _emit_record(rec, args.format, out)
         return EXIT_OK
 
@@ -198,8 +197,6 @@ def _cmd_sample(args, out) -> int:
 
 
 def _cmd_prob(args, out) -> int:
-    if args.n < 2:
-        raise ValueError(f"dimension must be >= 2, got {args.n}")
     obtuse = sampling.obtuse_probability_ndim(args.n)
     _emit_record({"n": args.n, "obtuse": obtuse, "acute": 1.0 - obtuse},
                  args.format, out)
@@ -310,7 +307,6 @@ def _plot_disk_scatter(args, out):
 
 
 def _plot_radius_histogram(args, out):
-    _check_size("--bins", args.bins)
     edges = np.linspace(0.0, 0.5, args.bins + 1)
 
     def block(rng, count):
@@ -327,7 +323,6 @@ def _plot_radius_histogram(args, out):
 
 def _plot_angle_bins(args, out):
     n = args.bins_per_side
-    _check_size("--bins-per-side", n)
     counts = sampling.angle_bin_counts(args.model, args.n, seed=(args.seed, args.stream),
                                        bins_per_side=n, workers=args.workers)
     uniform = args.model == "angles"      # mass 1/n^2 and density 2 in every bin
@@ -346,7 +341,6 @@ def _plot_angle_bins(args, out):
 
 def _plot_hemisphere_map(args, out):
     g = args.grid
-    _check_size("--grid", g)
     lat = np.repeat(np.linspace(0.0, math.pi / 2.0, g), 2 * g)
     lon = np.tile(np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False), g)
     ang = np.array([
@@ -359,7 +353,8 @@ def _plot_hemisphere_map(args, out):
 
 # Each plot-data kind: its writer and the options it reads.  The parser leaves
 # these options None; _plot_options rejects one given to a kind that does not
-# read it, before -o creates a file, and fills in the defaults of the rest.
+# read it, before -o creates a file, fills in the defaults of the rest and
+# checks the sizes among them (-n is checked where the blocks are drawn).
 _DRAW_DEFAULTS = {"seed": 0, "stream": 0, "workers": 1}
 _PLOT_DEFAULTS = {"n": 10000, "model": "gaussian", "svg": None, "bins": 50,
                   "bins_per_side": 10, "grid": 24, **_DRAW_DEFAULTS}
@@ -374,11 +369,13 @@ _PLOTS = {
 def _plot_options(args):
     reads = _PLOTS[args.kind][1]
     for name, default in _PLOT_DEFAULTS.items():
+        flag = "-n" if name == "n" else "--" + name.replace("_", "-")
+        if name not in reads and getattr(args, name) is not None:
+            raise ValueError(f"plot-data {args.kind} does not read {flag}")
         if name in reads and getattr(args, name) is None:
             setattr(args, name, default)
-        elif name not in reads and getattr(args, name) is not None:
-            flag = "-n" if name == "n" else "--" + name.replace("_", "-")
-            raise ValueError(f"plot-data {args.kind} does not read {flag}")
+        if name in reads and name in ("bins", "bins_per_side", "grid", "workers"):
+            _check_size(flag, getattr(args, name))
     if args.kind in ("disk-scatter", "radius-histogram") and args.model == "angles":
         raise ValueError(f"{args.kind} needs model 'gaussian' or 'hemisphere'")
 

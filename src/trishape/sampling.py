@@ -6,9 +6,10 @@ hemisphere, and uniform angles on the simplex.  Monte Carlo drivers stream
 fixed-size blocks, each with its own deterministically derived generator,
 so totals are reproducible for any worker count.
 
-Normal deviates come from NumPy's Generator.standard_normal (ziggurat) on
-PCG64 streams keyed by (seed, stream, block); frozen statistics in the
-test-suite assume this generator.
+Draws come from NumPy Generators on PCG64 streams keyed by (seed, stream,
+block); frozen statistics in the test-suite assume this generator.  Gaussian
+shapes and preshapes take standard_normal (ziggurat) deviates; triangles in
+R^m take two uniforms each, whatever m (hemisphere_heights).
 """
 
 import math
@@ -20,7 +21,7 @@ import numpy as np
 from . import specfun
 from .conversions import (DISK_FROM_SIDES, SQRT3, DiskPoint, HemispherePoint, SquaredSides,
                           _shapes_to_xy, _sides_from_xy, sides_to_disk)
-from .core import HELMERT3, INPUT_TOL
+from .core import INPUT_TOL
 from .errors import DomainError
 
 BLOCK_SIZE = 1 << 16
@@ -41,6 +42,11 @@ class RngSeed:
 
     seed: int
     stream: int = 0
+
+    def __post_init__(self):    # SeedSequence would reject them only once a block is drawn
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if value < 0:
+                raise ValueError(f"{name} must be at least 0, got {value}")
 
     def generator(self, block: int | None = None) -> np.random.Generator:
         key = (self.stream,) if block is None else (self.stream, block)
@@ -96,20 +102,20 @@ class MonteCarloEstimate:
 
 
 def sample_gaussian_shape(rng: np.random.Generator) -> np.ndarray:
-    """One unit-norm 2x2 matrix of iid standard normals (resampled if all zero)."""
-    while True:
-        m = rng.standard_normal((2, 2))
-        norm = np.linalg.norm(m)
-        if norm > 0.0:
-            return m / norm
+    """One unit-norm 2x2 matrix of iid standard normals."""
+    return gaussian_shapes(rng, 1)[0]
 
 
 def gaussian_shapes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Batch of n unit-norm Gaussian shape matrices, shape (n, 2, 2)."""
-    m = rng.standard_normal((n, 2, 2))
-    norms = np.linalg.norm(m.reshape(n, 4), axis=1)
+    return _unit_norm(rng.standard_normal((n, 2, 2)))
+
+
+def _unit_norm(z: np.ndarray) -> np.ndarray:
+    """Each of the n matrices of z over its Frobenius norm (zero ones unchanged)."""
+    norms = np.linalg.norm(z.reshape(len(z), math.prod(z.shape[1:])), axis=1)
     norms[norms == 0.0] = 1.0   # probability-zero guard
-    return m / norms[:, None, None]
+    return z / norms[:, None, None]
 
 
 def sample_uniform_hemisphere(rng: np.random.Generator) -> HemispherePoint:
@@ -119,10 +125,23 @@ def sample_uniform_hemisphere(rng: np.random.Generator) -> HemispherePoint:
 
 
 def uniform_hemisphere_batch(rng: np.random.Generator, n: int):
+    """Latitudes and longitudes of n points uniform on the hemisphere."""
+    height, lon = hemisphere_heights(rng, n)
+    return np.arcsin(2.0 * height), lon
+
+
+def hemisphere_heights(rng: np.random.Generator, n: int, m: int = 2):
+    """Heights h in [0, 1/2] and longitudes of n Gaussian triangles in R^m on
+    the hemisphere.  2h = 2 sqrt(det G) / tr G, G the Gram matrix of an m x 2
+    Gaussian preshape, has CDF s^(m-1) on [0, 1] and is independent of the
+    uniform longitude (Muirhead 1982, sec. 3.2), so h = (2u)^(1/(m-1)) / 2 for
+    u uniform on [0, 1/2]: u itself at m = 2, and 0 at m = 1 (collinear)."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     height = rng.uniform(0.0, 0.5, size=n)
-    lat = np.arcsin(2.0 * height)
-    lon = rng.uniform(0.0, 2.0 * math.pi, size=n)
-    return lat, lon
+    if m != 2:
+        height = 0.5 * (2.0 * height) ** (1.0 / (m - 1)) if m > 1 else np.zeros(n)
+    return height, rng.uniform(0.0, 2.0 * math.pi, size=n)
 
 
 def sample_uniform_angles(rng: np.random.Generator) -> SimplexAngles:
@@ -144,10 +163,7 @@ def sample_ndim_shape(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
 def ndim_shapes(m: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
     if m < 1 or k < 2:
         raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
-    z = rng.standard_normal((n, m, k - 1))
-    norms = np.linalg.norm(z.reshape(n, -1), axis=1)
-    norms[norms == 0.0] = 1.0
-    return z / norms[:, None, None]
+    return _unit_norm(rng.standard_normal((n, m, k - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +234,16 @@ def _angle_counts(e: np.ndarray) -> np.ndarray:
     return _class_counts(_column_max(e), e[:, 0] + e[:, 1] + e[:, 2])
 
 
-# vectorized pipeline helpers -----------------------------------------------
-
-
-def _ndim_to_sides(z: np.ndarray) -> np.ndarray:
-    """Normalized squared sides of triangles in R^m from (n, m, 2) preshapes."""
-    e = z @ HELMERT3
-    return (e * e).sum(axis=1)
+def _height_counts(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Class counts of shapes at these heights and longitudes on the hemisphere."""
+    r = np.sqrt(0.25 - height * height)
+    return _disk_counts(r * np.cos(lon), r * np.sin(lon))
 
 
 def _sides_to_angles(s2: np.ndarray) -> np.ndarray:
     """Angles over pi, rows summing to 1, from an (n, 3) squared-sides array."""
-    quart = (s2 * s2).sum(axis=1)
-    k = np.sqrt(np.maximum(1.0 - 2.0 * quart, 0.0)) / 4.0
-    return np.arctan2(4.0 * k[:, None], 1.0 - 2.0 * s2) / math.pi
+    four_area = np.sqrt(np.maximum(1.0 - 2.0 * (s2 * s2).sum(axis=1), 0.0))
+    return np.arctan2(four_area[:, None], 1.0 - 2.0 * s2) / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +261,24 @@ def iter_blocks(n: int, seed):
             for i in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE))
 
 
-def disk_batch(model: str, rng: np.random.Generator, count: int):
+def disk_batch(model: str, rng: np.random.Generator, count: int, m: int = 2):
     """Disk coordinates (x, y) of count shapes from the 'gaussian' or
-    'hemisphere' model; both are uniform on the hemisphere."""
+    'hemisphere' model, both uniform on the hemisphere, or 'ndim' (Gaussian
+    triangles in R^m, drawn by hemisphere_heights)."""
     if model == "gaussian":
-        return _shapes_to_xy(gaussian_shapes(rng, count))
-    if model == "hemisphere":
-        lat, lon = uniform_hemisphere_batch(rng, count)
-        r = np.cos(lat) / 2.0
-        return r * np.cos(lon), r * np.sin(lon)
-    raise ValueError(f"disk coordinates need model 'gaussian' or 'hemisphere', got {model!r}")
+        # the rows of gaussian_shapes; normalising whole blocks costs 3x the draws
+        return np.concatenate(_chunked(rng.standard_normal, (2, 2), count,
+                                       lambda z: _shapes_to_xy(_unit_norm(z))), axis=1)
+    if model not in ("hemisphere", "ndim"):
+        raise ValueError(f"disk coordinates need a shape model, got {model!r}")
+    height, lon = hemisphere_heights(rng, count, m if model == "ndim" else 2)
+    r = np.cos(np.arcsin(2.0 * height)) / 2.0
+    return r * np.cos(lon), r * np.sin(lon)
 
 
 def sides_batch(model: str, rng: np.random.Generator, count: int, m: int = 2) -> np.ndarray:
-    """(count, 3) squared sides from 'gaussian', 'hemisphere' or 'ndim'
-    (Gaussian triangles in R^m)."""
-    if model == "ndim":
-        return _ndim_to_sides(ndim_shapes(m, 3, rng, count))
-    return _sides_from_xy(*disk_batch(model, rng, count))
+    """(count, 3) squared sides of the shapes disk_batch draws."""
+    return _sides_from_xy(*disk_batch(model, rng, count, m))
 
 
 # ---------------------------------------------------------------------------
@@ -280,46 +292,42 @@ def _mc_sum(n_samples: int, block_fn, seed, workers: int = 1) -> np.ndarray:
     of how blocks are scheduled across workers.
     """
     blocks = iter_blocks(n_samples, seed)
-
-    def run(block) -> np.ndarray:
-        return np.asarray(block_fn(*block), dtype=np.int64)
-
+    run = lambda block: np.asarray(block_fn(*block), dtype=np.int64)
     if workers <= 1:
         return np.sum([run(b) for b in blocks], axis=0)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.sum(list(pool.map(run, blocks)), axis=0)
 
 
-def _chunked(draw, row_shape: tuple, count: int, kernel):
-    """Sum of kernel over count rows that draw(out=...) writes CHUNK_ROWS at a
-    time into one reused buffer.  Consecutive draws continue one stream, so
-    the rows are those of one draw of count rows; the buffer and every
-    temporary stay in cache and below malloc's mmap threshold, which spares
-    a page fault per page touched."""
+def _chunked(draw, row_shape: tuple, count: int, kernel) -> list:
+    """kernel of each chunk of count rows that draw(out=...) writes CHUNK_ROWS
+    at a time into one reused buffer, which kernel must not return.  The draws
+    continue one stream, so the rows are those of one draw of count rows; the
+    buffer and temporaries stay in cache and below malloc's mmap threshold."""
     buf = np.empty((min(CHUNK_ROWS, count), *row_shape))
-    return sum(kernel(draw(out=buf[:min(CHUNK_ROWS, count - lo)]))
-               for lo in range(0, count, CHUNK_ROWS))
+    return [kernel(draw(out=buf[:min(CHUNK_ROWS, count - lo)]))
+            for lo in range(0, max(count, 1), CHUNK_ROWS)]     # count 0: one empty chunk
 
 
 def _class_counts_block(model: str, m: int):
-    """Counts of one block, classified from the raw draws: the class of a
-    shape does not depend on its scale, so nothing is normalised."""
+    """Counts of one block: Gaussian shapes and angles from their raw draws,
+    as the class of a shape does not depend on its scale, and 'hemisphere'
+    and 'ndim' from hemisphere_heights, CHUNK_ROWS at a time."""
     if model == "gaussian":
-        m = 2
-    elif model == "ndim":
-        if m < 1:
-            raise ValueError(f"need m >= 1, got m={m}")
-    elif model not in ("hemisphere", "angles"):
+        # the draws of gaussian_shapes, before normalisation
+        return lambda rng, count: sum(_chunked(rng.standard_normal, (2, 2), count,
+                                               _preshape_counts))
+    if model == "angles":
+        # the draws of uniform_angles_batch, before normalisation
+        return lambda rng, count: sum(_chunked(rng.standard_exponential, (3,), count,
+                                               _angle_counts))
+    if model not in ("hemisphere", "ndim"):
         raise ValueError(f"unknown model {model!r}")
 
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        if model == "hemisphere":
-            return _disk_counts(*disk_batch(model, rng, count))
-        if model == "angles":
-            # the draws of uniform_angles_batch, before normalisation
-            return _chunked(rng.standard_exponential, (3,), count, _angle_counts)
-        # the draws of gaussian_shapes and ndim_shapes, before normalisation
-        return _chunked(rng.standard_normal, (m, 2), count, _preshape_counts)
+        height, lon = hemisphere_heights(rng, count, m if model == "ndim" else 2)
+        return sum(_height_counts(height[lo:lo + CHUNK_ROWS], lon[lo:lo + CHUNK_ROWS])
+                   for lo in range(0, max(count, 1), CHUNK_ROWS))
 
     return block
 
@@ -370,7 +378,7 @@ def broken_stick_fraction(n_samples: int, seed=0, workers: int = 1) -> MonteCarl
         return np.count_nonzero(np.einsum("ij,ij->i", e, e) <= 0.5 * total * total)
 
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.array([_chunked(rng.standard_exponential, (3,), count, good)])
+        return np.array([sum(_chunked(rng.standard_exponential, (3,), count, good))])
 
     return _binomial(int(_mc_sum(n_samples, block, seed, workers)[0]), n_samples)
 
@@ -465,9 +473,8 @@ def angle_bins(bins_per_side: int = 10) -> list:
     the lower cell half (i + j + k = n - 1) and 'down' for the upper half.
     """
     n = bins_per_side
-    out = [(i, j, "up") for i in range(n) for j in range(n - i)]
-    out += [(i, j, "down") for i in range(n - 1) for j in range(n - 1 - i)]
-    return out
+    return ([(i, j, "up") for i in range(n) for j in range(n - i)]
+            + [(i, j, "down") for i in range(n - 1) for j in range(n - 1 - i)])
 
 
 def _bin_coords(ang: np.ndarray, n: int):

@@ -24,11 +24,7 @@ def _lentz(an: float, bn: float, c: float, d: float):
 def _betacf(a: float, b: float, x: float) -> float:
     # Lentz evaluation of the continued fraction for the incomplete beta.
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
+    c, d = _lentz(-qab * x / qap, 1.0, math.inf, 1.0)   # c = 1, d = 1 / (1 - qab x / qap)
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m

@@ -393,6 +393,43 @@ def test_sample_count_below_one_is_usage_error(argv, n, capsys):
     assert f"need at least one sample, got {n}" in err
 
 
+# every command that draws, as it would write rows
+_DRAWING = [
+    ["sample", "gaussian"], ["sample", "ndim", "--m", "3"], ["sample", "angles", "--summary"],
+    ["sample", "ndim", "--m", "3", "--k", "5", "--emit", "preshapes"],
+    ["plot-data", "disk-scatter"], ["plot-data", "radius-histogram"], ["plot-data", "angle-bins"],
+]
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--stream", "-2")])
+@pytest.mark.parametrize("argv", _DRAWING, ids=" ".join)
+def test_negative_seed_or_stream_is_usage_error(argv, flag, value, tmp_path, capsys):
+    f = tmp_path / "out.csv"
+    code, out, err = run_cli([*argv, "-n", "3", flag, value, "-o", str(f)], capsys)
+    assert code == 1
+    assert out == "" and f.read_text() == ""
+    assert err == f"trishape: error: {flag[2:]} must be at least 0, got {value}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("argv", _DRAWING, ids=" ".join)
+def test_workers_below_one_is_usage_error(argv, value, tmp_path, capsys):
+    f = tmp_path / "out.csv"
+    code, out, err = run_cli([*argv, "-n", "3", "--workers", value, "-o", str(f)], capsys)
+    assert code == 1
+    # plot-data checks its options before -o creates the file; sample after
+    assert out == "" and (f.read_text() if f.exists() else "") == ""
+    assert err == f"trishape: error: --workers must be at least 1, got {value}\n"
+
+
+def test_ndim_m2_rows_are_hemisphere_rows(tmp_path, capsys):
+    files = [tmp_path / "ndim.csv", tmp_path / "hemisphere.csv"]
+    for model, f in zip((["ndim", "--m", "2"], ["hemisphere"]), files):
+        assert run_cli(["sample", *model, "-n", "70000", "--seed", "31", "--stream", "4",
+                        "-o", str(f)], capsys)[0] == 0
+    assert files[0].read_bytes() == files[1].read_bytes()
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["plot-data", "angle-bins", "-n", "10", "--bins-per-side", "0"], "--bins-per-side"),
     (["plot-data", "angle-bins", "-n", "10", "--bins-per-side", "-2"], "--bins-per-side"),

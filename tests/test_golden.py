@@ -95,7 +95,7 @@ GOLDEN = {
     "rows-ndim": {
         "code": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "out": "7ad5ece0187fca0e207f09bb2cbb2c6ac633a15c393bddbbe259ff13783eef26",
+        "out": "6638332189bc851b8c9ee7c992d7a437f289554c65cece361f2cb60b939a877a",
     },
     "summary-gaussian": {
         "code": 0,
@@ -111,7 +111,7 @@ GOLDEN = {
     },
     "summary-ndim": {
         "code": 0,
-        "stdout": "860fe6338659d919d5c29adc7ae6c1a4b7a74d9d5690685a82a933f7d6150e7e",
+        "stdout": "1a809d5802b4ab7f3af7873f4d1f254bdca99455faf4de7c77aa5d1f5b7e802e",
     },
     "preshapes-gaussian": {
         "code": 0,

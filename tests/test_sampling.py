@@ -16,6 +16,13 @@ def ks_pvalue(values, cdf):
     return stats.kstest(values, cdf).pvalue
 
 
+def preshape_sides(z):
+    """Squared sides of (n, m, 2) triangle preshapes: the columns of z @ HELMERT3
+    are the edge vectors."""
+    e = z @ HELMERT3
+    return (e * e).sum(axis=1)
+
+
 # ---------------------------------------------------------------------------
 # determinism and stream machinery
 
@@ -51,8 +58,14 @@ def test_sides_batch_models():
         assert s2.shape == (100, 3)
         assert np.allclose(s2.sum(axis=1), 1.0)
         assert ((s2 * s2).sum(axis=1) <= 0.5 + 1e-12).all()
+        # an empty batch is empty, not an error
+        assert samp.sides_batch(model, samp.RngSeed(8).generator(), 0, m).shape == (0, 3)
+        assert list(samp._class_counts_block(model, m)(samp.RngSeed(8).generator(), 0)) == [0] * 3
+    assert samp.ndim_shapes(3, 4, samp.RngSeed(8).generator(), 0).shape == (0, 3, 3)
     with pytest.raises(ValueError):
         samp.disk_batch("angles", samp.RngSeed(8).generator(), 10)
+    with pytest.raises(ValueError, match="m >= 1"):
+        samp.sides_batch("ndim", samp.RngSeed(8).generator(), 10, 0)
 
 
 def test_sampler_guard_and_errors():
@@ -63,6 +76,9 @@ def test_sampler_guard_and_errors():
             samp.iter_blocks(n, 0)   # at the call, before any block is drawn
     with pytest.raises(ValueError):
         samp.ndim_shapes(0, 3, samp.RngSeed(0).generator(), 2)
+    for seed in (-1, (0, -2), (-3, 0)):
+        with pytest.raises(ValueError, match="must be at least 0"):
+            samp.iter_blocks(10, seed)   # at the call, before any block is drawn
     m = samp.sample_gaussian_shape(samp.RngSeed(0).generator())
     assert abs(np.linalg.norm(m) - 1.0) < 1e-12
 
@@ -205,9 +221,51 @@ def test_ndim_mc_agrees_with_analytic():
         assert abs(est.estimate - samp.obtuse_probability_ndim(n)) < 4 * est.stderr
 
 
+@pytest.mark.parametrize("m", [2, 3, 5, 12, 30])
+def test_ndim_height_law(m):
+    # twice the height has CDF s^(m-1); the longitude is uniform
+    height, lon = samp.hemisphere_heights(samp.RngSeed(40 + m).generator(), 50_000, m)
+    assert ks_pvalue(2.0 * height, lambda s: s ** (m - 1)) > 0.01
+    assert ks_pvalue(lon / (2.0 * math.pi), lambda v: v) > 0.01
+
+
+@pytest.mark.parametrize("m", [3, 5, 12])
+def test_gaussian_preshape_ellipticity_law(m):
+    # 2 sqrt(det G) / tr G, G the Gram matrix of a raw m x 2 Gaussian
+    # preshape, has the law hemisphere_heights draws twice the height from
+    z = samp.ndim_shapes(m, 3, samp.RngSeed(50 + m).generator(), 50_000)
+    g = np.einsum("nij,nik->njk", z, z)
+    stat = 2.0 * np.sqrt(np.maximum(np.linalg.det(g), 0.0)) / np.trace(g, axis1=1, axis2=2)
+    assert ks_pvalue(stat, lambda s: s ** (m - 1)) > 0.01
+
+
+@pytest.mark.parametrize("m", [3, 5, 12])
+def test_ndim_sides_batch_squared_side_marginal(m):
+    s2 = samp.sides_batch("ndim", samp.RngSeed(70 + m).generator(), 20_000, m)
+    cdf = np.vectorize(lambda x: samp.squared_side_marginal_cdf(m, float(x), clamp=True))
+    for col in range(3):
+        assert ks_pvalue(s2[:, col], cdf) > 0.01
+
+
+def test_ndim_m2_is_hemisphere_and_m1_is_collinear():
+    rng = lambda: samp.RngSeed(9, 3).generator(block=1)
+    for a, b in zip(samp.disk_batch("ndim", rng(), 1000, 2),
+                    samp.disk_batch("hemisphere", rng(), 1000)):
+        assert np.array_equal(a, b)
+    # height 0, so the disk radius is 1/2 exactly: collinear triangles
+    height, _ = samp.hemisphere_heights(rng(), 1000, 1)
+    assert not height.any()
+    assert np.array_equal(np.cos(np.arcsin(2.0 * height)) / 2.0, np.full(1000, 0.5))
+    assert np.allclose(np.hypot(*samp.disk_batch("ndim", rng(), 1000, 1)), 0.5,
+                       rtol=0.0, atol=1e-15)
+    s2 = samp.sides_batch("ndim", rng(), 1000, 1)
+    assert (samp._classify_codes(samp._column_max(s2)) == 2).all()
+    assert samp.class_fractions("ndim", 10_000, seed=9, m=1)["obtuse"] == 1.0
+
+
 def test_ndim_squared_side_marginal():
     z = samp.ndim_shapes(3, 3, samp.RngSeed(41).generator(), 50_000)
-    s2 = samp._ndim_to_sides(z)
+    s2 = preshape_sides(z)
     # squared side ~ (2/3) Beta(3/2, 3/2)
     assert ks_pvalue(s2[:, 2], lambda x: special.betainc(1.5, 1.5, np.clip(1.5 * x, 0, 1))) > 0.01
     # same check through the package CDF
@@ -457,13 +515,13 @@ def test_exact_right_preshape_is_right_at_every_scale(m):
     edges[:2] = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]
     rot, _ = np.linalg.qr(samp.RngSeed(65).generator().standard_normal((m, m)))
     z = (rot @ edges) @ HELMERT3.T
-    assert np.allclose(samp._ndim_to_sides(z[None] / np.linalg.norm(z)), [[0.25, 0.5, 0.25]])
+    assert np.allclose(preshape_sides(z[None] / np.linalg.norm(z)), [[0.25, 0.5, 0.25]])
     for scale in (2.0**-40, 1e-7, 1.0, 3.7e5, 2.0**40):
         assert list(samp._preshape_counts(scale * z[None])) == [0, 1, 0]
 
 
 @pytest.mark.parametrize("model,m", [("gaussian", 2), ("hemisphere", 2), ("angles", 2),
-                                     ("ndim", 3)])
+                                     ("ndim", 3), ("ndim", 12)])
 def test_class_fractions_workers_agree(model, m):
     n = 3 * samp.BLOCK_SIZE + 7
     one = samp.class_fractions(model, n, seed=66, m=m, workers=1)
