@@ -137,19 +137,30 @@ def _cmd_convert(args, out) -> int:
 # sample
 
 
-def _cmd_sample(args, out) -> int:
-    model = args.model
-    if model == "ndim":
+def _sample_options(args):
+    if args.model == "ndim":
         if args.m is None:
             raise ValueError("model 'ndim' requires --m")
         _check_size("--m", args.m)
     elif args.m is not None or args.k is not None:
-        raise ValueError(f"--m and --k apply to model 'ndim' only, not {model!r}")
+        raise ValueError(f"--m and --k apply to model 'ndim' only, not {args.model!r}")
     if args.summary and args.emit == "preshapes":
         raise ValueError("--summary prints class fractions; it cannot --emit preshapes")
     if args.summary and args.k not in (None, 3):
         raise ValueError(f"--summary classifies triangles (k = 3), got --k {args.k}")
     _check_size("--workers", args.workers)
+    if args.emit == "preshapes":
+        if args.model not in ("gaussian", "ndim"):
+            raise ValueError("--emit preshapes needs model 'gaussian' or 'ndim'")
+        _check_size("--k", args.k if args.k is not None else 3, 2)
+    elif not args.summary and args.k not in (None, 3):
+        raise ValueError("per-sample rows need triangles (k = 3); "
+                         "use --emit preshapes for general k")
+    iter_blocks(args.n, (args.seed, args.stream))     # raises on a bad -n, --seed or --stream
+
+
+def _cmd_sample(args, out) -> int:
+    model = args.model
     m = args.m if args.m is not None else 2
     k = args.k if args.k is not None else 3
     seed = (args.seed, args.stream)
@@ -164,21 +175,13 @@ def _cmd_sample(args, out) -> int:
         return EXIT_OK
 
     if args.emit == "preshapes":
-        if model not in ("gaussian", "ndim"):
-            raise ValueError("--emit preshapes needs model 'gaussian' or 'ndim'")
-        _check_size("--k", k, 2)
-        blocks = iter_blocks(args.n, seed)
         out.write(f"m,k\n{m},{k}\n")
-        for rng, count in blocks:
+        for rng, count in iter_blocks(args.n, seed):
             _write_rows(out, sampling.ndim_shapes(m, k, rng, count).reshape(count, -1).T)
         return EXIT_OK
 
-    if model == "ndim" and k != 3:
-        raise ValueError("per-sample rows need triangles (k = 3); "
-                         "use --emit preshapes for general k")
-    blocks = iter_blocks(args.n, seed)
     out.write("alpha,beta,gamma,class\n" if model == "angles" else "a2,b2,c2,r,phi,class\n")
-    for rng, count in blocks:
+    for rng, count in iter_blocks(args.n, seed):
         if model == "angles":
             vals = sampling.uniform_angles_batch(rng, count)
             polar = ()
@@ -354,7 +357,7 @@ def _plot_hemisphere_map(args, out):
 # Each plot-data kind: its writer and the options it reads.  The parser leaves
 # these options None; _plot_options rejects one given to a kind that does not
 # read it, before -o creates a file, fills in the defaults of the rest and
-# checks the sizes among them (-n is checked where the blocks are drawn).
+# checks the sizes, -n, --seed and --stream among them.
 _DRAW_DEFAULTS = {"seed": 0, "stream": 0, "workers": 1}
 _PLOT_DEFAULTS = {"n": 10000, "model": "gaussian", "svg": None, "bins": 50,
                   "bins_per_side": 10, "grid": 24, **_DRAW_DEFAULTS}
@@ -378,6 +381,8 @@ def _plot_options(args):
             _check_size(flag, getattr(args, name))
     if args.kind in ("disk-scatter", "radius-histogram") and args.model == "angles":
         raise ValueError(f"{args.kind} needs model 'gaussian' or 'hemisphere'")
+    if "seed" in reads:
+        iter_blocks(args.n, (args.seed, args.stream))     # raises on a bad -n, --seed or --stream
 
 
 def _cmd_plot_data(args, out) -> int:
@@ -434,7 +439,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--summary", action="store_true",
                    help="print class fractions instead of per-sample rows")
     p.add_argument("--emit", choices=("rows", "preshapes"), default="rows")
-    p.set_defaults(func=_cmd_sample)
+    p.set_defaults(func=_cmd_sample, check=_sample_options)
 
     p = sub.add_parser("prob", parents=[_RECORD],
                        help="analytic obtuse/acute probabilities in dimension n")
@@ -465,7 +470,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", type=int, help="hemisphere-map latitude grid")
     p.add_argument("--model", choices=("gaussian", "hemisphere", "angles"))
     p.add_argument("--svg", help="also write a minimal SVG scatter")
-    p.set_defaults(func=_cmd_plot_data)
+    p.set_defaults(func=_cmd_plot_data, check=_plot_options)
 
     return parser
 
@@ -474,8 +479,8 @@ def main(argv=None) -> int:
     out, close = None, False
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "plot-data":
-            _plot_options(args)           # before -o creates a file
+        if hasattr(args, "check"):
+            args.check(args)              # before -o creates a file
         out, close = _open_output(args.output)
         return args.func(args, out)
     except DomainError as exc:

@@ -482,29 +482,31 @@ def convert(x, target: str):
     return _CONVERT[(src, target)](x)
 
 
-def shape_distance(x, y) -> float:
-    """Discrepancy between two values of the same representation.
+def _embedding(kind: str, value) -> list:
+    """The floats shape_distance compares: smooth embeddings of the angles, so
+    the wrap at 2 pi and the undefined angle at the pole or disk center do not
+    register; squared sides for matrices (the left SVD factor is no shape)."""
+    if kind == "sides":
+        return [value.a2, value.b2, value.c2]
+    if kind == "disk":
+        return value.xy().tolist()
+    if kind == "hemisphere":
+        return hemisphere_to_cartesian(value).tolist()
+    if kind == "svd":
+        return _embedding("hemisphere", svd_to_hemisphere(value))
+    return _embedding("sides", shape_to_sides(value))
 
-    Angle coordinates are compared through smooth embeddings, so the wrap
-    at 2 pi and the undefined angle at the pole or disk center do not
-    register as discrepancies.  Matrices compare via squared sides (the
-    left SVD factor is not a shape property).
-    """
+
+def _discrepancy(a: list, b: list) -> float:
+    return max(abs(p - q) for p, q in zip(a, b))
+
+
+def shape_distance(x, y) -> float:
+    """Largest gap between the _embedding floats of two values of one kind."""
     src = kind_of(x)
     if kind_of(y) != src:
         raise ValueError("cannot compare different representations")
-    if src == "sides":
-        return float(np.abs(x.as_array() - y.as_array()).max())
-    if src == "disk":
-        return float(np.abs(x.xy() - y.xy()).max())
-    if src == "hemisphere":
-        return float(np.abs(hemisphere_to_cartesian(x) - hemisphere_to_cartesian(y)).max())
-    if src == "svd":
-        return float(np.abs(
-            hemisphere_to_cartesian(svd_to_hemisphere(x))
-            - hemisphere_to_cartesian(svd_to_hemisphere(y))
-        ).max())
-    return shape_distance(shape_to_sides(x), shape_to_sides(y))
+    return _discrepancy(_embedding(src, x), _embedding(src, y))
 
 
 @dataclass
@@ -524,26 +526,39 @@ class RoundtripReport:
         )
 
 
+def _bits(kind: str, value) -> bytes:
+    """The bit pattern of a value's floats, in which -0.0 and 0.0 differ."""
+    floats = value if kind == "matrix" else [*vars(value).values()]
+    return np.asarray(floats, dtype=float).tobytes()
+
+
 def roundtrip_all(x, include_matrix: bool = True) -> RoundtripReport:
     """Run every conversion cycle that starts and ends at x's representation.
 
     Cycles visit each subset of the other representations in every order.
-    The returned report carries the largest discrepancy found.
+    The report carries the largest discrepancy and the first cycle, in
+    itertools.permutations order, that reaches it.  One memoised walk of the
+    cycle tree gives the report that running every cycle in full would: each
+    path extends its prefix by one conversion, and within the call each value
+    (kind and float bits) is converted to each other kind once.
     """
     start = kind_of(x)
     others = [k for k in REPRESENTATIONS if k != start and (include_matrix or k != "matrix")]
-    worst = 0.0
-    worst_cycle = (start, start)
-    n = 0
+    ref = _embedding(start, x)
+    steps, closes = {}, {}
+    nodes = {(): (x, _bits(start, x))}       # path -> its value and the value's bits
+    worst, worst_cycle = 0.0, (start, start)
     for size in range(1, len(others) + 1):
         for path in itertools.permutations(others, size):
-            value = x
-            for step in path:
-                value = convert(value, step)
-            value = convert(value, start)
-            n += 1
-            dist = shape_distance(x, value)
-            if dist > worst:
-                worst = dist
-                worst_cycle = (start, *path, start)
-    return RoundtripReport(start, n, worst, worst_cycle)
+            prev, kind = (path[-2] if size > 1 else start), path[-1]
+            value, bits = nodes[path[:-1]]
+            if (prev, bits, kind) not in steps:
+                child = _CONVERT[prev, kind](value)
+                steps[prev, bits, kind] = child, _bits(kind, child)
+            nodes[path] = value, bits = steps[prev, bits, kind]
+            if (kind, bits) not in closes:
+                back = _CONVERT[kind, start](value)
+                closes[kind, bits] = _discrepancy(ref, _embedding(start, back))
+            if closes[kind, bits] > worst:
+                worst, worst_cycle = closes[kind, bits], (start, *path, start)
+    return RoundtripReport(start, len(nodes) - 1, worst, worst_cycle)

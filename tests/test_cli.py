@@ -386,10 +386,11 @@ def test_sigma_min_overflow_is_usage_error(tmp_path, capsys):
     ["plot-data", "disk-scatter"], ["plot-data", "radius-histogram"],
     ["plot-data", "angle-bins"], ["plot-data", "angle-bins", "--model", "angles"],
 ], ids=" ".join)
-def test_sample_count_below_one_is_usage_error(argv, n, capsys):
-    code, out, err = run_cli(argv + ["-n", n], capsys)
+def test_sample_count_below_one_is_usage_error(argv, n, tmp_path, capsys):
+    f = tmp_path / "out.csv"
+    code, out, err = run_cli(argv + ["-n", n, "-o", str(f)], capsys)
     assert code == 1
-    assert out == ""
+    assert out == "" and not f.exists()
     assert f"need at least one sample, got {n}" in err
 
 
@@ -407,7 +408,7 @@ def test_negative_seed_or_stream_is_usage_error(argv, flag, value, tmp_path, cap
     f = tmp_path / "out.csv"
     code, out, err = run_cli([*argv, "-n", "3", flag, value, "-o", str(f)], capsys)
     assert code == 1
-    assert out == "" and f.read_text() == ""
+    assert out == "" and not f.exists()
     assert err == f"trishape: error: {flag[2:]} must be at least 0, got {value}\n"
 
 
@@ -417,8 +418,7 @@ def test_workers_below_one_is_usage_error(argv, value, tmp_path, capsys):
     f = tmp_path / "out.csv"
     code, out, err = run_cli([*argv, "-n", "3", "--workers", value, "-o", str(f)], capsys)
     assert code == 1
-    # plot-data checks its options before -o creates the file; sample after
-    assert out == "" and (f.read_text() if f.exists() else "") == ""
+    assert out == "" and not f.exists()
     assert err == f"trishape: error: --workers must be at least 1, got {value}\n"
 
 
@@ -455,12 +455,14 @@ def test_size_flag_below_range_is_usage_error(argv, flag, capsys):
     (["sample", "gaussian", "--k", "4", "--emit", "preshapes"], "--m and --k apply"),
     (["sample", "ndim", "--m", "3", "--k", "4", "--summary"], "--summary classifies triangles"),
     (["sample", "ndim", "--m", "3", "--k", "2", "--summary"], "--summary classifies triangles"),
+    (["sample", "hemisphere", "--emit", "preshapes"], "--emit preshapes needs model"),
+    (["sample", "ndim", "--m", "3", "--k", "4"], "per-sample rows need triangles (k = 3)"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_sample_option_its_mode_ignores_is_usage_error(argv, message, tmp_path, capsys):
     f = tmp_path / "out.csv"
     code, out, err = run_cli([*argv, "-n", "5", "-o", str(f)], capsys)
     assert code == 1
-    assert out == "" and f.read_text() == ""
+    assert out == "" and not f.exists()
     assert err.startswith("trishape: error:") and message in err
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -284,6 +285,123 @@ def test_roundtrip_random_shapes():
     for _ in range(300):
         worst = max(worst, conv.roundtrip_all(random_sides()).max_discrepancy)
     assert worst < 1e-10
+
+
+# Reference copies of shape_distance and of roundtrip_all's loop as they were
+# written before the memoised walk: numpy comparisons, every cycle run from
+# the start through convert.  The walk must give the same report exactly.
+
+
+def _reference_shape_distance(x, y) -> float:
+    src = conv.kind_of(x)
+    if src == "sides":
+        return float(np.abs(x.as_array() - y.as_array()).max())
+    if src == "disk":
+        return float(np.abs(x.xy() - y.xy()).max())
+    if src == "hemisphere":
+        return float(np.abs(conv.hemisphere_to_cartesian(x)
+                            - conv.hemisphere_to_cartesian(y)).max())
+    if src == "svd":
+        return _reference_shape_distance(conv.svd_to_hemisphere(x), conv.svd_to_hemisphere(y))
+    return _reference_shape_distance(conv.shape_to_sides(x), conv.shape_to_sides(y))
+
+
+def _reference_roundtrip(x, include_matrix):
+    start = conv.kind_of(x)
+    others = [k for k in conv.REPRESENTATIONS
+              if k != start and (include_matrix or k != "matrix")]
+    worst, worst_cycle, n = 0.0, (start, start), 0
+    for size in range(1, len(others) + 1):
+        for path in itertools.permutations(others, size):
+            value = x
+            for step in (*path, start):
+                value = conv.convert(value, step)
+            n += 1
+            dist = _reference_shape_distance(x, value)
+            if dist > worst:
+                worst, worst_cycle = dist, (start, *path, start)
+    return n, worst, worst_cycle
+
+
+def _seeded_values():
+    """200 seeded shapes, every fourth nearly collinear and every fourth
+    nearly equilateral, each in all five representations."""
+    rng = np.random.default_rng(2024)
+    values = []
+    for i in range(200):
+        z = rng.standard_normal((2, 2))
+        if i % 4 == 1:
+            z[:, 1] *= 1e-9
+        elif i % 4 == 2:
+            z = np.eye(2) + 1e-9 * z
+        z /= np.linalg.norm(z)
+        values += [z, conv.svd2x2(z), conv.shape_to_sides(z),
+                   conv.shape_to_hemisphere(z), conv.shape_to_disk(z)]
+    return values
+
+
+_EDGE_VALUES = [
+    conv.SvdShape(1 / math.sqrt(2), 1 / math.sqrt(2), 0.0),         # equilateral
+    conv.SquaredSides(1 / 3, 1 / 3, 1 / 3),
+    conv.HemispherePoint(math.pi / 2, 0.0),
+    conv.DiskPoint(0.0, 0.0),
+    np.eye(2) / math.sqrt(2),
+    conv.SquaredSides(0.5, 0.5, 0.0),                                # degenerate
+    conv.HemispherePoint(0.4, 7.5),                                  # longitude wraps
+    conv.DiskPoint(0.5, 1.0),                                        # rim
+    conv.DiskPoint(0.5, 0.0),
+    conv.SvdShape(1.0, 0.0, 0.0),
+    conv.SquaredSides(0.5, 0.25, 0.25),
+    # signed-zero twins: equal as floats, but atan2 tells them apart
+    np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[1.0, 0.0], [-0.0, 0.0]]),
+    [[1.0, 0.0], [0.0, -0.0]], [[1, 0], [0, 0]],
+    conv.DiskPoint(0.0, -0.0), conv.DiskPoint(0.25, -0.0),
+    conv.HemispherePoint(0.0, -0.0), conv.SvdShape(1.0, 0.0, -0.0),
+]
+
+
+@pytest.mark.parametrize("include_matrix", [True, False])
+def test_roundtrip_matches_reference_loop(include_matrix):
+    for v in _seeded_values() + _EDGE_VALUES:
+        report = conv.roundtrip_all(v, include_matrix)
+        assert report.start_kind == conv.kind_of(v)
+        got = (report.n_cycles, report.max_discrepancy, report.worst_cycle)
+        assert got == _reference_roundtrip(v, include_matrix), v
+
+
+def test_shape_distance_matches_reference():
+    values = _seeded_values()
+    pairs = [p for p in itertools.chain(zip(values, values[5:]),      # same kind, 5 apart
+                                        itertools.product(_EDGE_VALUES, values[-25:]),
+                                        itertools.combinations(_EDGE_VALUES, 2))
+             if conv.kind_of(p[0]) == conv.kind_of(p[1])]
+    assert len(pairs) > 1000
+    for x, y in pairs:
+        assert conv.shape_distance(x, y) == _reference_shape_distance(x, y), (x, y)
+
+
+def test_roundtrip_converts_each_distinct_value_once(monkeypatch):
+    runs = []       # (pair, input bits, input floats) of each conversion run
+
+    def counted(pair, convert):
+        def run(value):
+            floats = np.ravel(value).tolist() if pair[0] == "matrix" else vars(value).values()
+            runs.append((pair, conv._bits(pair[0], value), tuple(floats)))
+            return convert(value)
+        return run
+
+    monkeypatch.setattr(conv, "_CONVERT", {pair: counted(pair, f)
+                                           for pair, f in conv._CONVERT.items()})
+    for v in (conv.SquaredSides(0.5, 0.25, 0.25), _seeded_values()[0]):
+        runs.clear()
+        assert conv.roundtrip_all(v).n_cycles == 64
+        assert len(runs) == len(set(runs)) < 100      # 260 conversions without the memo
+    # these cycles pass through signed-zero twins, values equal as floats
+    # but not in bits; each twin is converted on its own
+    runs.clear()
+    conv.roundtrip_all(np.array([[0.0, -0.0], [1.0, -0.0]]))
+    assert len(runs) == len(set(runs))
+    assert len({(pair, floats) for pair, _, floats in runs}) < len(runs)
 
 
 def test_all_pairwise_routes_commute():
