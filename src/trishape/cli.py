@@ -295,10 +295,9 @@ def _svg_scatter(blocks, path):
 
 
 def _plot_disk_scatter(args, out):
-    blocks = iter_blocks(args.n, (args.seed, args.stream))
     out.write("x,y,class\n")
     drawn = []
-    for rng, count in blocks:
+    for rng, count in iter_blocks(args.n, (args.seed, args.stream)):
         x, y = sampling.disk_batch(args.model, rng, count)
         classes = _CLASS_NAMES[sampling._classify_codes(
             sampling._column_max(conv._sides_from_xy(x, y)))]
@@ -311,11 +310,7 @@ def _plot_disk_scatter(args, out):
 
 def _plot_radius_histogram(args, out):
     edges = np.linspace(0.0, 0.5, args.bins + 1)
-
-    def block(rng, count):
-        return np.histogram(np.hypot(*sampling.disk_batch(args.model, rng, count)),
-                            bins=edges)[0]
-
+    block = lambda rng, count: sampling.radius_counts(args.model, rng, count, edges)
     counts = sampling._mc_sum(args.n, block, (args.seed, args.stream), args.workers)
     lo, hi, mid = edges[:-1], edges[1:], (edges[:-1] + edges[1:]) / 2.0
     cdf = lambda r: 1.0 - np.sqrt(np.maximum(1.0 - 4.0 * r * r, 0.0))
@@ -381,6 +376,8 @@ def _plot_options(args):
             _check_size(flag, getattr(args, name))
     if args.kind in ("disk-scatter", "radius-histogram") and args.model == "angles":
         raise ValueError(f"{args.kind} needs model 'gaussian' or 'hemisphere'")
+    if args.kind == "angle-bins":
+        sampling.check_angle_bin_model(args.model)
     if "seed" in reads:
         iter_blocks(args.n, (args.seed, args.stream))     # raises on a bad -n, --seed or --stream
 

@@ -213,19 +213,21 @@ def _disk_counts(x: np.ndarray, y: np.ndarray, t=1.0) -> np.ndarray:
     return _class_counts(top, 3.0 * t)
 
 
-def _preshape_counts(z: np.ndarray) -> np.ndarray:
-    """Class counts of (n, m, 2) triangle preshapes, unnormalised.
-
-    With the two columns as one complex vector c = z[..., 0] + i z[..., 1],
-    sum(c^2) = (g11 - g22) + 2i g12 and sum(|c|^2) = g11 + g22 = t, for the
-    Gram matrix g of the columns; sum(c^2)/2 is the disk point times t.  So
-    sum(c^2) and 2t give the classes at doubled scale, from one pass each.
-    """
+def _preshape_gram(z: np.ndarray):
+    """(w, t) of (n, m, 2) triangle preshapes, one pass each: with the columns
+    as one complex vector c = z[..., 0] + i z[..., 1], w = sum(c^2) = g11 - g22
+    + 2i g12 and t = sum(|c|^2) = g11 + g22 for their Gram matrix g, so w/2 is
+    the disk point times t."""
     n, m, _ = z.shape
     c = z.view(np.complex128).reshape(n, m)
     flat = z.reshape(n, 2 * m)
-    w = np.einsum("ij,ij->i", c, c)
-    return _disk_counts(w.real, w.imag, 2.0 * np.einsum("ij,ij->i", flat, flat))
+    return np.einsum("ij,ij->i", c, c), np.einsum("ij,ij->i", flat, flat)
+
+
+def _preshape_counts(z: np.ndarray) -> np.ndarray:
+    """Class counts of (n, m, 2) triangle preshapes, from w and 2t (_preshape_gram)."""
+    w, t = _preshape_gram(z)
+    return _disk_counts(w.real, w.imag, 2.0 * t)
 
 
 def _angle_counts(e: np.ndarray) -> np.ndarray:
@@ -235,9 +237,12 @@ def _angle_counts(e: np.ndarray) -> np.ndarray:
 
 
 def _height_counts(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """Class counts of shapes at these heights and longitudes on the hemisphere."""
-    r = np.sqrt(0.25 - height * height)
-    return _disk_counts(r * np.cos(lon), r * np.sin(lon))
+    """Class counts of shapes at these heights and longitudes on the hemisphere:
+    three times the largest squared side is 1 + 2r cos(d) (_disk_counts), with
+    r = sqrt(1/4 - h^2) and d in [-pi/3, pi/3] the offset of lon from the middle
+    of its 2pi/3 sector.  Sectors meet at cos(+-pi/3): a floor one off is harmless."""
+    d = lon - (2.0 * math.pi / 3.0) * np.floor(lon * (1.5 / math.pi)) - math.pi / 3.0
+    return _class_counts(1.0 + 2.0 * np.sqrt(0.25 - height * height) * np.cos(d), 3.0)
 
 
 def _sides_to_angles(s2: np.ndarray) -> np.ndarray:
@@ -281,6 +286,19 @@ def sides_batch(model: str, rng: np.random.Generator, count: int, m: int = 2) ->
     return _sides_from_xy(*disk_batch(model, rng, count, m))
 
 
+def radius_counts(model: str, rng: np.random.Generator, count: int, edges) -> np.ndarray:
+    """np.histogram counts over edges of the disk radii of the shapes disk_batch
+    draws: |w| / (2t) of raw Gaussian draws, chunked, or sqrt(1/4 - h^2) of heights."""
+    if model == "hemisphere":
+        height = hemisphere_heights(rng, count)[0]
+        return np.histogram(np.sqrt(0.25 - height * height), bins=edges)[0]
+    if model != "gaussian":
+        raise ValueError(f"radius counts need model 'gaussian' or 'hemisphere', got {model!r}")
+    radius = lambda w, t: np.abs(w) / (2.0 * t)
+    return sum(_chunked(rng.standard_normal, (2, 2), count,
+                        lambda z: np.histogram(radius(*_preshape_gram(z)), bins=edges)[0]))
+
+
 # ---------------------------------------------------------------------------
 # block-wise Monte Carlo
 
@@ -312,7 +330,7 @@ def _chunked(draw, row_shape: tuple, count: int, kernel) -> list:
 def _class_counts_block(model: str, m: int):
     """Counts of one block: Gaussian shapes and angles from their raw draws,
     as the class of a shape does not depend on its scale, and 'hemisphere'
-    and 'ndim' from hemisphere_heights, CHUNK_ROWS at a time."""
+    and 'ndim' from hemisphere_heights."""
     if model == "gaussian":
         # the draws of gaussian_shapes, before normalisation
         return lambda rng, count: sum(_chunked(rng.standard_normal, (2, 2), count,
@@ -323,13 +341,8 @@ def _class_counts_block(model: str, m: int):
                                                _angle_counts))
     if model not in ("hemisphere", "ndim"):
         raise ValueError(f"unknown model {model!r}")
-
-    def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        height, lon = hemisphere_heights(rng, count, m if model == "ndim" else 2)
-        return sum(_height_counts(height[lo:lo + CHUNK_ROWS], lon[lo:lo + CHUNK_ROWS])
-                   for lo in range(0, max(count, 1), CHUNK_ROWS))
-
-    return block
+    m = m if model == "ndim" else 2
+    return lambda rng, count: _height_counts(*hemisphere_heights(rng, count, m))
 
 
 def _binomial(count, n_samples: int) -> MonteCarloEstimate:
@@ -377,9 +390,7 @@ def broken_stick_fraction(n_samples: int, seed=0, workers: int = 1) -> MonteCarl
         total = e[:, 0] + e[:, 1] + e[:, 2]
         return np.count_nonzero(np.einsum("ij,ij->i", e, e) <= 0.5 * total * total)
 
-    def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        return np.array([sum(_chunked(rng.standard_exponential, (3,), count, good))])
-
+    block = lambda rng, count: [sum(_chunked(rng.standard_exponential, (3,), count, good))]
     return _binomial(int(_mc_sum(n_samples, block, seed, workers)[0]), n_samples)
 
 
@@ -549,21 +560,23 @@ def angle_bin_probabilities(bins_per_side: int = 10) -> dict:
     return out
 
 
+def check_angle_bin_model(model: str):
+    if model not in ("gaussian", "angles"):
+        raise ValueError(f"angle bins need model 'gaussian' or 'angles', got {model!r}")
+
+
 def angle_bin_counts(model: str, n_samples: int, seed=0, bins_per_side: int = 10,
                      workers: int = 1) -> dict:
     """Histogram of sampled shapes (or sampled angles) over the barycentric bins."""
+    check_angle_bin_model(model)
     labels = angle_bins(bins_per_side)
     n = bins_per_side
     up_base = np.cumsum([0] + [n - ii for ii in range(n)])
     down_base = up_base[n] + np.cumsum([0] + [n - 1 - ii for ii in range(n - 1)])
 
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        if model == "angles":
-            ang = uniform_angles_batch(rng, count)
-        elif model == "gaussian":
-            ang = _sides_to_angles(sides_batch(model, rng, count))
-        else:
-            raise ValueError(f"angle bins need model 'gaussian' or 'angles', got {model!r}")
+        ang = (uniform_angles_batch(rng, count) if model == "angles"
+               else _sides_to_angles(sides_batch(model, rng, count)))
         i, j, up = _bin_coords(ang, n)
         flat = np.where(up, up_base[i] + j, down_base[np.minimum(i, n - 2)] + j)
         return np.bincount(flat, minlength=len(labels))

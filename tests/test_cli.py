@@ -512,6 +512,16 @@ def test_plot_disk_data_needs_shape_model(kind, capsys):
     assert "'gaussian' or 'hemisphere'" in err
 
 
+def test_plot_angle_bins_needs_gaussian_or_angles(tmp_path, capsys):
+    f = tmp_path / "bins.csv"
+    code, out, err = run_cli(["plot-data", "angle-bins", "-n", "10", "--model", "hemisphere",
+                              "-o", str(f)], capsys)
+    assert code == 1
+    assert out == "" and err == ("trishape: error: angle bins need model 'gaussian' or "
+                                 "'angles', got 'hemisphere'\n")
+    assert not f.exists()
+
+
 # each plot-data kind with each option that it does not read
 _PLOT_IGNORED = [
     *(("disk-scatter", flag) for flag in ("--bins", "--bins-per-side", "--grid")),

@@ -477,6 +477,46 @@ def test_block_counts_equal_normalised_reference(model, m):
         assert list(block(rng(), _ROWS)) == _reference_counts(model, rng(), _ROWS, m)
 
 
+@pytest.mark.parametrize("model", ["gaussian", "hemisphere"])
+def test_radius_counts_equal_histogram_of_disk_radii(model):
+    edges = np.linspace(0.0, 0.5, 51)
+    for seed in range(100):
+        for count in (1, samp.CHUNK_ROWS - 1, samp.CHUNK_ROWS + 1, samp.BLOCK_SIZE):
+            rng = lambda: samp.RngSeed(seed, 5).generator(block=count)
+            ref = np.histogram(np.hypot(*samp.disk_batch(model, rng(), count)), bins=edges)[0]
+            assert np.array_equal(samp.radius_counts(model, rng(), count, edges), ref)
+    assert list(samp.radius_counts(model, rng(), 0, edges)) == [0] * 50
+
+
+def _unfolded_height_counts(height, lon):
+    r = np.sqrt(0.25 - height * height)
+    return list(samp._disk_counts(r * np.cos(lon), r * np.sin(lon)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_folded_height_counts_equal_disk_counts(m):
+    for seed in range(30):
+        height, lon = samp.hemisphere_heights(samp.RngSeed(seed, 6).generator(), _ROWS, m)
+        assert list(samp._height_counts(height, lon)) == _unfolded_height_counts(height, lon)
+
+
+def test_folded_height_counts_at_sector_edges():
+    # the sector edges 0, 2 pi/3 and 4 pi/3, the floats either side of each,
+    # and the last float below 2 pi, where height 0 is a right angle, and the
+    # sector middles pi/3, pi and 5 pi/3, where heights below 1/2 are obtuse
+    lons = [v for e in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+            for v in (np.nextafter(e, -1.0), e, np.nextafter(e, 7.0))]
+    lons += [np.nextafter(2.0 * math.pi, 0.0), math.pi / 3.0, math.pi, 5.0 * math.pi / 3.0]
+    total = np.zeros(3, dtype=np.int64)
+    for h in (0.0, 0.5, 0.1, 0.4):
+        for lon in lons:
+            one = np.array([h]), np.array([lon])
+            counts = samp._height_counts(*one)
+            assert list(counts) == _unfolded_height_counts(*one)
+            total += counts
+    assert list(total) == [33, 10, 9]
+
+
 def test_broken_stick_block_equals_normalised_reference():
     for seed in range(30):
         est = samp.broken_stick_fraction(_ROWS, seed=(seed, 4))
@@ -533,5 +573,10 @@ def test_class_fractions_workers_agree(model, m):
 def test_class_fractions_rejects_bad_model_and_m():
     with pytest.raises(ValueError, match="unknown model"):
         samp.class_fractions("disk", 10)
+    with pytest.raises(ValueError, match="need model 'gaussian' or 'hemisphere'"):
+        samp.radius_counts("angles", samp.RngSeed(0).generator(), 10, np.linspace(0, 0.5, 3))
+    # at the call: n = 0 would raise "at least one sample" once blocks are drawn
+    with pytest.raises(ValueError, match="angle bins need model 'gaussian' or 'angles'"):
+        samp.angle_bin_counts("hemisphere", 0)
     with pytest.raises(ValueError, match="m >= 1"):
         samp.class_fractions("ndim", 10, m=0)
