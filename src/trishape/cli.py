@@ -12,25 +12,32 @@ produce byte-identical bytes.
 import argparse
 import dataclasses
 import functools
-import json
+import itertools
 import math
 import sys
 
 import numpy as np
 
+# lazy modules (see the package): read none of them at import or in _build_parser
 from . import conversions as conv
 from . import geometry, sampling, uniformity
 from .errors import DomainError
-from .sampling import CLASS_NAMES, iter_blocks
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_REJECTED = 3
 
-# class name per classification code; an object array shares the three
-# strings instead of copying one per row
-_CLASS_NAMES = np.array(CLASS_NAMES, dtype=object)
+# conv.REPRESENTATIONS and uniformity.SUITE_TESTS, which tests pin these to
+_REPRESENTATIONS = ("disk", "hemisphere", "matrix", "sides", "svd")
+_SUITE_TESTS = ("chikuse-jupp", "sigma-min", "hemisphere")
+
+
+def _class_column(vals: np.ndarray) -> np.ndarray:
+    """Class name of each row of squared sides or angles; an object array
+    shares the three strings instead of copying one per row."""
+    codes = sampling._classify_codes(sampling._column_max(vals))
+    return np.array(sampling.CLASS_NAMES, dtype=object)[codes]
 
 
 def _fmt(v) -> str:
@@ -83,6 +90,8 @@ def _rep_record(value) -> dict:
 
 def _emit_record(rec: dict, fmt: str, out):
     if fmt == "json":
+        import json
+
         # NumPy floats are floats to json; other NumPy scalars and arrays go through tolist
         out.write(json.dumps(rec, indent=2, default=lambda v: v.tolist()))
         out.write("\n")
@@ -156,7 +165,7 @@ def _sample_options(args):
     elif not args.summary and args.k not in (None, 3):
         raise ValueError("per-sample rows need triangles (k = 3); "
                          "use --emit preshapes for general k")
-    iter_blocks(args.n, (args.seed, args.stream))     # raises on a bad -n, --seed or --stream
+    sampling.iter_blocks(args.n, (args.seed, args.stream))  # raises on a bad -n, seed, stream
 
 
 def _cmd_sample(args, out) -> int:
@@ -170,18 +179,19 @@ def _cmd_sample(args, out) -> int:
         rec = {"model": model, "n_samples": args.n, "seed": args.seed, "stream": args.stream}
         if model == "ndim":
             rec["m"] = m
-        rec.update((key, fr[key]) for name in CLASS_NAMES for key in (name, f"{name}_stderr"))
+        rec.update((key, fr[key]) for name in sampling.CLASS_NAMES
+                   for key in (name, f"{name}_stderr"))
         _emit_record(rec, args.format, out)
         return EXIT_OK
 
     if args.emit == "preshapes":
         out.write(f"m,k\n{m},{k}\n")
-        for rng, count in iter_blocks(args.n, seed):
+        for rng, count in sampling.iter_blocks(args.n, seed):
             _write_rows(out, sampling.ndim_shapes(m, k, rng, count).reshape(count, -1).T)
         return EXIT_OK
 
     out.write("alpha,beta,gamma,class\n" if model == "angles" else "a2,b2,c2,r,phi,class\n")
-    for rng, count in iter_blocks(args.n, seed):
+    for rng, count in sampling.iter_blocks(args.n, seed):
         if model == "angles":
             vals = sampling.uniform_angles_batch(rng, count)
             polar = ()
@@ -190,8 +200,7 @@ def _cmd_sample(args, out) -> int:
             x = (vals[:, 0] + vals[:, 1]) / 2.0 - vals[:, 2]
             y = sampling.SQRT3 * (vals[:, 0] - vals[:, 1]) / 2.0
             polar = (np.hypot(x, y), np.mod(np.arctan2(y, x), 2.0 * math.pi))
-        codes = sampling._classify_codes(sampling._column_max(vals))
-        _write_rows(out, (*vals.T, *polar, _CLASS_NAMES[codes]))
+        _write_rows(out, (*vals.T, *polar, _class_column(vals)))
     return EXIT_OK
 
 
@@ -245,20 +254,23 @@ def _cmd_construct(args, out) -> int:
 
 def _read_preshape_file(path) -> np.ndarray:
     with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if len(lines) < 3:
-        raise ValueError(f"sample file {path!r} is empty or truncated")
-    if lines[0].replace(" ", "") != "m,k":
-        raise ValueError(f"sample file {path!r} must start with an 'm,k' header")
-    try:
-        m, k = (int(v) for v in lines[1].split(","))
-        # checked before the reshape, which would infer a -1 from the rows
-        if m < 1 or k < 2:
-            raise ValueError(f"header needs m >= 1 and k >= 2, got m={m}, k={k}")
-        rows = np.loadtxt(lines[2:], delimiter=",", comments=None, ndmin=2)
-        return rows.reshape(len(rows), m, k - 1)
-    except ValueError as exc:
-        raise ValueError(f"cannot parse sample file {path!r}: {exc}") from exc
+        # the stripped non-blank lines, read from the file as loadtxt takes them
+        lines = filter(None, map(str.strip, fh))
+        head = list(itertools.islice(lines, 3))
+        if len(head) < 3:
+            raise ValueError(f"sample file {path!r} is empty or truncated")
+        if head[0].replace(" ", "") != "m,k":
+            raise ValueError(f"sample file {path!r} must start with an 'm,k' header")
+        try:
+            m, k = (int(v) for v in head[1].split(","))
+            # checked before the reshape, which would infer a -1 from the rows
+            if m < 1 or k < 2:
+                raise ValueError(f"header needs m >= 1 and k >= 2, got m={m}, k={k}")
+            rows = np.loadtxt(itertools.chain(head[2:], lines), delimiter=",", comments=None,
+                              ndmin=2)
+            return rows.reshape(len(rows), m, k - 1)
+        except ValueError as exc:
+            raise ValueError(f"cannot parse sample file {path!r}: {exc}") from exc
 
 
 def _cmd_test(args, out) -> int:
@@ -297,10 +309,9 @@ def _svg_scatter(blocks, path):
 def _plot_disk_scatter(args, out):
     out.write("x,y,class\n")
     drawn = []
-    for rng, count in iter_blocks(args.n, (args.seed, args.stream)):
+    for rng, count in sampling.iter_blocks(args.n, (args.seed, args.stream)):
         x, y = sampling.disk_batch(args.model, rng, count)
-        classes = _CLASS_NAMES[sampling._classify_codes(
-            sampling._column_max(conv._sides_from_xy(x, y)))]
+        classes = _class_column(conv._sides_from_xy(x, y))
         _write_rows(out, (x, y, classes))
         if args.svg:
             drawn.append((x, y, classes))
@@ -379,7 +390,7 @@ def _plot_options(args):
     if args.kind == "angle-bins":
         sampling.check_angle_bin_model(args.model)
     if "seed" in reads:
-        iter_blocks(args.n, (args.seed, args.stream))     # raises on a bad -n, --seed or --stream
+        sampling.iter_blocks(args.n, (args.seed, args.stream))  # raises on a bad -n, seed, stream
 
 
 def _cmd_plot_data(args, out) -> int:
@@ -418,9 +429,8 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("convert", parents=[_RECORD], help="convert between representations")
-    reps = sorted(conv.REPRESENTATIONS)
-    p.add_argument("--from", dest="from_rep", required=True, choices=reps)
-    p.add_argument("--to", dest="to_rep", required=True, choices=reps)
+    p.add_argument("--from", dest="from_rep", required=True, choices=_REPRESENTATIONS)
+    p.add_argument("--to", dest="to_rep", required=True, choices=_REPRESENTATIONS)
     p.add_argument("values", type=float, nargs="+")
     p.add_argument("--roundtrip", action="store_true",
                    help="also report the max discrepancy over all conversion cycles")
@@ -453,8 +463,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--alpha", type=float, default=0.01,
                    help="rejection threshold, strictly between 0 and 1")
-    p.add_argument("--which", choices=(*uniformity.SUITE_TESTS, "all"),
-                   default="all")
+    p.add_argument("--which", choices=(*_SUITE_TESTS, "all"), default="all")
     p.set_defaults(func=_cmd_test)
 
     # defaults in _PLOT_DEFAULTS, filled in by _plot_options for the kinds that read them

@@ -12,8 +12,10 @@ shapes and preshapes take standard_normal (ziggurat) deviates; triangles in
 R^m take two uniforms each, whatever m (hemisphere_heights).
 """
 
+# annotations stay unevaluated, so np.random.Generator in them does not load numpy.random
+from __future__ import annotations
+
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +23,7 @@ import numpy as np
 from . import specfun
 from .conversions import (DISK_FROM_SIDES, SQRT3, DiskPoint, HemispherePoint, SquaredSides,
                           _shapes_to_xy, _sides_from_xy, sides_to_disk)
-from .core import INPUT_TOL
+from .core import INPUT_TOL, _column_sum
 from .errors import DomainError
 
 BLOCK_SIZE = 1 << 16
@@ -214,14 +216,16 @@ def _disk_counts(x: np.ndarray, y: np.ndarray, t=1.0) -> np.ndarray:
 
 
 def _preshape_gram(z: np.ndarray):
-    """(w, t) of (n, m, 2) triangle preshapes, one pass each: with the columns
-    as one complex vector c = z[..., 0] + i z[..., 1], w = sum(c^2) = g11 - g22
-    + 2i g12 and t = sum(|c|^2) = g11 + g22 for their Gram matrix g, so w/2 is
-    the disk point times t."""
-    n, m, _ = z.shape
-    c = z.view(np.complex128).reshape(n, m)
-    flat = z.reshape(n, 2 * m)
-    return np.einsum("ij,ij->i", c, c), np.einsum("ij,ij->i", flat, flat)
+    """(w, t) of (n, m, 2) triangle preshapes, from column products: with the
+    columns as one complex vector c = z[..., 0] + i z[..., 1], w = sum(c^2) =
+    g11 - g22 + 2i g12 and t = sum(|c|^2) = g11 + g22 for their Gram matrix g,
+    so w/2 is the disk point times t.  For m = 2 the sums pair terms as
+    np.einsum("ij,ij->i") does, so they equal its results to the bit."""
+    x, y = z[..., 0], z[..., 1]
+    xx, yy = x * x, y * y
+    w = np.empty(len(z), dtype=np.complex128)
+    w.real, w.imag = _column_sum(xx - yy), 2.0 * _column_sum(x * y)
+    return w, _column_sum(xx) + _column_sum(yy)
 
 
 def _preshape_counts(z: np.ndarray) -> np.ndarray:
@@ -307,12 +311,16 @@ def _mc_sum(n_samples: int, block_fn, seed, workers: int = 1) -> np.ndarray:
     """Sum block_fn(rng, count) over the blocks of iter_blocks(n_samples, seed).
 
     block_fn must return integer counts so the total is exactly independent
-    of how blocks are scheduled across workers.
+    of how blocks are scheduled across workers.  With workers > 1 it runs in
+    worker threads, so every trishape module it reads must already be loaded
+    (see the package docstring).
     """
     blocks = iter_blocks(n_samples, seed)
     run = lambda block: np.asarray(block_fn(*block), dtype=np.int64)
     if workers <= 1:
         return np.sum([run(b) for b in blocks], axis=0)
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return np.sum(list(pool.map(run, blocks)), axis=0)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conversions import _shapes_to_xy
+from .core import _column_sum
 from .specfun import gamma_q, gauss_2f1, kolmogorov_sf
 
 __all__ = [
@@ -95,9 +96,18 @@ def chikuse_jupp(samples) -> TestReport:
     degrees of freedom, which is also the exact scaling of its mean.  For
     k = 2 the statistic is identically zero (Z^T Z is the scalar 1).
     """
-    z = _as_sample_array(samples)
+    return _chikuse_jupp(_as_sample_array(samples))
+
+
+def _chikuse_jupp(z: np.ndarray) -> TestReport:
+    """chikuse_jupp of a checked (t, m, q) sample array."""
     t, m, q = z.shape
-    w = np.einsum("tij,tik->tjk", z, z)
+    # each Gram entry from column products, added over rows in order: the
+    # bits of np.einsum("tij,tik->tjk", z, z), several times faster
+    w = np.empty((t, q, q))
+    for j in range(q):
+        for k in range(j, q):
+            w[:, j, k] = w[:, k, j] = _column_sum(z[:, :, j] * z[:, :, k])
     dev = w.mean(axis=0) - np.eye(q) / q
     stat = (q * (q * m + 2.0) / 2.0) * t * float(np.trace(dev @ dev))
     df = (q - 1) * (q + 2) / 2.0
@@ -253,7 +263,7 @@ def uniformity_suite(samples, which: str = "all") -> SuiteReport:
 
     suite = SuiteReport()
     if which in ("chikuse-jupp", "all"):
-        suite.reports.append(chikuse_jupp(z))
+        suite.reports.append(_chikuse_jupp(z))
     if runs("sigma-min", m == q, "square"):
         suite.reports.append(ks_test(_inv_sigma_min(z), lambda v: inv_sigma_min_cdf(v, m),
                                      name="sigma-min-ks"))

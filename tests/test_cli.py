@@ -348,6 +348,17 @@ def test_sample_file_reader_values(tmp_path):
     assert np.array_equal(z.reshape(3, 4), np.array(expected), equal_nan=True)
 
 
+def test_sample_file_reader_skips_whitespace_lines(tmp_path):
+    f = tmp_path / "pre.csv"
+    f.write_text("\n \nm,k\n 2,3 \n\t\n0.5,0.5,0.5,0.5\n   \n0.5,0.5,0.5,-0.5\n")
+    assert cli._read_preshape_file(f).tolist() == [[[0.5, 0.5], [0.5, 0.5]],
+                                                   [[0.5, 0.5], [0.5, -0.5]]]
+    # rows are numbered among the non-blank data lines
+    f.write_text("m,k\n2,3\n0.5,0.5,0.5,0.5\n\n  \n0.5,x,0.5,0.5\n")
+    with pytest.raises(ValueError, match="at row 1, column 2"):
+        cli._read_preshape_file(f)
+
+
 def test_parser_built_once_and_not_at_import():
     code = ("import trishape.cli as c; assert c._build_parser.cache_info().currsize == 0; "
             "c.main(['prob', '3']); c.main(['prob', '4']); "
@@ -355,6 +366,14 @@ def test_parser_built_once_and_not_at_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_parser_choices_match_their_modules():
+    # the parser names them without loading the modules that define them
+    from trishape import conversions, uniformity
+
+    assert cli._REPRESENTATIONS == tuple(sorted(conversions.REPRESENTATIONS))
+    assert cli._SUITE_TESTS == uniformity.SUITE_TESTS
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "-0.5"])

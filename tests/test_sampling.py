@@ -539,6 +539,14 @@ def test_preshape_codes_unchanged_by_scale(m):
         assert np.array_equal(samp._preshape_counts(z * scale), samp._preshape_counts(z))
 
 
+def test_preshape_gram_equals_einsum_reference():
+    z = samp.RngSeed(66).generator().standard_normal((5000, 2, 2))
+    c = z[..., 0] + 1j * z[..., 1]
+    w, t = np.einsum("ij,ij->i", c, c), np.einsum("ij,ij->i", z.reshape(-1, 4), z.reshape(-1, 4))
+    w_cols, t_cols = samp._preshape_gram(z)
+    assert np.array_equal(w_cols, w) and np.array_equal(t_cols, t)
+
+
 def test_angle_codes_unchanged_by_scale():
     e = samp.RngSeed(64).generator().standard_exponential((400, 3))
     codes = _row_codes(samp._angle_counts, e)

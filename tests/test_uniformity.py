@@ -92,6 +92,16 @@ def test_chikuse_jupp_input_validation():
         uni.chikuse_jupp(np.ones((5, 2, 2)))   # not unit norm
 
 
+@pytest.mark.parametrize("m,q", [(2, 2), (3, 3), (5, 2), (2, 4), (4, 4), (12, 12)])
+def test_chikuse_jupp_equals_einsum_reference(m, q):
+    # the statistic from the mean of np.einsum Gram matrices, to the bit
+    z = uniform_preshapes(300, m, q, seed=m + q)
+    t = len(z)
+    dev = np.einsum("tij,tik->tjk", z, z).mean(axis=0) - np.eye(q) / q
+    stat = (q * (q * m + 2.0) / 2.0) * t * float(np.trace(dev @ dev))
+    assert uni.chikuse_jupp(z).statistic == stat
+
+
 # ---------------------------------------------------------------------------
 # chi-square tail
 
