@@ -48,7 +48,7 @@ def _fmt(v) -> str:
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.17g}"
     if isinstance(v, np.ndarray):
-        return " ".join(_fmt(float(x)) for x in v.ravel())
+        return " ".join(map("{:.17g}".format, np.ravel(v).astype(float).tolist()))
     return str(v)
 
 
@@ -352,10 +352,7 @@ def _plot_hemisphere_map(args, out):
     g = args.grid
     lat = np.repeat(np.linspace(0.0, math.pi / 2.0, g), 2 * g)
     lon = np.tile(np.linspace(0.0, 2.0 * math.pi, 2 * g, endpoint=False), g)
-    ang = np.array([
-        geometry.angles_from_sides(conv.hemisphere_to_sides(conv.HemispherePoint(a, b)))
-        .as_array() for a, b in zip(lat, lon)
-    ]) / math.pi
+    ang = geometry._hemisphere_angles(lat, lon) / math.pi
     out.write("latitude,longitude,alpha,beta,gamma\n")
     _write_rows(out, (lat, lon, *ang.T))
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import HELMERT3, INPUT_TOL
+from .core import HELMERT3, INPUT_TOL, _shapes_to_xy  # noqa: F401 (re-exported)
 from .errors import DomainError, NotATriangleError
 
 TWO_PI = 2.0 * math.pi
@@ -348,15 +348,7 @@ def hemisphere_to_cartesian(h: HemispherePoint) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batch kernels on (n, 2, 2) shape matrices and (n,) disk coordinates
-
-
-def _shapes_to_xy(m: np.ndarray):
-    """Disk Cartesian coordinates (r cos phi, r sin phi) of a (n,2,2) batch."""
-    g11 = m[:, 0, 0] ** 2 + m[:, 1, 0] ** 2
-    g22 = m[:, 0, 1] ** 2 + m[:, 1, 1] ** 2
-    g12 = m[:, 0, 0] * m[:, 0, 1] + m[:, 1, 0] * m[:, 1, 1]
-    return (g11 - g22) / 2.0, g12
+# batch kernel on (n,) disk coordinates (core._shapes_to_xy gives them)
 
 
 def _sides_from_xy(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -114,3 +114,11 @@ def _column_sum(a: np.ndarray) -> np.ndarray:
     order, which the Gram kernels' exact results rely on, and for few columns
     several times faster than a reduction over the short axis."""
     return sum((a[:, i] for i in range(1, a.shape[1])), a[:, 0])
+
+
+def _shapes_to_xy(m: np.ndarray):
+    """Disk Cartesian coordinates (r cos phi, r sin phi) of a (n,2,2) batch."""
+    g11 = m[:, 0, 0] ** 2 + m[:, 1, 0] ** 2
+    g22 = m[:, 0, 1] ** 2 + m[:, 1, 1] ** 2
+    g12 = m[:, 0, 0] * m[:, 0, 1] + m[:, 1, 0] * m[:, 1, 1]
+    return (g11 - g22) / 2.0, g12

@@ -18,6 +18,7 @@ from .errors import DomainError, NotATriangleError
 OMEGA = math.sqrt(3.0)            # scale tying parallelian lengths to side products
 EQUILATERAL_AREA = 1.0 / math.sqrt(48.0)   # largest area at unit squared-side sum
 DEGENERATE_TOL = 1e-12
+_SIDE_OFFSETS = np.array([2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0, 0.0])   # of disk_to_sides
 
 # Vertices of the big equilateral triangle (columns, norm 1) and of the
 # inverted little triangle of its edge midpoints (norm 1/2).  The little
@@ -130,6 +131,16 @@ def angles_from_sides(s, K: float | None = None) -> TriangleAngles:
     return TriangleAngles(*out)
 
 
+def _hemisphere_angles(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """(n, 3) angles in radians at hemisphere points (unchecked): the atan2 of
+    angles_from_sides on the closed forms 4K = sin(lat)/sqrt(3) and
+    1 - 2 s_i = (1 + 2 cos(lat) cos(lon + o_i))/3, exactly degenerate on the rim."""
+    num = np.sin(lat)[:, None] / math.sqrt(3.0)
+    den = (1.0 + 2.0 * np.cos(lat)[:, None] * np.cos(lon[:, None] + _SIDE_OFFSETS)) / 3.0
+    flat = (np.abs(num) <= DEGENERATE_TOL) & (np.abs(den) <= DEGENERATE_TOL)
+    return np.where(flat, math.pi / 2.0, np.arctan2(num, den))
+
+
 def special_triangle(kind: str, K: float, phi: float | None = None):
     """Fixed-area representative of a special family, as (DiskPoint, SquaredSides).
 
@@ -173,8 +184,7 @@ def singular_sides(phi: float) -> np.ndarray:
     These are sqrt(2/3) |sin(x/2)| at x = phi + 2pi/3, phi - 2pi/3, phi;
     the longest equals the sum of the other two.
     """
-    offs = np.array([2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0, 0.0])
-    return math.sqrt(2.0 / 3.0) * np.abs(np.sin((phi + offs) / 2.0))
+    return math.sqrt(2.0 / 3.0) * np.abs(np.sin((phi + _SIDE_OFFSETS) / 2.0))
 
 
 def barycentric_frames() -> BarycentricFrames:

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import specfun
 from .conversions import (DISK_FROM_SIDES, SQRT3, DiskPoint, HemispherePoint, SquaredSides,
-                          _shapes_to_xy, _sides_from_xy, sides_to_disk)
-from .core import INPUT_TOL, _column_sum
+                          _sides_from_xy, sides_to_disk)
+from .core import INPUT_TOL, _column_sum, _shapes_to_xy
 from .errors import DomainError
 
 BLOCK_SIZE = 1 << 16

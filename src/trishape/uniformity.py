@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conversions import _shapes_to_xy
-from .core import _column_sum
+from .core import _column_sum, _shapes_to_xy
 from .specfun import gamma_q, gauss_2f1, kolmogorov_sf
 
 __all__ = [

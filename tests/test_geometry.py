@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from trishape import cli
 from trishape import conversions as conv
 from trishape import geometry as geo
 from trishape.errors import DomainError, NotATriangleError
@@ -74,6 +76,64 @@ def test_angle_sum_random():
     for _ in range(500):
         total = geo.angles_from_sides(random_sides()).as_array().sum()
         assert abs(total - math.pi) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# the hemisphere map's closed-form angle kernel
+
+
+def hemisphere_map_rows(grid, capsys):
+    """Rows (lat, lon, alpha, beta, gamma) of `plot-data hemisphere-map`."""
+    capsys.readouterr()
+    assert cli.main(["plot-data", "hemisphere-map", "--grid", str(grid)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "latitude,longitude,alpha,beta,gamma"
+    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+
+
+def mp_angles(lat, lon):
+    """Angles / pi at the float point (lat, lon), in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        lat, lon = mpmath.mpf(lat), mpmath.mpf(lon)
+        num = mpmath.sin(lat) / mpmath.sqrt(3)
+        return [mpmath.atan2(num, (1 + 2 * mpmath.cos(lat) * mpmath.cos(lon + o)) / 3)
+                / mpmath.pi for o in (2 * mpmath.pi / 3, -2 * mpmath.pi / 3, 0)]
+
+
+@pytest.mark.parametrize("grid", [2, 8, 24])
+def test_hemisphere_map_interior_rows_against_mpmath(grid, capsys):
+    rows = hemisphere_map_rows(grid, capsys)
+    assert len(rows) == 2 * grid * grid
+    for lat, lon, *ang in rows[rows[:, 0] > 0]:
+        assert max(abs(float(a - b)) for a, b in zip(ang, mp_angles(lat, lon))) <= 2e-15
+
+
+@pytest.mark.parametrize("grid", [2, 8, 24])
+def test_hemisphere_map_rim_rows_are_exactly_degenerate(grid, capsys):
+    rows = hemisphere_map_rows(grid, capsys)
+    rim = rows[rows[:, 0] == 0]
+    assert len(rim) == 2 * grid
+    for ang in rim[:, 2:].tolist():
+        assert sorted(ang) in ([0.0, 0.0, 1.0], [0.0, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("lat", [1e-3, 1e-6, 1e-9])
+def test_hemisphere_angles_smallest_angle_near_the_rim(lat):
+    lon = np.concatenate([np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False),
+                          RNG.uniform(0.0, 2.0 * math.pi, 24)])
+    ang = geo._hemisphere_angles(np.full(lon.shape, lat), lon) / math.pi
+    for row, x in zip(ang, lon):
+        i = int(np.argmin(row))
+        ref = mp_angles(lat, x)[i]
+        assert abs(float((row[i] - ref) / ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("grid", [2, 8, 24])
+def test_hemisphere_map_interior_rows_match_scalar_chain(grid, capsys):
+    rows = hemisphere_map_rows(grid, capsys)
+    for lat, lon, *ang in rows[rows[:, 0] > 0]:
+        sides = conv.hemisphere_to_sides(conv.HemispherePoint(lat, lon))
+        assert np.abs(geo.angles_from_sides(sides).as_array() / math.pi - ang).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

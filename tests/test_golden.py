@@ -4,7 +4,8 @@ Each case runs one ``trishape`` command and pins the sha256 of its stdout,
 of every file it writes and its exit code.  The cases cover every sampled
 path (row emission, summaries, preshape files, plot data) with sample
 counts past ``BLOCK_SIZE``, so a block boundary is crossed, and the
-``test`` command with each ``--which`` on square and non-square files.
+``test`` command with each ``--which`` on square and non-square files,
+plus ``construct`` records and the hemisphere map.
 Any change to these bytes must be deliberate and named in CHANGES.md.
 """
 
@@ -74,6 +75,9 @@ CASES = [
                             "0.3", "-1.2", "0.7", "0.1", "--format", "json"], ()),
     ("convert-hemisphere-roundtrip", ["convert", "--from", "hemisphere", "--to", "sides",
                                       "0.4", "7.5", "--roundtrip"], ()),
+    ("construct-isosceles", ["construct", "0.3", "0.3", "0.4"], ()),
+    ("construct-generic", ["construct", "0.17", "0.36", "0.47", "--format", "csv"], ()),
+    ("hemisphere-map-8", ["plot-data", "hemisphere-map", "--grid", "8"], ("out",)),
 ]
 
 GOLDEN = {
@@ -198,6 +202,19 @@ GOLDEN = {
     "convert-hemisphere-roundtrip": {
         "code": 0,
         "stdout": "aaa554f157b15769bfb577834f58f0cc779a886b39b003e0ebe1b8c6f6558ce2",
+    },
+    "construct-isosceles": {
+        "code": 0,
+        "stdout": "9785e11551fbe4536cf8dfdebf2a9f6b77ed98630e5a0417b3428d5803a7eaf1",
+    },
+    "construct-generic": {
+        "code": 0,
+        "stdout": "329ae95f2fbccfa3879e7f81b9eaceba5c1a5b88f9b4c1e6052f4698fd6427bf",
+    },
+    "hemisphere-map-8": {
+        "code": 0,
+        "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "out": "e79daf15922dc3e462d12ec8cdb3ee1538b9329e0e01178673c84648e17f4c4c",
     },
 }
 

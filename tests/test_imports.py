@@ -84,7 +84,8 @@ def test_one_shot_commands_load_only_what_they_use(tmp_path):
     fresh(_cli("sample", "gaussian", "-n", "64", "--emit", "preshapes", "-o", str(f)))
     base = {"trishape.cli", "trishape.errors", "trishape.conversions", "trishape.core"}
     assert ran_after(_cli("convert", "--from", "disk", "--to", "sides", "0.1", "0.2")) == base
-    assert ran_after(_cli("test", str(f))) == base | {"trishape.uniformity", "trishape.specfun"}
+    assert ran_after(_cli("test", str(f))) == {"trishape.cli", "trishape.errors", "trishape.core",
+                                               "trishape.uniformity", "trishape.specfun"}
     assert ran_after(_cli("construct", "0.3", "0.3", "0.4")) == base | {"trishape.geometry"}
     assert ran_after(_cli("prob", "3")) == base | {"trishape.sampling", "trishape.specfun"}
     assert "json" in ran_after(_cli("prob", "3", "--format", "json"))
