@@ -43,13 +43,12 @@ _EXPORTS = {
         "special_triangle", "three_similar_triangles"), "geometry"),
     **dict.fromkeys((
         "ClassifiedShape", "MonteCarloEstimate", "RngSeed", "SimplexAngles",
-        "acute_probability_mc", "acute_probability_ndim", "angle_bin_counts",
-        "angle_bin_probabilities", "angle_density", "broken_stick_fraction", "class_fractions",
-        "classify", "gaussian_shapes", "ndim_shapes", "obtuse_fraction_ndim_mc",
-        "obtuse_probability_ndim", "sample_gaussian_shape", "sample_ndim_shape",
-        "sample_uniform_angles", "sample_uniform_hemisphere", "squared_side_marginal_cdf"),
-        "sampling"),
-    **dict.fromkeys(("gauss_2f1",), "specfun"),
+        "acute_probability_mc", "angle_bin_counts", "angle_bin_probabilities", "angle_density",
+        "broken_stick_fraction", "class_fractions", "classify", "gaussian_shapes",
+        "ndim_shapes", "obtuse_fraction_ndim_mc", "sample_gaussian_shape", "sample_ndim_shape",
+        "sample_uniform_angles", "sample_uniform_hemisphere"), "sampling"),
+    **dict.fromkeys(("acute_probability_ndim", "gauss_2f1", "obtuse_probability_ndim",
+                     "squared_side_marginal_cdf"), "specfun"),
     **dict.fromkeys((
         "SuiteReport", "TestReport", "chi2_upper_tail", "chikuse_jupp", "inv_sigma_min_cdf",
         "inv_sigma_min_density", "ks_test", "preshape", "uniformity_suite"), "uniformity"),

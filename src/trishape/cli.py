@@ -14,13 +14,14 @@ import dataclasses
 import functools
 import itertools
 import math
+import re
 import sys
 
 import numpy as np
 
 # lazy modules (see the package): read none of them at import or in _build_parser
 from . import conversions as conv
-from . import geometry, sampling, uniformity
+from . import geometry, sampling, specfun, uniformity
 from .errors import DomainError
 
 EXIT_OK = 0
@@ -53,9 +54,13 @@ def _fmt(v) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on bad usage; the contract reserves 2 for
-    # domain violations, so raise usage problems as ValueError, which main
-    # reports with exit 1 like every other usage error
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value, not an option: -1.5e-05 (which argparse's own rule misses) and -inf too
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+    # argparse exits 2 on bad usage, which the contract reserves for domain
+    # violations: raise a ValueError, which main reports with exit 1
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValueError(message)
@@ -209,22 +214,20 @@ def _cmd_sample(args, out) -> int:
 
 
 def _cmd_prob(args, out) -> int:
-    obtuse = sampling.obtuse_probability_ndim(args.n)
+    obtuse = specfun.obtuse_probability_ndim(args.n)
     _emit_record({"n": args.n, "obtuse": obtuse, "acute": 1.0 - obtuse},
                  args.format, out)
     return EXIT_OK
 
 
-def _triangle_ratio_residual(tri: np.ndarray, sides: np.ndarray) -> float:
-    lengths = np.sort([np.linalg.norm(tri[i] - tri[j]) for i, j in ((0, 1), (0, 2), (1, 2))])
-    ref = np.sort(np.sqrt(sides))
+def _triangle_ratio_residual(tri: np.ndarray, ref: list) -> float:
+    lengths = sorted(math.sqrt(float(d @ d)) for d in tri[[0, 0, 1]] - tri[[1, 2, 2]])
     if ref[2] == 0.0:
         return 0.0
-    ratio = lengths / np.where(ref > 0, ref, 1.0)
     scale = lengths[2] / ref[2]
     if scale == 0.0:
         return 0.0
-    return float(np.abs(ratio[ref > 0] / scale - 1.0).max())
+    return max(abs(v / r / scale - 1.0) for v, r in zip(lengths, ref) if r > 0)
 
 
 def _cmd_construct(args, out) -> int:
@@ -239,11 +242,11 @@ def _cmd_construct(args, out) -> int:
         u, v = para.cartesian_endpoints
         rec[f"parallelian_{para.index}_endpoint_1"] = u
         rec[f"parallelian_{para.index}_endpoint_2"] = v
-    arr = sides.as_array()
+    ref = sorted(map(math.sqrt, (sides.a2, sides.b2, sides.c2)))
     for i, tri in enumerate(result.triangles, start=1):
         for j in range(3):
             rec[f"triangle_{i}_vertex_{j + 1}"] = tri[j]
-        rec[f"triangle_{i}_ratio_residual"] = _triangle_ratio_residual(tri, arr)
+        rec[f"triangle_{i}_ratio_residual"] = _triangle_ratio_residual(tri, ref)
     _emit_record(rec, args.format, out)
     return EXIT_OK
 

@@ -16,7 +16,8 @@ map and the quaternion machinery that makes it rotation-equivariant.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -129,7 +130,7 @@ class DiskPoint:
         self.phi = _wrap(float(self.phi), TWO_PI)
 
     def xy(self) -> np.ndarray:
-        return np.array([self.r * math.cos(self.phi), self.r * math.sin(self.phi)])
+        return np.array(_embedding(self))
 
 
 @dataclass
@@ -157,7 +158,7 @@ def _check_unit_matrix(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.shape != (2, 2):
         raise ValueError(f"shape matrix must be 2x2, got shape {m.shape}")
-    if not abs(np.linalg.norm(m) - 1.0) <= INPUT_TOL:
+    if not abs(math.hypot(*m.ravel().tolist()) - 1.0) <= INPUT_TOL:
         raise DomainError(f"shape matrix must have unit Frobenius norm, got {np.linalg.norm(m)}")
     return m
 
@@ -166,40 +167,35 @@ def _check_unit_matrix(m) -> np.ndarray:
 # (1) SVD of the shape matrix
 
 
+def _svd_parts(m11: float, m12: float, m21: float, m22: float) -> tuple:
+    """(sigma1, sigma2, theta, nu, mu, q - p) from the rotation-component split of
+    M, so sigma2 has no cancellation; theta wraps nu, or is 0 where sigma1 ~ sigma2."""
+    e, f = (m11 + m22) / 2.0, (m11 - m22) / 2.0
+    g, h = (m21 + m12) / 2.0, (m21 - m12) / 2.0
+    q, p = math.hypot(e, h), math.hypot(f, g)
+    s1, s2 = q + p, abs(q - p)
+    a1 = math.atan2(g, f) if p > 0.0 else 0.0
+    a2 = math.atan2(h, e) if q > 0.0 else 0.0
+    nu = (a1 - a2) / 2.0
+    theta = 0.0 if s1 - s2 < DEGENERATE_SVD_TOL else _wrap(nu, math.pi)
+    return s1, s2, theta, nu, (a1 + a2) / 2.0, q - p
+
+
 def svd2x2_factors(m):
     """Closed-form SVD of a unit-norm 2x2 matrix.
 
     Returns (U, (sigma1, sigma2), theta) with M = U @ diag(sigma) @ R(theta).T,
     sigma1 >= sigma2 >= 0 and theta in [0, pi).  U absorbs any reflection, so
     it is orthogonal but not necessarily a rotation.
-
-    Uses the rotation-component split of M (no Gram matrix), so the small
-    singular value is formed without cancellation.
     """
     m = _check_unit_matrix(m)
-    e = (m[0, 0] + m[1, 1]) / 2.0
-    f = (m[0, 0] - m[1, 1]) / 2.0
-    g = (m[1, 0] + m[0, 1]) / 2.0
-    h = (m[1, 0] - m[0, 1]) / 2.0
-    q = math.hypot(e, h)
-    p = math.hypot(f, g)
-    sigma1 = q + p
-    sigma2 = abs(q - p)
-
-    a1 = math.atan2(g, f) if p > 0.0 else 0.0
-    a2 = math.atan2(h, e) if q > 0.0 else 0.0
-    nu = (a1 - a2) / 2.0
-    mu = (a1 + a2) / 2.0
-
+    sigma1, sigma2, theta, nu, mu, gap = _svd_parts(*m.ravel().tolist())
     if sigma1 - sigma2 < DEGENERATE_SVD_TOL:
-        # V arbitrary at the equilateral point; pin theta and refit U below.
-        theta = 0.0
-        u = m @ np.diag([1.0 / sigma1, 1.0 / sigma2])
-        return u, (sigma1, sigma2), theta
+        # V arbitrary at the equilateral point; theta is pinned, so refit U
+        return m @ np.diag([1.0 / sigma1, 1.0 / sigma2]), (sigma1, sigma2), theta
 
-    theta = _wrap(nu, math.pi)
     u = rotation(mu)
-    if q - p < 0.0:
+    if gap < 0.0:
         u = u @ np.diag([1.0, -1.0])
     # wrapping nu by an odd multiple of pi flips R(theta); compensate in U
     if round((theta - nu) / math.pi) % 2:
@@ -208,14 +204,16 @@ def svd2x2_factors(m):
 
 
 def svd2x2(m) -> SvdShape:
-    """Reduced SVD of a unit-norm shape matrix; the left factor is dropped."""
-    _, (s1, s2), theta = svd2x2_factors(m)
+    """Reduced SVD of a unit-norm shape matrix; the left factor is not formed."""
+    s1, s2, theta = _svd_parts(*_check_unit_matrix(m).ravel().tolist())[:3]
     return SvdShape(min(s1, 1.0), max(s2, 0.0), theta)
 
 
 def svd_to_shape(s: SvdShape) -> np.ndarray:
-    """Canonical shape matrix Sigma @ V^T (left factor taken as the identity)."""
-    return np.diag([s.sigma1, s.sigma2]) @ rotation(s.theta).T
+    """Canonical shape matrix Sigma @ V^T (left factor I), with its product's signed zeros."""
+    c, t = math.cos(s.theta), math.sin(s.theta)
+    return np.array([[s.sigma1 * c + 0.0, s.sigma1 * t + 0.0],
+                     [0.0 - s.sigma2 * t, s.sigma2 * c + 0.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -296,15 +294,15 @@ def disk_to_svd(d: DiskPoint) -> SvdShape:
 
 
 def sides_to_svd(s: SquaredSides) -> SvdShape:
-    return disk_to_svd(sides_to_disk(s))
+    return _follow(("sides", "svd"), s)
 
 
 def sides_to_hemisphere(s: SquaredSides) -> HemispherePoint:
-    return disk_to_hemisphere(sides_to_disk(s))
+    return _follow(("sides", "hemisphere"), s)
 
 
 def hemisphere_to_sides(h: HemispherePoint) -> SquaredSides:
-    return disk_to_sides(hemisphere_to_disk(h))
+    return _follow(("hemisphere", "sides"), h)
 
 
 def shape_to_sides(m) -> SquaredSides:
@@ -334,17 +332,12 @@ def shape_to_hemisphere(m) -> HemispherePoint:
 
 def sides_to_shape(s: SquaredSides) -> np.ndarray:
     """A shape matrix with the given sides (canonical representative, U = I)."""
-    return svd_to_shape(sides_to_svd(s))
+    return _follow(("sides", "matrix"), s)
 
 
 def hemisphere_to_cartesian(h: HemispherePoint) -> np.ndarray:
     """Embed (latitude, longitude) as the 3-vector (1/2)(cos lat cos lon, cos lat sin lon, sin lat)."""
-    cl = math.cos(h.latitude)
-    return 0.5 * np.array([
-        cl * math.cos(h.longitude),
-        cl * math.sin(h.longitude),
-        math.sin(h.latitude),
-    ])
+    return np.array(_embedding(h))
 
 
 # ---------------------------------------------------------------------------
@@ -429,29 +422,31 @@ REPRESENTATIONS = {
     "matrix": np.ndarray,
 }
 _KIND_OF_TYPE = {cls: kind for kind, cls in REPRESENTATIONS.items() if kind != "matrix"}
+_PACK = {cls: struct.Struct(f"{len(fields(cls))}d").pack for cls in _KIND_OF_TYPE}
 
-_CONVERT = {
-    ("svd", "sides"): svd_to_sides,
-    ("svd", "hemisphere"): svd_to_hemisphere,
-    ("svd", "disk"): svd_to_disk,
-    ("svd", "matrix"): svd_to_shape,
-    ("sides", "svd"): sides_to_svd,
-    ("sides", "hemisphere"): sides_to_hemisphere,
-    ("sides", "disk"): sides_to_disk,
-    ("sides", "matrix"): sides_to_shape,
-    ("hemisphere", "svd"): hemisphere_to_svd,
-    ("hemisphere", "sides"): hemisphere_to_sides,
-    ("hemisphere", "disk"): hemisphere_to_disk,
-    ("hemisphere", "matrix"): lambda h: svd_to_shape(hemisphere_to_svd(h)),
-    ("disk", "svd"): disk_to_svd,
-    ("disk", "sides"): disk_to_sides,
-    ("disk", "hemisphere"): disk_to_hemisphere,
-    ("disk", "matrix"): lambda d: svd_to_shape(disk_to_svd(d)),
-    ("matrix", "svd"): svd2x2,
-    ("matrix", "sides"): shape_to_sides,
-    ("matrix", "hemisphere"): shape_to_hemisphere,
-    ("matrix", "disk"): shape_to_disk,
+# Each ordered pair of kinds and the chain of primitive conversions that runs it;
+# roundtrip_all memoises each primitive, not each route.
+_ROUTES = {
+    ("svd", "sides"): (svd_to_sides,), ("svd", "hemisphere"): (svd_to_hemisphere,),
+    ("svd", "disk"): (svd_to_disk,), ("svd", "matrix"): (svd_to_shape,),
+    ("sides", "svd"): (sides_to_disk, disk_to_svd), ("sides", "disk"): (sides_to_disk,),
+    ("sides", "hemisphere"): (sides_to_disk, disk_to_hemisphere),
+    ("sides", "matrix"): (sides_to_disk, disk_to_svd, svd_to_shape),
+    ("hemisphere", "svd"): (hemisphere_to_svd,), ("hemisphere", "disk"): (hemisphere_to_disk,),
+    ("hemisphere", "sides"): (hemisphere_to_disk, disk_to_sides),
+    ("hemisphere", "matrix"): (hemisphere_to_svd, svd_to_shape),
+    ("disk", "svd"): (disk_to_svd,), ("disk", "sides"): (disk_to_sides,),
+    ("disk", "hemisphere"): (disk_to_hemisphere,), ("disk", "matrix"): (disk_to_svd, svd_to_shape),
+    ("matrix", "svd"): (svd2x2,), ("matrix", "sides"): (shape_to_sides,),
+    ("matrix", "hemisphere"): (shape_to_hemisphere,), ("matrix", "disk"): (shape_to_disk,),
 }
+_COMPARED_VIA = {"svd": svd_to_hemisphere, "matrix": shape_to_sides}
+
+
+def _follow(route: tuple, x):
+    for step in _ROUTES[route]:
+        x = step(x)
+    return x
 
 
 def kind_of(x) -> str:
@@ -471,22 +466,23 @@ def convert(x, target: str):
         raise ValueError(f"unknown representation {target!r}")
     if src == target:
         return x
-    return _CONVERT[(src, target)](x)
+    return _follow((src, target), x)
 
 
-def _embedding(kind: str, value) -> list:
-    """The floats shape_distance compares: smooth embeddings of the angles, so
-    the wrap at 2 pi and the undefined angle at the pole or disk center do not
-    register; squared sides for matrices (the left SVD factor is no shape)."""
+def _embedding(value) -> list:
+    """The floats shape_distance compares: smooth embeddings of the angles, so the
+    wrap at 2 pi and the undefined pole or disk-center angle do not register; svd
+    values via the hemisphere, matrices via their sides (_COMPARED_VIA)."""
+    kind = _KIND_OF_TYPE.get(type(value), "matrix")
+    if kind in _COMPARED_VIA:
+        return _embedding(_COMPARED_VIA[kind](value))
     if kind == "sides":
         return [value.a2, value.b2, value.c2]
     if kind == "disk":
-        return value.xy().tolist()
-    if kind == "hemisphere":
-        return hemisphere_to_cartesian(value).tolist()
-    if kind == "svd":
-        return _embedding("hemisphere", svd_to_hemisphere(value))
-    return _embedding("sides", shape_to_sides(value))
+        return [value.r * math.cos(value.phi), value.r * math.sin(value.phi)]
+    cl = math.cos(value.latitude)
+    return [0.5 * (cl * math.cos(value.longitude)), 0.5 * (cl * math.sin(value.longitude)),
+            0.5 * math.sin(value.latitude)]
 
 
 def _discrepancy(a: list, b: list) -> float:
@@ -498,7 +494,7 @@ def shape_distance(x, y) -> float:
     src = kind_of(x)
     if kind_of(y) != src:
         raise ValueError("cannot compare different representations")
-    return _discrepancy(_embedding(src, x), _embedding(src, y))
+    return _discrepancy(_embedding(x), _embedding(y))
 
 
 @dataclass
@@ -518,10 +514,10 @@ class RoundtripReport:
         )
 
 
-def _bits(kind: str, value) -> bytes:
+def _bits(value) -> bytes:
     """The bit pattern of a value's floats, in which -0.0 and 0.0 differ."""
-    floats = value if kind == "matrix" else [*vars(value).values()]
-    return np.asarray(floats, dtype=float).tobytes()
+    pack = _PACK.get(type(value))
+    return pack(*vars(value).values()) if pack else np.asarray(value, dtype=float).tobytes()
 
 
 def roundtrip_all(x, include_matrix: bool = True) -> RoundtripReport:
@@ -531,26 +527,35 @@ def roundtrip_all(x, include_matrix: bool = True) -> RoundtripReport:
     The report carries the largest discrepancy and the first cycle, in
     itertools.permutations order, that reaches it.  One memoised walk of the
     cycle tree gives the report that running every cycle in full would: each
-    path extends its prefix by one conversion, and within the call each value
-    (kind and float bits) is converted to each other kind once.
+    path extends its prefix by one route, each route is a chain of primitive
+    conversions (_ROUTES), and within the call each primitive runs once on
+    each distinct input (its float bits), the _COMPARED_VIA embeddings too.
     """
     start = kind_of(x)
     others = [k for k in REPRESENTATIONS if k != start and (include_matrix or k != "matrix")]
-    ref = _embedding(start, x)
-    steps, closes = {}, {}
-    nodes = {(): (x, _bits(start, x))}       # path -> its value and the value's bits
+    via = (_COMPARED_VIA[start],) if start in _COMPARED_VIA else ()
+    runs = {}                                # (primitive, input bits) -> output and its bits
+
+    def follow(chain, value, bits):
+        for step in chain:
+            run = runs.get((step, bits))
+            if run is None:
+                out = step(value)
+                run = runs[step, bits] = out, _bits(out)
+            value, bits = run
+        return value, bits
+
+    nodes = {(): (x, _bits(x))}              # path -> its value and the value's bits
+    ref = _embedding(follow(via, *nodes[()])[0])
+    closes = {}
     worst, worst_cycle = 0.0, (start, start)
     for size in range(1, len(others) + 1):
         for path in itertools.permutations(others, size):
             prev, kind = (path[-2] if size > 1 else start), path[-1]
-            value, bits = nodes[path[:-1]]
-            if (prev, bits, kind) not in steps:
-                child = _CONVERT[prev, kind](value)
-                steps[prev, bits, kind] = child, _bits(kind, child)
-            nodes[path] = value, bits = steps[prev, bits, kind]
+            nodes[path] = value, bits = follow(_ROUTES[prev, kind], *nodes[path[:-1]])
             if (kind, bits) not in closes:
-                back = _CONVERT[kind, start](value)
-                closes[kind, bits] = _discrepancy(ref, _embedding(start, back))
+                back, _ = follow(_ROUTES[kind, start] + via, value, bits)
+                closes[kind, bits] = _discrepancy(ref, _embedding(back))
             if closes[kind, bits] > worst:
                 worst, worst_cycle = closes[kind, bits], (start, *path, start)
     return RoundtripReport(start, len(nodes) - 1, worst, worst_cycle)

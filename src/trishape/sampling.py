@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun
+from . import specfun       # lazy: the exact probabilities, re-exported by __getattr__
 from .conversions import (DISK_FROM_SIDES, SQRT3, DiskPoint, HemispherePoint, SquaredSides,
                           _sides_from_xy, sides_to_disk)
 from .core import INPUT_TOL, _column_sum, _shapes_to_xy
@@ -36,6 +36,13 @@ BROKEN_STICK_FRACTION = math.pi / math.sqrt(27.0)
 ANGLE_DENSITY_NORM = 3.0 * SQRT3 * math.pi
 
 CLASS_NAMES = ("acute", "right", "obtuse")
+
+
+def __getattr__(name):
+    if name not in ("acute_probability_ndim", "obtuse_probability_ndim",
+                    "squared_side_marginal_cdf"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(specfun, name)
 
 
 @dataclass(frozen=True)
@@ -400,37 +407,6 @@ def broken_stick_fraction(n_samples: int, seed=0, workers: int = 1) -> MonteCarl
 
     block = lambda rng, count: [sum(_chunked(rng.standard_exponential, (3,), count, good))]
     return _binomial(int(_mc_sum(n_samples, block, seed, workers)[0]), n_samples)
-
-
-# ---------------------------------------------------------------------------
-# exact probabilities
-
-
-def obtuse_probability_ndim(n: int) -> float:
-    """Probability that a Gaussian triangle in R^n is obtuse: 3 I(1/4; n/2, n/2)
-    with I the regularized incomplete beta, which equals 3 (1 - I(3/4; n/2, n/2))
-    but keeps full relative precision at large n."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    return 3.0 * specfun.betainc_reg(n / 2.0, n / 2.0, 0.25)
-
-
-def acute_probability_ndim(n: int) -> float:
-    return 1.0 - obtuse_probability_ndim(n)
-
-
-def squared_side_marginal_cdf(n: int, x: float, clamp: bool = False) -> float:
-    """CDF of one squared side under the Gaussian model in R^n: I(3x/2; n/2, n/2).
-
-    The support is [0, 2/3].  Out-of-range x raises unless clamp is set.
-    """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    if x < 0.0 or x > 2.0 / 3.0:
-        if not clamp:
-            raise DomainError(f"squared side must lie in [0, 2/3], got {x}")
-        x = min(max(x, 0.0), 2.0 / 3.0)
-    return specfun.betainc_reg(n / 2.0, n / 2.0, 1.5 * x)
 
 
 # ---------------------------------------------------------------------------

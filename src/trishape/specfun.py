@@ -1,12 +1,15 @@
 """Scalar special functions backing the exact probabilities and tests.
 
-Self-contained evaluators (no SciPy at runtime): the regularized incomplete
-beta and upper incomplete gamma by Lentz continued fractions, the Gauss
-hypergeometric 2F1 by series plus linear transformations for negative
-arguments, and the Kolmogorov distribution tail.
+Self-contained evaluators (no SciPy or NumPy at runtime): the regularized
+incomplete beta (and from it the exact probabilities of triangles in R^n) and
+upper incomplete gamma by Lentz continued fractions, the Gauss 2F1 by series
+plus linear transformations for negative arguments, and the Kolmogorov tail.
 """
 
 import math
+import numbers
+
+from .errors import DomainError
 
 _EPS = 1e-15
 _TINY = 1e-300
@@ -55,6 +58,32 @@ def betainc_reg(a: float, b: float, x: float) -> float:
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
+
+def obtuse_probability_ndim(n: int) -> float:
+    """Probability that a Gaussian triangle in R^n is obtuse: 3 I(1/4; n/2, n/2)
+    with I the regularized incomplete beta, which equals 3 (1 - I(3/4; n/2, n/2))
+    but keeps full relative precision at large n."""
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    return 3.0 * betainc_reg(n / 2.0, n / 2.0, 0.25)
+
+
+def acute_probability_ndim(n: int) -> float:
+    return 1.0 - obtuse_probability_ndim(n)
+
+
+def squared_side_marginal_cdf(n: int, x: float, clamp: bool = False) -> float:
+    """CDF of one squared side under the Gaussian model in R^n: I(3x/2; n/2, n/2).
+
+    The support is [0, 2/3].  Out-of-range x raises unless clamp is set.
+    """
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    if x < 0.0 or x > 2.0 / 3.0:
+        if not clamp:
+            raise DomainError(f"squared side must lie in [0, 2/3], got {x}")
+        x = min(max(x, 0.0), 2.0 / 3.0)
+    return betainc_reg(n / 2.0, n / 2.0, 1.5 * x)
 
 def _gamma_q_series(s: float, x: float) -> float:
     # P(s, x) by series, returned as Q = 1 - P; good for x < s + 1.

@@ -120,6 +120,8 @@ def _chikuse_jupp(z: np.ndarray) -> TestReport:
 def _check_matrix_size(m):
     if not isinstance(m, (int, np.integer)) or m < 2:
         raise ValueError(f"matrix size must be an integer >= 2, got {m!r}")
+    if m > SIGMA_MIN_MAX_SIZE:
+        raise ValueError(f"the sigma-min law is implemented up to 18x18, got {m}x{m}")
 
 
 def _t2_density(t: float, m: int) -> float:
@@ -238,14 +240,15 @@ def _inv_sigma_min(z: np.ndarray) -> np.ndarray:
 
 
 SUITE_TESTS = ("chikuse-jupp", "sigma-min", "hemisphere")
+SIGMA_MIN_MAX_SIZE = 18      # the largest m whose density's Gamma factors stay finite
 
 
 def uniformity_suite(samples, which: str = "all") -> SuiteReport:
     """Run one of SUITE_TESTS, or with which='all' every one that applies.
 
-    'chikuse-jupp' applies to any preshapes, 'sigma-min' to square ones and
-    'hemisphere' to planar triangles (m = 2, k = 3); naming a test that does
-    not apply raises ValueError.  The sigma-min test takes 1/sigma_min in
+    'chikuse-jupp' applies to any preshapes, 'sigma-min' to square ones up to
+    18x18 and 'hemisphere' to planar triangles (m = 2, k = 3); naming a test
+    that does not apply raises ValueError.  The sigma-min test takes 1/sigma_min in
     closed form for 2x2 preshapes (the SVD for larger m) and compares it with
     inv_sigma_min_cdf, which is closed form for m = 2 and one cached Chebyshev
     series per m above: no special function is evaluated per sample.
@@ -263,7 +266,7 @@ def uniformity_suite(samples, which: str = "all") -> SuiteReport:
     suite = SuiteReport()
     if which in ("chikuse-jupp", "all"):
         suite.reports.append(_chikuse_jupp(z))
-    if runs("sigma-min", m == q, "square"):
+    if runs("sigma-min", m == q <= SIGMA_MIN_MAX_SIZE, "square, at most 18x18"):
         suite.reports.append(ks_test(_inv_sigma_min(z), lambda v: inv_sigma_min_cdf(v, m),
                                      name="sigma-min-ks"))
     if runs("hemisphere", m == q == 2, "m=2, k=3"):

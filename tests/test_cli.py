@@ -80,6 +80,20 @@ def test_convert_non_finite_input_is_domain_error(rep, values, capsys):
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("values,code", [
+    (["0.5", "-1.5e-05", "0.3", "0.2"], 0),
+    (["-2E-3", "1", "-.5", "0.1"], 0),
+    (["-inf", "1", "0", "1"], 2),
+    (["0.5", "-Infinity", "0", "1"], 2),
+    (["-nan", "1", "0", "1"], 2),
+])
+def test_convert_takes_negative_values_in_every_float_form(values, code, capsys):
+    # argparse on its own reads -1.5e-05 and -inf as unknown options (exit 1)
+    got = run_cli(["convert", "--from", "matrix", "--to", "svd", *values], capsys)
+    assert got[0] == code
+    assert got == run_cli(["convert", "--from", "matrix", "--to", "svd", "--", *values], capsys)
+
+
 def test_convert_roundtrip_flag_and_json(capsys):
     code, out, _ = run_cli(["convert", "--from", "sides", "--to", "svd",
                             "0.5", "0.25", "0.25", "--roundtrip", "--format", "json"],
@@ -219,6 +233,37 @@ def test_construct_degenerate_flagged(capsys):
 def test_construct_not_a_triangle(capsys):
     code, _, _ = run_cli(["construct", "0.7", "0.2", "0.1"], capsys)
     assert code == 2
+
+
+def _numpy_ratio_residual(tri, sides):
+    """The ratio residual as NumPy arrays give it: norms, sorts and masks."""
+    lengths = np.sort([np.linalg.norm(tri[i] - tri[j]) for i, j in ((0, 1), (0, 2), (1, 2))])
+    ref = np.sort(np.sqrt(sides))
+    if ref[2] == 0.0:
+        return 0.0
+    ratio = lengths / np.where(ref > 0, ref, 1.0)
+    scale = lengths[2] / ref[2]
+    if scale == 0.0:
+        return 0.0
+    return float(np.abs(ratio[ref > 0] / scale - 1.0).max())
+
+
+def test_construct_ratio_residual_keeps_the_numpy_bits():
+    from trishape import conversions as conv
+    from trishape import geometry
+
+    rng = np.random.default_rng(77)
+    cases = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (0.25, 0.25, 0.5), (0.3, 0.3, 0.4)]
+    for _ in range(2000):
+        z = rng.standard_normal((2, 2))
+        cases.append(tuple(conv.shape_to_sides(z / np.linalg.norm(z)).as_array().tolist()))
+    for a2, b2, c2 in cases:
+        sides = conv.SquaredSides(a2, b2, c2)
+        ref = sorted(map(math.sqrt, (sides.a2, sides.b2, sides.c2)))
+        for tri in geometry.construct_in_hemisphere(sides).triangles:
+            got = cli._triangle_ratio_residual(tri, ref)
+            assert type(got) is float
+            assert got.hex() == _numpy_ratio_residual(tri, sides.as_array()).hex(), (a2, b2, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +439,22 @@ def test_sigma_min_overflow_is_usage_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("trishape: error:") and "Traceback" not in err
+
+
+def test_sigma_min_above_18x18(tmp_path, capsys):
+    f = tmp_path / "pre19.csv"
+    code, _, _ = run_cli(["sample", "ndim", "--m", "19", "--k", "20", "-n", "20",
+                          "--emit", "preshapes", "-o", str(f)], capsys)
+    assert code == 0
+    code, out, err = run_cli(["test", str(f), "--which", "sigma-min"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("trishape: error: sigma-min test needs square, at most 18x18 preshapes, "
+                   "got 19x19\n")
+    # 'all' runs the tests that apply, here chikuse-jupp alone, and exits by its verdict
+    for alpha, verdict in (("0.01", 0), ("0.999999", 3)):
+        code, out, err = run_cli(["test", str(f), "--which", "all", "--alpha", alpha], capsys)
+        assert (code, err) == (verdict, "")
+        assert [line.split(":")[0] for line in out.splitlines()] == ["chikuse-jupp"]
 
 
 @pytest.mark.parametrize("n", ["0", "-5"])

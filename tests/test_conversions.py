@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -323,12 +324,12 @@ def _reference_roundtrip(x, include_matrix):
     return n, worst, worst_cycle
 
 
-def _seeded_values():
-    """200 seeded shapes, every fourth nearly collinear and every fourth
+def _seeded_values(n=200, seed=2024):
+    """n seeded shapes, every fourth nearly collinear and every fourth
     nearly equilateral, each in all five representations."""
-    rng = np.random.default_rng(2024)
+    rng = np.random.default_rng(seed)
     values = []
-    for i in range(200):
+    for i in range(n):
         z = rng.standard_normal((2, 2))
         if i % 4 == 1:
             z[:, 1] *= 1e-9
@@ -380,28 +381,173 @@ def test_shape_distance_matches_reference():
         assert conv.shape_distance(x, y) == _reference_shape_distance(x, y), (x, y)
 
 
-def test_roundtrip_converts_each_distinct_value_once(monkeypatch):
-    runs = []       # (pair, input bits, input floats) of each conversion run
+def test_roundtrip_runs_each_primitive_once_per_input(monkeypatch):
+    runs = []       # (primitive, input bits, input floats) of each primitive run
 
-    def counted(pair, convert):
+    def counted(step):
         def run(value):
-            floats = np.ravel(value).tolist() if pair[0] == "matrix" else vars(value).values()
-            runs.append((pair, conv._bits(pair[0], value), tuple(floats)))
-            return convert(value)
+            floats = np.ravel(value).tolist() if conv.kind_of(value) == "matrix" else \
+                vars(value).values()
+            runs.append((step.__name__, conv._bits(value), tuple(floats)))
+            return step(value)
         return run
 
-    monkeypatch.setattr(conv, "_CONVERT", {pair: counted(pair, f)
-                                           for pair, f in conv._CONVERT.items()})
-    for v in (conv.SquaredSides(0.5, 0.25, 0.25), _seeded_values()[0]):
+    wrapped = {f: counted(f) for chain in conv._ROUTES.values() for f in chain}
+    assert len(wrapped) == 14
+    monkeypatch.setattr(conv, "_ROUTES", {route: tuple(map(wrapped.get, chain))
+                                          for route, chain in conv._ROUTES.items()})
+    monkeypatch.setattr(conv, "_COMPARED_VIA", {kind: wrapped[f]
+                                                for kind, f in conv._COMPARED_VIA.items()})
+    for v in (conv.SquaredSides(0.5, 0.25, 0.25), *_seeded_values()[:5],
+              conv.SvdShape(0.70710678118654757, 0.70710678118654757, 0.0)):
         runs.clear()
         assert conv.roundtrip_all(v).n_cycles == 64
-        assert len(runs) == len(set(runs)) < 100      # 260 conversions without the memo
+        assert len(runs) == len({run[:2] for run in runs})
     # these cycles pass through signed-zero twins, values equal as floats
     # but not in bits; each twin is converted on its own
     runs.clear()
     conv.roundtrip_all(np.array([[0.0, -0.0], [1.0, -0.0]]))
-    assert len(runs) == len(set(runs))
-    assert len({(pair, floats) for pair, _, floats in runs}) < len(runs)
+    assert len(runs) == len({run[:2] for run in runs})
+    assert len({(step, floats) for step, _, floats in runs}) < len(runs)
+
+
+# Frozen copies of the 20 conversion routes and of roundtrip_all's walk as they
+# stood before routes became chains of memoised primitives: svd2x2 from NumPy
+# scalars, svd_to_shape as a matrix product, the embeddings through NumPy
+# arrays and each route memoised as a whole.  Every route output and every
+# report must keep its bits.
+
+
+def _frozen_svd2x2(m):
+    m = np.asarray(m, dtype=float)
+    if not abs(np.linalg.norm(m) - 1.0) <= conv.INPUT_TOL:
+        raise DomainError("shape matrix must have unit Frobenius norm")
+    e, f = (m[0, 0] + m[1, 1]) / 2.0, (m[0, 0] - m[1, 1]) / 2.0
+    g, h = (m[1, 0] + m[0, 1]) / 2.0, (m[1, 0] - m[0, 1]) / 2.0
+    q, p = math.hypot(e, h), math.hypot(f, g)
+    s1, s2 = q + p, abs(q - p)
+    a1 = math.atan2(g, f) if p > 0.0 else 0.0
+    a2 = math.atan2(h, e) if q > 0.0 else 0.0
+    theta = 0.0 if s1 - s2 < conv.DEGENERATE_SVD_TOL else conv._wrap((a1 - a2) / 2.0, math.pi)
+    return conv.SvdShape(min(s1, 1.0), max(s2, 0.0), theta)
+
+
+def _frozen_svd_to_shape(s):
+    return np.diag([s.sigma1, s.sigma2]) @ conv.rotation(s.theta).T
+
+
+def _then(*steps):
+    return lambda x: x if not steps else _then(*steps[1:])(steps[0](x))
+
+
+_FROZEN_ROUTES = {
+    ("svd", "sides"): conv.svd_to_sides,
+    ("svd", "hemisphere"): conv.svd_to_hemisphere,
+    ("svd", "disk"): conv.svd_to_disk,
+    ("svd", "matrix"): _frozen_svd_to_shape,
+    ("sides", "svd"): _then(conv.sides_to_disk, conv.disk_to_svd),
+    ("sides", "hemisphere"): _then(conv.sides_to_disk, conv.disk_to_hemisphere),
+    ("sides", "disk"): conv.sides_to_disk,
+    ("sides", "matrix"): _then(conv.sides_to_disk, conv.disk_to_svd, _frozen_svd_to_shape),
+    ("hemisphere", "svd"): conv.hemisphere_to_svd,
+    ("hemisphere", "sides"): _then(conv.hemisphere_to_disk, conv.disk_to_sides),
+    ("hemisphere", "disk"): conv.hemisphere_to_disk,
+    ("hemisphere", "matrix"): _then(conv.hemisphere_to_svd, _frozen_svd_to_shape),
+    ("disk", "svd"): conv.disk_to_svd,
+    ("disk", "sides"): conv.disk_to_sides,
+    ("disk", "hemisphere"): conv.disk_to_hemisphere,
+    ("disk", "matrix"): _then(conv.disk_to_svd, _frozen_svd_to_shape),
+    ("matrix", "svd"): _frozen_svd2x2,
+    ("matrix", "sides"): conv.shape_to_sides,
+    ("matrix", "hemisphere"): conv.shape_to_hemisphere,
+    ("matrix", "disk"): conv.shape_to_disk,
+}
+
+
+def _frozen_embedding(kind, value) -> list:
+    if kind == "sides":
+        return [value.a2, value.b2, value.c2]
+    if kind == "disk":
+        return np.array([value.r * math.cos(value.phi), value.r * math.sin(value.phi)]).tolist()
+    if kind == "hemisphere":
+        cl = math.cos(value.latitude)
+        return (0.5 * np.array([cl * math.cos(value.longitude), cl * math.sin(value.longitude),
+                                math.sin(value.latitude)])).tolist()
+    if kind == "svd":
+        return _frozen_embedding("hemisphere", conv.svd_to_hemisphere(value))
+    return _frozen_embedding("sides", conv.shape_to_sides(value))
+
+
+def _frozen_bits(kind, value) -> bytes:
+    floats = value if kind == "matrix" else [*vars(value).values()]
+    return np.asarray(floats, dtype=float).tobytes()
+
+
+def _frozen_roundtrip(x, include_matrix):
+    start = conv.kind_of(x)
+    others = [k for k in conv.REPRESENTATIONS if k != start and (include_matrix or k != "matrix")]
+    ref = _frozen_embedding(start, x)
+    steps, closes = {}, {}
+    nodes = {(): (x, _frozen_bits(start, x))}
+    worst, worst_cycle = 0.0, (start, start)
+    for size in range(1, len(others) + 1):
+        for path in itertools.permutations(others, size):
+            prev, kind = (path[-2] if size > 1 else start), path[-1]
+            value, bits = nodes[path[:-1]]
+            if (prev, bits, kind) not in steps:
+                child = _FROZEN_ROUTES[prev, kind](value)
+                steps[prev, bits, kind] = child, _frozen_bits(kind, child)
+            nodes[path] = value, bits = steps[prev, bits, kind]
+            if (kind, bits) not in closes:
+                back = _FROZEN_ROUTES[kind, start](value)
+                closes[kind, bits] = conv._discrepancy(ref, _frozen_embedding(start, back))
+            if closes[kind, bits] > worst:
+                worst, worst_cycle = closes[kind, bits], (start, *path, start)
+    return len(nodes) - 1, struct.pack("d", worst), worst_cycle
+
+
+def _differential_values():
+    """1000 seeded shapes in each kind, the edge values, the CLI's signed-zero
+    matrix and the equilateral SVD point."""
+    return _seeded_values(1000, 1313) + _EDGE_VALUES + [
+        np.array([[0.0, -0.0], [1.0, -0.0]]),
+        conv.SvdShape(0.70710678118654757, 0.70710678118654757, 0.0),
+        conv.SvdShape(0.70710678118654757, 0.70710678118654757, math.pi / 2),
+        conv.HemispherePoint(0.0, math.pi), conv.DiskPoint(0.5, math.pi),
+    ]
+
+
+def _typed_bits(value) -> tuple:
+    kind = conv.kind_of(value)
+    return kind, type(value).__name__, _frozen_bits(kind, value)
+
+
+# the public composites that run a route of more than one primitive
+_COMPOSITES = {
+    ("sides", "svd"): conv.sides_to_svd, ("sides", "hemisphere"): conv.sides_to_hemisphere,
+    ("hemisphere", "sides"): conv.hemisphere_to_sides, ("sides", "matrix"): conv.sides_to_shape,
+}
+
+
+def test_routes_keep_the_frozen_bits():
+    for v in _differential_values():
+        src = conv.kind_of(v)
+        for target in conv.REPRESENTATIONS:
+            if target == src:
+                continue
+            want = _typed_bits(_FROZEN_ROUTES[src, target](v))
+            assert _typed_bits(conv.convert(v, target)) == want, (v, target)
+            if (src, target) in _COMPOSITES:
+                assert _typed_bits(_COMPOSITES[src, target](v)) == want, (v, target)
+        assert conv._embedding(v) == _frozen_embedding(src, v), v
+
+
+@pytest.mark.parametrize("include_matrix", [True, False])
+def test_roundtrip_keeps_the_frozen_reports(include_matrix):
+    for v in _differential_values():
+        report = conv.roundtrip_all(v, include_matrix)
+        got = (report.n_cycles, struct.pack("d", report.max_discrepancy), report.worst_cycle)
+        assert got == _frozen_roundtrip(v, include_matrix), v
 
 
 def test_all_pairwise_routes_commute():

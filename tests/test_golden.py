@@ -5,7 +5,8 @@ of every file it writes and its exit code.  The cases cover every sampled
 path (row emission, summaries, preshape files, plot data) with sample
 counts past ``BLOCK_SIZE``, so a block boundary is crossed, and the
 ``test`` command with each ``--which`` on square and non-square files,
-plus ``construct`` records and the hemisphere map.
+``convert --roundtrip`` from every representation, plus ``construct``
+records and the hemisphere map.
 Any change to these bytes must be deliberate and named in CHANGES.md.
 """
 
@@ -75,6 +76,15 @@ CASES = [
                             "0.3", "-1.2", "0.7", "0.1", "--format", "json"], ()),
     ("convert-hemisphere-roundtrip", ["convert", "--from", "hemisphere", "--to", "sides",
                                       "0.4", "7.5", "--roundtrip"], ()),
+    ("convert-sides-roundtrip", ["convert", "--from", "sides", "--to", "matrix",
+                                 "0.17", "0.36", "0.47", "--roundtrip", "--format", "csv"], ()),
+    ("convert-disk-roundtrip", ["convert", "--from", "disk", "--to", "svd", "0.3", "2.5",
+                                "--roundtrip", "--format", "json"], ()),
+    ("convert-svd-equilateral-roundtrip", ["convert", "--from", "svd", "--to", "hemisphere",
+                                           "0.70710678118654757", "0.70710678118654757", "0",
+                                           "--roundtrip"], ()),
+    ("convert-matrix-signed-zero-roundtrip", ["convert", "--from", "matrix", "--to", "disk",
+                                              "0", "-0", "1", "-0", "--roundtrip"], ()),
     ("construct-isosceles", ["construct", "0.3", "0.3", "0.4"], ()),
     ("construct-generic", ["construct", "0.17", "0.36", "0.47", "--format", "csv"], ()),
     ("hemisphere-map-8", ["plot-data", "hemisphere-map", "--grid", "8"], ("out",)),
@@ -202,6 +212,22 @@ GOLDEN = {
     "convert-hemisphere-roundtrip": {
         "code": 0,
         "stdout": "aaa554f157b15769bfb577834f58f0cc779a886b39b003e0ebe1b8c6f6558ce2",
+    },
+    "convert-sides-roundtrip": {
+        "code": 0,
+        "stdout": "7942753a1b27a6bd98bbc82e9cbe66f0a41c069fa564ce97e10c28ce9f36b820",
+    },
+    "convert-disk-roundtrip": {
+        "code": 0,
+        "stdout": "cb83fe8c5d95c46613bb32954fd97536ed3fca7f07e1497b7439e96fbe690da6",
+    },
+    "convert-svd-equilateral-roundtrip": {
+        "code": 0,
+        "stdout": "eb62c12e9991ec48089174e53fa7de420bc8793edb642a569178e71a559e8a62",
+    },
+    "convert-matrix-signed-zero-roundtrip": {
+        "code": 0,
+        "stdout": "091c4c36aa6bd8e178c77d1380540c9cb05c569d7f6d7055142a7d74e3b75033",
     },
     "construct-isosceles": {
         "code": 0,

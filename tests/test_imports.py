@@ -87,7 +87,10 @@ def test_one_shot_commands_load_only_what_they_use(tmp_path):
     assert ran_after(_cli("test", str(f))) == {"trishape.cli", "trishape.errors", "trishape.core",
                                                "trishape.uniformity", "trishape.specfun"}
     assert ran_after(_cli("construct", "0.3", "0.3", "0.4")) == base | {"trishape.geometry"}
-    assert ran_after(_cli("prob", "3")) == base | {"trishape.sampling", "trishape.specfun"}
+    assert ran_after(_cli("prob", "3")) == {"trishape.cli", "trishape.errors", "trishape.specfun"}
+    # sampling re-exports the exact probabilities without running specfun
+    assert ran_after(_cli("sample", "angles", "-n", "100", "--summary")) == \
+        base | {"trishape.sampling", "numpy.random"}
     assert "json" in ran_after(_cli("prob", "3", "--format", "json"))
 
 

@@ -45,6 +45,17 @@ def test_betainc_rejects_bad_args():
         specfun.betainc_reg(1.0, 2.0, 1.5)
 
 
+def test_exact_probabilities_accept_numpy_integers():
+    for n in (2, 3, 12, 40):
+        assert specfun.obtuse_probability_ndim(np.int64(n)) == specfun.obtuse_probability_ndim(n)
+        assert specfun.acute_probability_ndim(np.int32(n)) == specfun.acute_probability_ndim(n)
+        assert (specfun.squared_side_marginal_cdf(np.int16(n), 0.4)
+                == specfun.squared_side_marginal_cdf(n, 0.4))
+    for bad in (1, 2.0, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+            specfun.obtuse_probability_ndim(bad)
+
+
 # ---------------------------------------------------------------------------
 # upper incomplete gamma / chi-square tail
 

@@ -458,6 +458,18 @@ def test_suite_which_rejects_inapplicable_and_unknown_tests():
         uni.uniformity_suite(z, which="bogus")
 
 
+def test_sigma_min_above_18x18_is_not_applicable():
+    z = uniform_preshapes(30, m=19, q=19, seed=16)
+    assert [r.name for r in uni.uniformity_suite(z).reports] == ["chikuse-jupp"]
+    with pytest.raises(ValueError, match="sigma-min test needs square, at most 18x18"):
+        uni.uniformity_suite(z, which="sigma-min")
+    for law in (uni.inv_sigma_min_cdf, uni.inv_sigma_min_density):
+        with pytest.raises(ValueError, match="up to 18x18, got 19x19"):
+            law(5.0, 19)
+    z18 = uniform_preshapes(30, m=18, q=18, seed=16)
+    assert [r.name for r in uni.uniformity_suite(z18).reports] == ["chikuse-jupp", "sigma-min-ks"]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_suite_rejects_non_finite_preshapes(bad):
     z = uniform_preshapes(50, seed=15)
