@@ -42,11 +42,10 @@ _EXPORTS = {
         "construct_in_hemisphere", "little_coords", "parallelian_endpoints", "singular_sides",
         "special_triangle", "three_similar_triangles"), "geometry"),
     **dict.fromkeys((
-        "ClassifiedShape", "MonteCarloEstimate", "RngSeed", "SimplexAngles",
-        "acute_probability_mc", "angle_bin_counts", "angle_bin_probabilities", "angle_density",
-        "broken_stick_fraction", "class_fractions", "classify", "gaussian_shapes",
-        "ndim_shapes", "obtuse_fraction_ndim_mc", "sample_gaussian_shape", "sample_ndim_shape",
-        "sample_uniform_angles", "sample_uniform_hemisphere"), "sampling"),
+        "MonteCarloEstimate", "RngSeed", "SimplexAngles", "acute_probability_mc",
+        "angle_bin_counts", "angle_bin_probabilities", "angle_density", "broken_stick_fraction",
+        "class_fractions", "gaussian_shapes", "ndim_shapes", "obtuse_fraction_ndim_mc"),
+        "sampling"),
     **dict.fromkeys(("acute_probability_ndim", "gauss_2f1", "obtuse_probability_ndim",
                      "squared_side_marginal_cdf"), "specfun"),
     **dict.fromkeys((

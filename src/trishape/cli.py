@@ -21,7 +21,7 @@ import numpy as np
 
 # lazy modules (see the package): read none of them at import or in _build_parser
 from . import conversions as conv
-from . import geometry, sampling, specfun, uniformity
+from . import core, geometry, sampling, specfun, uniformity
 from .errors import DomainError
 
 EXIT_OK = 0
@@ -29,8 +29,9 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_REJECTED = 3
 
-# conv.REPRESENTATIONS and uniformity.SUITE_TESTS, which tests pin these to
+# conv.REPRESENTATIONS, sampling.MODELS and uniformity.SUITE_TESTS, which tests pin these to
 _REPRESENTATIONS = ("disk", "hemisphere", "matrix", "sides", "svd")
+_MODELS = ("gaussian", "hemisphere", "angles", "ndim")
 _SUITE_TESTS = ("chikuse-jupp", "sigma-min", "hemisphere")
 
 
@@ -152,20 +153,18 @@ def _cmd_convert(args, out) -> int:
 
 
 def _sample_options(args):
-    if args.model == "ndim":
+    need = None if args.m is None and args.k is None else "reads_m"
+    if sampling.check_model(args.model, need, "--m and --k apply to model").reads_m:
         if args.m is None:
-            raise ValueError("model 'ndim' requires --m")
+            raise ValueError(f"model {args.model!r} requires --m")
         _check_size("--m", args.m)
-    elif args.m is not None or args.k is not None:
-        raise ValueError(f"--m and --k apply to model 'ndim' only, not {args.model!r}")
     if args.summary and args.emit == "preshapes":
         raise ValueError("--summary prints class fractions; it cannot --emit preshapes")
     if args.summary and args.k not in (None, 3):
         raise ValueError(f"--summary classifies triangles (k = 3), got --k {args.k}")
     _check_size("--workers", args.workers)
     if args.emit == "preshapes":
-        if args.model not in ("gaussian", "ndim"):
-            raise ValueError("--emit preshapes needs model 'gaussian' or 'ndim'")
+        sampling.check_model(args.model, "preshapes", "--emit preshapes needs model")
         _check_size("--k", args.k if args.k is not None else 3, 2)
     elif not args.summary and args.k not in (None, 3):
         raise ValueError("per-sample rows need triangles (k = 3); "
@@ -174,7 +173,7 @@ def _sample_options(args):
 
 
 def _cmd_sample(args, out) -> int:
-    model = args.model
+    model, row = args.model, sampling.MODELS[args.model]
     m = args.m if args.m is not None else 2
     k = args.k if args.k is not None else 3
     seed = (args.seed, args.stream)
@@ -182,7 +181,7 @@ def _cmd_sample(args, out) -> int:
     if args.summary:
         fr = sampling.class_fractions(model, args.n, seed=seed, m=m, workers=args.workers)
         rec = {"model": model, "n_samples": args.n, "seed": args.seed, "stream": args.stream}
-        if model == "ndim":
+        if row.reads_m:
             rec["m"] = m
         rec.update((key, fr[key]) for name in sampling.CLASS_NAMES
                    for key in (name, f"{name}_stderr"))
@@ -195,16 +194,17 @@ def _cmd_sample(args, out) -> int:
             _write_rows(out, sampling.ndim_shapes(m, k, rng, count).reshape(count, -1).T)
         return EXIT_OK
 
-    out.write("alpha,beta,gamma,class\n" if model == "angles" else "a2,b2,c2,r,phi,class\n")
+    shapes = row.disk is not None       # else angles drawn on the simplex
+    out.write("a2,b2,c2,r,phi,class\n" if shapes else "alpha,beta,gamma,class\n")
     for rng, count in sampling.iter_blocks(args.n, seed):
-        if model == "angles":
-            vals = sampling.uniform_angles_batch(rng, count)
-            polar = ()
-        else:
+        if shapes:
             vals = sampling.sides_batch(model, rng, count, m)
             x = (vals[:, 0] + vals[:, 1]) / 2.0 - vals[:, 2]
-            y = sampling.SQRT3 * (vals[:, 0] - vals[:, 1]) / 2.0
+            y = core.SQRT3 * (vals[:, 0] - vals[:, 1]) / 2.0
             polar = (np.hypot(x, y), np.mod(np.arctan2(y, x), 2.0 * math.pi))
+        else:
+            vals = row.angles(rng, count)
+            polar = ()
         _write_rows(out, (*vals.T, *polar, _class_column(vals)))
     return EXIT_OK
 
@@ -314,7 +314,7 @@ def _plot_disk_scatter(args, out):
     drawn = []
     for rng, count in sampling.iter_blocks(args.n, (args.seed, args.stream)):
         x, y = sampling.disk_batch(args.model, rng, count)
-        classes = _class_column(conv._sides_from_xy(x, y))
+        classes = _class_column(core._sides_from_xy(x, y))
         _write_rows(out, (x, y, classes))
         if args.svg:
             drawn.append((x, y, classes))
@@ -337,7 +337,7 @@ def _plot_angle_bins(args, out):
     n = args.bins_per_side
     counts = sampling.angle_bin_counts(args.model, args.n, seed=(args.seed, args.stream),
                                        bins_per_side=n, workers=args.workers)
-    uniform = args.model == "angles"      # mass 1/n^2 and density 2 in every bin
+    uniform = sampling.MODELS[args.model].disk is None  # simplex angles: mass 1/n^2, density 2
     probs = None if uniform else sampling.angle_bin_probabilities(n)
     h = 1.0 / n
     rows = []
@@ -360,23 +360,25 @@ def _plot_hemisphere_map(args, out):
     _write_rows(out, (lat, lon, *ang.T))
 
 
-# Each plot-data kind: its writer and the options it reads.  The parser leaves
-# these options None; _plot_options rejects one given to a kind that does not
-# read it, before -o creates a file, fills in the defaults of the rest and
-# checks the sizes, -n, --seed and --stream among them.
+# Each plot-data kind: its writer, the kernel its model needs (None: it draws
+# nothing, else it reads -n, --model and the draw options) and its own options.
+# The parser leaves options None; _plot_options rejects one given to a kind that
+# does not read it, before -o creates a file, fills in the defaults of the rest
+# and checks the sizes, -n, --seed, --stream and the model among them.
 _DRAW_DEFAULTS = {"seed": 0, "stream": 0, "workers": 1}
 _PLOT_DEFAULTS = {"n": 10000, "model": "gaussian", "svg": None, "bins": 50,
                   "bins_per_side": 10, "grid": 24, **_DRAW_DEFAULTS}
 _PLOTS = {
-    "disk-scatter": (_plot_disk_scatter, ("n", "model", "svg", *_DRAW_DEFAULTS)),
-    "radius-histogram": (_plot_radius_histogram, ("n", "model", "bins", *_DRAW_DEFAULTS)),
-    "angle-bins": (_plot_angle_bins, ("n", "model", "bins_per_side", *_DRAW_DEFAULTS)),
-    "hemisphere-map": (_plot_hemisphere_map, ("grid",)),
+    "disk-scatter": (_plot_disk_scatter, "disk", ("svg",)),
+    "radius-histogram": (_plot_radius_histogram, "radius", ("bins",)),
+    "angle-bins": (_plot_angle_bins, "angles", ("bins_per_side",)),
+    "hemisphere-map": (_plot_hemisphere_map, None, ("grid",)),
 }
 
 
 def _plot_options(args):
-    reads = _PLOTS[args.kind][1]
+    _, need, reads = _PLOTS[args.kind]
+    reads = (*reads, "n", "model", *_DRAW_DEFAULTS) if need else reads
     for name, default in _PLOT_DEFAULTS.items():
         flag = "-n" if name == "n" else "--" + name.replace("_", "-")
         if name not in reads and getattr(args, name) is not None:
@@ -385,11 +387,8 @@ def _plot_options(args):
             setattr(args, name, default)
         if name in reads and name in ("bins", "bins_per_side", "grid", "workers"):
             _check_size(flag, getattr(args, name))
-    if args.kind in ("disk-scatter", "radius-histogram") and args.model == "angles":
-        raise ValueError(f"{args.kind} needs model 'gaussian' or 'hemisphere'")
-    if args.kind == "angle-bins":
-        sampling.check_angle_bin_model(args.model)
-    if "seed" in reads:
+    if need:    # plot-data has no --m, so no model that reads one
+        sampling.check_model(args.model, need, m=None)
         sampling.iter_blocks(args.n, (args.seed, args.stream))  # raises on a bad -n, seed, stream
 
 
@@ -438,7 +437,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sample", parents=[_RECORD, _draws(_DRAW_DEFAULTS)],
                        help="draw random shapes")
-    p.add_argument("model", choices=("gaussian", "hemisphere", "angles", "ndim"))
+    p.add_argument("model", choices=_MODELS)
     p.add_argument("-n", type=int, required=True, help="number of samples")
     p.add_argument("--m", type=int, default=None, help="ambient dimension (ndim model)")
     p.add_argument("--k", type=int, default=None,
@@ -474,7 +473,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--bins", type=int, help="radius histogram bins")
     p.add_argument("--bins-per-side", type=int, help="angle bin subdivisions")
     p.add_argument("--grid", type=int, help="hemisphere-map latitude grid")
-    p.add_argument("--model", choices=("gaussian", "hemisphere", "angles"))
+    p.add_argument("--model", choices=_MODELS)
     p.add_argument("--svg", help="also write a minimal SVG scatter")
     p.set_defaults(func=_cmd_plot_data, check=_plot_options)
 

@@ -21,19 +21,11 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .core import HELMERT3, INPUT_TOL, _shapes_to_xy  # noqa: F401 (re-exported)
+from .core import (DISK_FROM_SIDES, HELMERT3, INPUT_TOL, SQRT3,  # noqa: F401 (re-exported)
+                   _shapes_to_xy, _sides_from_xy)
 from .errors import DomainError, NotATriangleError
 
 TWO_PI = 2.0 * math.pi
-SQRT3 = math.sqrt(3.0)
-
-# Projection sending squared sides to the disk: DISK_FROM_SIDES @ (a2,b2,c2)
-# equals r*(cos phi, sin phi).  Its columns are the vertices of an
-# equilateral triangle whose inscribed circle is the radius-1/2 disk.
-DISK_FROM_SIDES = np.array([
-    [0.5, 0.5, -1.0],
-    [np.sqrt(3.0) / 2.0, -np.sqrt(3.0) / 2.0, 0.0],
-])
 
 # Tie-break for the SVD rotation angle when sigma1 ~ sigma2 (V is arbitrary
 # at the equilateral point; theta = 0 keeps output deterministic).
@@ -338,17 +330,6 @@ def sides_to_shape(s: SquaredSides) -> np.ndarray:
 def hemisphere_to_cartesian(h: HemispherePoint) -> np.ndarray:
     """Embed (latitude, longitude) as the 3-vector (1/2)(cos lat cos lon, cos lat sin lon, sin lat)."""
     return np.array(_embedding(h))
-
-
-# ---------------------------------------------------------------------------
-# batch kernel on (n,) disk coordinates (core._shapes_to_xy gives them)
-
-
-def _sides_from_xy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    a2 = (1.0 + x + SQRT3 * y) / 3.0
-    b2 = (1.0 + x - SQRT3 * y) / 3.0
-    c2 = (1.0 - 2.0 * x) / 3.0
-    return np.stack([a2, b2, c2], axis=1)
 
 
 # ---------------------------------------------------------------------------

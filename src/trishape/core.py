@@ -19,6 +19,16 @@ from .errors import DomainError
 EXACT_TOL = 1e-12   # closed-form linear-algebra identities
 INPUT_TOL = 1e-9    # validation of user-supplied values
 
+SQRT3 = float(np.sqrt(3.0))
+
+# Projection sending squared sides to the disk: DISK_FROM_SIDES @ (a2,b2,c2)
+# equals r*(cos phi, sin phi).  Its columns are the vertices of an
+# equilateral triangle whose inscribed circle is the radius-1/2 disk.
+DISK_FROM_SIDES = np.array([
+    [0.5, 0.5, -1.0],
+    [np.sqrt(3.0) / 2.0, -np.sqrt(3.0) / 2.0, 0.0],
+])
+
 # E = T @ EDGE_FROM_VERTEX maps centered vertices to edge vectors;
 # T = E @ VERTEX_FROM_EDGE inverts it on the zero-column-sum subspace
 # (the two 3x3 matrices are pseudoinverses of each other).
@@ -122,3 +132,11 @@ def _shapes_to_xy(m: np.ndarray):
     g22 = m[:, 0, 1] ** 2 + m[:, 1, 1] ** 2
     g12 = m[:, 0, 0] * m[:, 0, 1] + m[:, 1, 0] * m[:, 1, 1]
     return (g11 - g22) / 2.0, g12
+
+
+def _sides_from_xy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n, 3) squared sides of the shapes at disk Cartesian coordinates (x, y)."""
+    a2 = (1.0 + x + SQRT3 * y) / 3.0
+    b2 = (1.0 + x - SQRT3 * y) / 3.0
+    c2 = (1.0 - 2.0 * x) / 3.0
+    return np.stack([a2, b2, c2], axis=1)

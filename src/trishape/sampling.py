@@ -1,10 +1,11 @@
 """Random shapes, classification, and the exact probabilities they obey.
 
-Samplers draw from three models: independent Gaussian vertex coordinates
-(equivalently a Gaussian 2x2 shape matrix), the uniform measure on the
-hemisphere, and uniform angles on the simplex.  Monte Carlo drivers stream
-fixed-size blocks, each with its own deterministically derived generator,
-so totals are reproducible for any worker count.
+Samplers draw from four models, one row each of MODELS: independent Gaussian
+vertex coordinates (equivalently a Gaussian 2x2 shape matrix), the uniform
+measure on the hemisphere, uniform angles on the simplex, and Gaussian
+triangles in R^m.  Monte Carlo drivers stream fixed-size blocks, each with
+its own deterministically derived generator, so totals are reproducible for
+any worker count.
 
 Draws come from NumPy Generators on PCG64 streams keyed by (seed, stream,
 block); frozen statistics in the test-suite assume this generator.  Gaussian
@@ -16,14 +17,14 @@ R^m take two uniforms each, whatever m (hemisphere_heights).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import specfun       # lazy: the exact probabilities, re-exported by __getattr__
-from .conversions import (DISK_FROM_SIDES, SQRT3, DiskPoint, HemispherePoint, SquaredSides,
-                          _sides_from_xy, sides_to_disk)
-from .core import INPUT_TOL, _column_sum, _shapes_to_xy
+from .core import (DISK_FROM_SIDES, INPUT_TOL, SQRT3, _column_sum, _shapes_to_xy,
+                   _sides_from_xy)
 from .errors import DomainError
 
 BLOCK_SIZE = 1 << 16
@@ -93,13 +94,6 @@ class SimplexAngles:
 
 
 @dataclass
-class ClassifiedShape:
-    sides: SquaredSides
-    kind: str
-    disk: DiskPoint
-
-
-@dataclass
 class MonteCarloEstimate:
     estimate: float
     stderr: float
@@ -108,11 +102,6 @@ class MonteCarloEstimate:
 
 # ---------------------------------------------------------------------------
 # samplers
-
-
-def sample_gaussian_shape(rng: np.random.Generator) -> np.ndarray:
-    """One unit-norm 2x2 matrix of iid standard normals."""
-    return gaussian_shapes(rng, 1)[0]
 
 
 def gaussian_shapes(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -125,12 +114,6 @@ def _unit_norm(z: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(z.reshape(len(z), math.prod(z.shape[1:])), axis=1)
     norms[norms == 0.0] = 1.0   # probability-zero guard
     return z / norms[:, None, None]
-
-
-def sample_uniform_hemisphere(rng: np.random.Generator) -> HemispherePoint:
-    """Uniform-on-hemisphere point: height uniform on [0, 1/2], longitude free."""
-    lat, lon = uniform_hemisphere_batch(rng, 1)
-    return HemispherePoint(float(lat[0]), float(lon[0]))
 
 
 def uniform_hemisphere_batch(rng: np.random.Generator, n: int):
@@ -153,23 +136,14 @@ def hemisphere_heights(rng: np.random.Generator, n: int, m: int = 2):
     return height, rng.uniform(0.0, 2.0 * math.pi, size=n)
 
 
-def sample_uniform_angles(rng: np.random.Generator) -> SimplexAngles:
-    """Uniform point on the angle simplex via normalized exponentials."""
-    return SimplexAngles(*uniform_angles_batch(rng, 1)[0])
-
-
 def uniform_angles_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     e = rng.exponential(size=(n, 3))
     # the column sum adds in the same order as e.sum(axis=1), several times faster
     return e / (e[:, 0] + e[:, 1] + e[:, 2])[:, None]
 
 
-def sample_ndim_shape(m: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-Frobenius m x (k-1) matrix of iid normals (a k-point shape in R^m)."""
-    return ndim_shapes(m, k, rng, 1)[0]
-
-
 def ndim_shapes(m: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    """n unit-Frobenius m x (k-1) matrices of iid normals (k-point shapes in R^m)."""
     if m < 1 or k < 2:
         raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     return _unit_norm(rng.standard_normal((n, m, k - 1)))
@@ -177,12 +151,6 @@ def ndim_shapes(m: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def classify(s: SquaredSides) -> ClassifiedShape:
-    """Acute/right/obtuse by the largest squared side against the 1/2 threshold."""
-    kind = CLASS_NAMES[_classify_codes(_column_max(s.as_array()[None]))[0]]
-    return ClassifiedShape(s, kind, sides_to_disk(s))
 
 
 def _column_max(vals: np.ndarray) -> np.ndarray:
@@ -277,19 +245,87 @@ def iter_blocks(n: int, seed):
             for i in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE))
 
 
-def disk_batch(model: str, rng: np.random.Generator, count: int, m: int = 2):
-    """Disk coordinates (x, y) of count shapes from the 'gaussian' or
-    'hemisphere' model, both uniform on the hemisphere, or 'ndim' (Gaussian
-    triangles in R^m, drawn by hemisphere_heights)."""
-    if model == "gaussian":
-        # the rows of gaussian_shapes; normalising whole blocks costs 3x the draws
-        return np.concatenate(_chunked(rng.standard_normal, (2, 2), count,
-                                       lambda z: _shapes_to_xy(_unit_norm(z))), axis=1)
-    if model not in ("hemisphere", "ndim"):
-        raise ValueError(f"disk coordinates need a shape model, got {model!r}")
-    height, lon = hemisphere_heights(rng, count, m if model == "ndim" else 2)
+def _chunked(draw, row_shape: tuple, count: int, kernel) -> list:
+    """kernel of each chunk of count rows that draw(out=...) writes CHUNK_ROWS
+    at a time into one reused buffer, which kernel must not return.  The draws
+    continue one stream, so the rows are those of one draw of count rows; the
+    buffer and temporaries stay in cache and below malloc's mmap threshold."""
+    buf = np.empty((min(CHUNK_ROWS, count), *row_shape))
+    return [kernel(draw(out=buf[:min(CHUNK_ROWS, count - lo)]))
+            for lo in range(0, max(count, 1), CHUNK_ROWS)]     # count 0: one empty chunk
+
+
+def _gaussian_disk(rng: np.random.Generator, count: int, m: int = 2):
+    # the rows of gaussian_shapes; normalising whole blocks costs 3x the draws
+    return np.concatenate(_chunked(rng.standard_normal, (2, 2), count,
+                                   lambda z: _shapes_to_xy(_unit_norm(z))), axis=1)
+
+
+def _gaussian_radius(rng: np.random.Generator, count: int, edges) -> np.ndarray:
+    hist = lambda w, t: np.histogram(np.abs(w) / (2.0 * t), bins=edges)[0]   # |w| / 2t: radius
+    return sum(_chunked(rng.standard_normal, (2, 2), count, lambda z: hist(*_preshape_gram(z))))
+
+
+def _height_block_counts(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
+    return _height_counts(*hemisphere_heights(rng, count, m))
+
+
+def _height_disk(rng: np.random.Generator, count: int, m: int):
+    height, lon = hemisphere_heights(rng, count, m)
     r = np.cos(np.arcsin(2.0 * height)) / 2.0
     return r * np.cos(lon), r * np.sin(lon)
+
+
+def _height_radius(rng: np.random.Generator, count: int, edges) -> np.ndarray:
+    height = hemisphere_heights(rng, count)[0]
+    return np.histogram(np.sqrt(0.25 - height * height), bins=edges)[0]
+
+
+# A row of MODELS: kernels drawing one block of count rows from rng (None where
+# the model has none) and what it supports.  counts(rng, count, m): class counts
+# of raw draws; disk(rng, count, m): disk points (x, y); radius(rng, count,
+# edges): histogram counts of disk radii; angles(rng, count): angles over pi.
+# reads_m: triangles in R^m, not planar; preshapes: drawn by ndim_shapes.
+Model = namedtuple("Model", "counts disk radius angles reads_m preshapes",
+                   defaults=(None, None, None, False, False))
+
+MODELS = {
+    "gaussian": Model(
+        counts=lambda rng, n, m: sum(_chunked(rng.standard_normal, (2, 2), n, _preshape_counts)),
+        disk=_gaussian_disk, radius=_gaussian_radius,
+        angles=lambda rng, n: _sides_to_angles(_sides_from_xy(*_gaussian_disk(rng, n))),
+        preshapes=True),
+    "hemisphere": Model(counts=_height_block_counts, disk=_height_disk, radius=_height_radius),
+    "angles": Model(
+        counts=lambda rng, n, m: sum(_chunked(rng.standard_exponential, (3,), n, _angle_counts)),
+        angles=lambda rng, n: uniform_angles_batch(rng, n)),   # late-bound: patchable by name
+    "ndim": Model(counts=_height_block_counts, disk=_height_disk, reads_m=True, preshapes=True),
+}
+
+_NEEDS = {None: "unknown model: expected", "disk": "disk coordinates need model",
+          "radius": "radius counts need model", "angles": "angle bins need model"}
+
+
+def check_model(model: str, need: str | None = None, label: str | None = None, m=2) -> Model:
+    """The row of model if it has the field need and takes m (None: the caller has
+    no m, so no model that reads one); else ValueError, whose message starts with
+    label (by default _NEEDS[need]) and names the models that fit."""
+    fits = [name for name, row in MODELS.items()
+            if (need is None or getattr(row, need)) and (m is not None or not row.reads_m)]
+    if model not in fits:
+        listed = " or ".join(map(repr, fits)) + (" only" if len(fits) == 1 else "")
+        raise ValueError(f"{label or _NEEDS[need]} {listed}, got {model!r}")
+    row = MODELS[model]
+    if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1 if row.reads_m
+                              else m == 2):
+        wants = "an integer m >= 1" if row.reads_m else "m = 2 alone, as it is planar"
+        raise ValueError(f"model {model!r} takes {wants}, got m={m!r}")
+    return row
+
+
+def disk_batch(model: str, rng: np.random.Generator, count: int, m: int = 2):
+    """Disk coordinates (x, y) of count shapes of a model with a disk kernel."""
+    return check_model(model, "disk", m=m).disk(rng, count, m)
 
 
 def sides_batch(model: str, rng: np.random.Generator, count: int, m: int = 2) -> np.ndarray:
@@ -298,16 +334,8 @@ def sides_batch(model: str, rng: np.random.Generator, count: int, m: int = 2) ->
 
 
 def radius_counts(model: str, rng: np.random.Generator, count: int, edges) -> np.ndarray:
-    """np.histogram counts over edges of the disk radii of the shapes disk_batch
-    draws: |w| / (2t) of raw Gaussian draws, chunked, or sqrt(1/4 - h^2) of heights."""
-    if model == "hemisphere":
-        height = hemisphere_heights(rng, count)[0]
-        return np.histogram(np.sqrt(0.25 - height * height), bins=edges)[0]
-    if model != "gaussian":
-        raise ValueError(f"radius counts need model 'gaussian' or 'hemisphere', got {model!r}")
-    radius = lambda w, t: np.abs(w) / (2.0 * t)
-    return sum(_chunked(rng.standard_normal, (2, 2), count,
-                        lambda z: np.histogram(radius(*_preshape_gram(z)), bins=edges)[0]))
+    """np.histogram counts over edges of the disk radii of a model with a radius kernel."""
+    return check_model(model, "radius").radius(rng, count, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -332,34 +360,6 @@ def _mc_sum(n_samples: int, block_fn, seed, workers: int = 1) -> np.ndarray:
         return np.sum(list(pool.map(run, blocks)), axis=0)
 
 
-def _chunked(draw, row_shape: tuple, count: int, kernel) -> list:
-    """kernel of each chunk of count rows that draw(out=...) writes CHUNK_ROWS
-    at a time into one reused buffer, which kernel must not return.  The draws
-    continue one stream, so the rows are those of one draw of count rows; the
-    buffer and temporaries stay in cache and below malloc's mmap threshold."""
-    buf = np.empty((min(CHUNK_ROWS, count), *row_shape))
-    return [kernel(draw(out=buf[:min(CHUNK_ROWS, count - lo)]))
-            for lo in range(0, max(count, 1), CHUNK_ROWS)]     # count 0: one empty chunk
-
-
-def _class_counts_block(model: str, m: int):
-    """Counts of one block: Gaussian shapes and angles from their raw draws,
-    as the class of a shape does not depend on its scale, and 'hemisphere'
-    and 'ndim' from hemisphere_heights."""
-    if model == "gaussian":
-        # the draws of gaussian_shapes, before normalisation
-        return lambda rng, count: sum(_chunked(rng.standard_normal, (2, 2), count,
-                                               _preshape_counts))
-    if model == "angles":
-        # the draws of uniform_angles_batch, before normalisation
-        return lambda rng, count: sum(_chunked(rng.standard_exponential, (3,), count,
-                                               _angle_counts))
-    if model not in ("hemisphere", "ndim"):
-        raise ValueError(f"unknown model {model!r}")
-    m = m if model == "ndim" else 2
-    return lambda rng, count: _height_counts(*hemisphere_heights(rng, count, m))
-
-
 def _binomial(count, n_samples: int) -> MonteCarloEstimate:
     p = count / n_samples
     return MonteCarloEstimate(p, math.sqrt(p * (1.0 - p) / n_samples), n_samples)
@@ -369,9 +369,11 @@ def class_fractions(model: str, n_samples: int, seed=0, m: int = 2,
                     workers: int = 1) -> dict:
     """Acute/right/obtuse fractions with binomial standard errors.
 
-    model is 'gaussian', 'hemisphere', 'angles', or 'ndim' (triangles in R^m).
+    model is a key of MODELS; m is the dimension of a model that reads it
+    (triangles in R^m), and must stay 2 for the planar ones.
     """
-    counts = _mc_sum(n_samples, _class_counts_block(model, m), seed, workers)
+    row = check_model(model, m=m)
+    counts = _mc_sum(n_samples, lambda rng, count: row.counts(rng, count, m), seed, workers)
     out = {"n_samples": n_samples, "counts": {n: int(c) for n, c in zip(CLASS_NAMES, counts)}}
     for name, c in zip(CLASS_NAMES, counts):
         est = _binomial(c, n_samples)
@@ -461,13 +463,19 @@ def angle_density(angles, normalized: bool = False) -> float:
 # barycentric binning of the angle simplex (the "N^2 bins" picture)
 
 
+def _bins_per_side(n) -> int:    # for angle_bins (so the counts and masses) and angle_bin_index
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"bins_per_side must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def angle_bins(bins_per_side: int = 10) -> list:
     """Bin labels (i, j, orientation) covering the simplex with n^2 triangles.
 
     i and j index floor(alpha n) and floor(beta n); orientation is 'up' for
     the lower cell half (i + j + k = n - 1) and 'down' for the upper half.
     """
-    n = bins_per_side
+    n = _bins_per_side(bins_per_side)
     return ([(i, j, "up") for i in range(n) for j in range(n - i)]
             + [(i, j, "down") for i in range(n - 1) for j in range(n - 1 - i)])
 
@@ -486,7 +494,7 @@ def angle_bin_index(alpha: float, beta: float, bins_per_side: int = 10) -> tuple
     """Label of the bin holding one point, by the rule angle_bin_counts uses."""
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ValueError(f"angles must be finite, got ({alpha}, {beta})")
-    i, j, up = _bin_coords(np.array([[alpha, beta]], dtype=float), bins_per_side)
+    i, j, up = _bin_coords(np.array([[alpha, beta]], float), _bins_per_side(bins_per_side))
     return (int(i[0]), int(j[0]), "up" if up[0] else "down")
 
 
@@ -544,24 +552,17 @@ def angle_bin_probabilities(bins_per_side: int = 10) -> dict:
     return out
 
 
-def check_angle_bin_model(model: str):
-    if model not in ("gaussian", "angles"):
-        raise ValueError(f"angle bins need model 'gaussian' or 'angles', got {model!r}")
-
-
 def angle_bin_counts(model: str, n_samples: int, seed=0, bins_per_side: int = 10,
                      workers: int = 1) -> dict:
-    """Histogram of sampled shapes (or sampled angles) over the barycentric bins."""
-    check_angle_bin_model(model)
+    """Histogram over the barycentric bins of the angles a model's angle kernel draws."""
+    row = check_model(model, "angles")
     labels = angle_bins(bins_per_side)
     n = bins_per_side
     up_base = np.cumsum([0] + [n - ii for ii in range(n)])
     down_base = up_base[n] + np.cumsum([0] + [n - 1 - ii for ii in range(n - 1)])
 
     def block(rng: np.random.Generator, count: int) -> np.ndarray:
-        ang = (uniform_angles_batch(rng, count) if model == "angles"
-               else _sides_to_angles(sides_batch(model, rng, count)))
-        i, j, up = _bin_coords(ang, n)
+        i, j, up = _bin_coords(row.angles(rng, count), n)
         flat = np.where(up, up_base[i] + j, down_base[np.minimum(i, n - 2)] + j)
         return np.bincount(flat, minlength=len(labels))
 

@@ -415,9 +415,10 @@ def test_parser_built_once_and_not_at_import():
 
 def test_parser_choices_match_their_modules():
     # the parser names them without loading the modules that define them
-    from trishape import conversions, uniformity
+    from trishape import conversions, sampling, uniformity
 
     assert cli._REPRESENTATIONS == tuple(sorted(conversions.REPRESENTATIONS))
+    assert cli._MODELS == tuple(sampling.MODELS)
     assert cli._SUITE_TESTS == uniformity.SUITE_TESTS
 
 
@@ -600,6 +601,18 @@ def test_plot_angle_bins_needs_gaussian_or_angles(tmp_path, capsys):
     assert out == "" and err == ("trishape: error: angle bins need model 'gaussian' or "
                                  "'angles', got 'hemisphere'\n")
     assert not f.exists()
+
+
+@pytest.mark.parametrize("kind", ["disk-scatter", "radius-histogram", "angle-bins"])
+def test_plot_data_takes_no_model_that_reads_m(kind, tmp_path, capsys):
+    # plot-data has no --m to give the model
+    f, svg = tmp_path / "out.csv", tmp_path / "x.svg"
+    svg_argv = ["--svg", str(svg)] if kind == "disk-scatter" else []
+    code, out, err = run_cli(["plot-data", kind, "-n", "10", "--model", "ndim", *svg_argv,
+                              "-o", str(f)], capsys)
+    assert code == 1
+    assert out == "" and err.startswith("trishape: error:") and err.endswith(", got 'ndim'\n")
+    assert not f.exists() and not svg.exists()
 
 
 # each plot-data kind with each option that it does not read

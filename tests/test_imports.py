@@ -1,26 +1,29 @@
 """What a fresh process runs: the package's lazy submodules and its exports."""
 
+import ast
+import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 # every public name of `import trishape` before its submodules became lazy,
-# which `from trishape import *` gave then
+# which `from trishape import *` gave then, less the batch-of-one sampler
+# wrappers and classify, deleted since
 EXPORTED = """
-BarycentricFrames ClassifiedShape ConstructionResult DiskPoint DomainError EDGE_TO_VERTEX_VIEW
+BarycentricFrames ConstructionResult DiskPoint DomainError EDGE_TO_VERTEX_VIEW
 HemispherePoint MonteCarloEstimate NotATriangleError Parallelian RngSeed RoundtripReport
 SimplexAngles SquaredSides SuiteReport SvdShape TestReport TriangleAngles UnitQuaternion
 acute_probability_mc acute_probability_ndim angle_bin_counts angle_bin_probabilities
 angle_density angles_from_sides area area_general barycentric_frames broken_stick_fraction
-center_vertices chi2_upper_tail chikuse_jupp class_fractions classify construct_in_hemisphere
+center_vertices chi2_upper_tail chikuse_jupp class_fractions construct_in_hemisphere
 conversions convert core disk_to_hemisphere disk_to_sides disk_to_svd edges_to_vertices errors
 gauss_2f1 gaussian_shapes geometry helmert hemisphere_to_cartesian hemisphere_to_disk
 hemisphere_to_sides hemisphere_to_svd hopf hopf_equivariance_check inv_sigma_min_cdf
 inv_sigma_min_density kind_of ks_test little_coords ndim_shapes obtuse_fraction_ndim_mc
 obtuse_probability_ndim parallelian_endpoints preshape q3_from_quaternion q4_from_quaternion
-roundtrip_all sample_gaussian_shape sample_ndim_shape sample_uniform_angles
-sample_uniform_hemisphere sampling shape_distance shape_from_edges shape_from_vertices
+roundtrip_all sampling shape_distance shape_from_edges shape_from_vertices
 shape_to_disk shape_to_hemisphere shape_to_hemisphere_cartesian shape_to_sides sides_to_disk
 sides_to_hemisphere sides_to_shape sides_to_svd singular_sides special_triangle specfun
 squared_side_marginal_cdf svd2x2 svd2x2_factors svd_to_disk svd_to_hemisphere svd_to_shape
@@ -72,6 +75,17 @@ def test_star_import_gives_the_exported_names():
     assert names == sorted(EXPORTED)
 
 
+def test_benchmark_traced_names_resolve():
+    # the benchmark's tracer wraps each (module, function) of TRACED by name,
+    # so a deleted or renamed one breaks its traced runs
+    spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(spans.read_text()).body
+                  if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "TRACED")
+    assert traced
+    for module, name in traced:
+        assert callable(getattr(importlib.import_module(f"trishape.{module}"), name))
+
+
 def _cli(*argv: str) -> str:
     """Code that runs one command, its stdout discarded, and checks its exit code."""
     return ("import contextlib, io\nfrom trishape import cli\n"
@@ -88,9 +102,12 @@ def test_one_shot_commands_load_only_what_they_use(tmp_path):
                                                "trishape.uniformity", "trishape.specfun"}
     assert ran_after(_cli("construct", "0.3", "0.3", "0.4")) == base | {"trishape.geometry"}
     assert ran_after(_cli("prob", "3")) == {"trishape.cli", "trishape.errors", "trishape.specfun"}
-    # sampling re-exports the exact probabilities without running specfun
-    assert ran_after(_cli("sample", "angles", "-n", "100", "--summary")) == \
-        base | {"trishape.sampling", "numpy.random"}
+    # sampling re-exports the exact probabilities without running specfun,
+    # and takes its disk and sides kernels from core, not conversions
+    drawing = {"trishape.cli", "trishape.errors", "trishape.core", "trishape.sampling",
+               "numpy.random"}
+    assert ran_after(_cli("sample", "angles", "-n", "100", "--summary")) == drawing
+    assert ran_after(_cli("sample", "gaussian", "-n", "100")) == drawing
     assert "json" in ran_after(_cli("prob", "3", "--format", "json"))
 
 

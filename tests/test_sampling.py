@@ -52,20 +52,30 @@ def test_iter_blocks_partition_budget_by_block_generator():
         assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
 
+def _dimensions(row, read=(3, 5, 12)):
+    """The dimensions m a test runs a model at: those it reads, or 2 if planar."""
+    return read if row.reads_m else (2,)
+
+
 def test_sides_batch_models():
-    for model, m in (("gaussian", 2), ("hemisphere", 2), ("ndim", 5)):
-        s2 = samp.sides_batch(model, samp.RngSeed(8).generator(), 100, m)
+    # every row of the table, so a new model is covered as it is added
+    rng = lambda: samp.RngSeed(8).generator()
+    for model, row in samp.MODELS.items():
+        m = _dimensions(row, (5,))[0]
+        # an empty batch is empty, not an error
+        assert list(row.counts(rng(), 0, m)) == [0] * 3
+        if row.disk is None:
+            with pytest.raises(ValueError, match="disk coordinates need model"):
+                samp.disk_batch(model, rng(), 10)
+            continue
+        s2 = samp.sides_batch(model, rng(), 100, m)
         assert s2.shape == (100, 3)
         assert np.allclose(s2.sum(axis=1), 1.0)
         assert ((s2 * s2).sum(axis=1) <= 0.5 + 1e-12).all()
-        # an empty batch is empty, not an error
-        assert samp.sides_batch(model, samp.RngSeed(8).generator(), 0, m).shape == (0, 3)
-        assert list(samp._class_counts_block(model, m)(samp.RngSeed(8).generator(), 0)) == [0] * 3
-    assert samp.ndim_shapes(3, 4, samp.RngSeed(8).generator(), 0).shape == (0, 3, 3)
-    with pytest.raises(ValueError):
-        samp.disk_batch("angles", samp.RngSeed(8).generator(), 10)
+        assert samp.sides_batch(model, rng(), 0, m).shape == (0, 3)
+    assert samp.ndim_shapes(3, 4, rng(), 0).shape == (0, 3, 3)
     with pytest.raises(ValueError, match="m >= 1"):
-        samp.sides_batch("ndim", samp.RngSeed(8).generator(), 10, 0)
+        samp.sides_batch("ndim", rng(), 10, 0)
 
 
 def test_sampler_guard_and_errors():
@@ -79,8 +89,8 @@ def test_sampler_guard_and_errors():
     for seed in (-1, (0, -2), (-3, 0)):
         with pytest.raises(ValueError, match="must be at least 0"):
             samp.iter_blocks(10, seed)   # at the call, before any block is drawn
-    m = samp.sample_gaussian_shape(samp.RngSeed(0).generator())
-    assert abs(np.linalg.norm(m) - 1.0) < 1e-12
+    m = samp.gaussian_shapes(samp.RngSeed(0).generator(), 1)[0]
+    assert m.shape == (2, 2) and abs(np.linalg.norm(m) - 1.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +187,20 @@ def test_uniform_angles_marginal_and_obtuse_fraction():
     assert abs(fr["obtuse"] - 0.75) < 4 * fr["obtuse_stderr"]
 
 
-def test_sample_uniform_angles_scalar():
-    a = samp.sample_uniform_angles(samp.RngSeed(1).generator())
-    assert abs(a.alpha + a.beta + a.gamma - 1.0) < 1e-12
+def test_uniform_angles_batch_of_one():
+    a = samp.uniform_angles_batch(samp.RngSeed(1).generator(), 1)
+    assert a.shape == (1, 3) and abs(a.sum() - 1.0) < 1e-12
+    samp.SimplexAngles(*a[0])     # a valid simplex point
 
 
 # ---------------------------------------------------------------------------
 # classification and probabilities
 
 
-def test_classify_examples():
-    assert samp.classify(conv.SquaredSides(0.5, 0.25, 0.25)).kind == "right"
-    assert samp.classify(conv.SquaredSides(1 / 3, 1 / 3, 1 / 3)).kind == "acute"
-    assert samp.classify(conv.SquaredSides(0.6, 0.3, 0.1)).kind == "obtuse"
+def test_classify_codes_examples():
+    s2 = np.array([[0.5, 0.25, 0.25], [1 / 3, 1 / 3, 1 / 3], [0.6, 0.3, 0.1]])
+    codes = samp._classify_codes(samp._column_max(s2))
+    assert [samp.CLASS_NAMES[c] for c in codes] == ["right", "acute", "obtuse"]
 
 
 def test_acute_probability_small_run():
@@ -457,9 +468,10 @@ _ROWS = 2 * samp.CHUNK_ROWS + 1808
 
 def _reference_counts(model, rng, count, m):
     """Acute/right/obtuse counts by the normalised rule: unit-size squared
-    sides (or angles over pi), the largest against 1/2."""
-    if model == "angles":
-        vals = samp.uniform_angles_batch(rng, count)
+    sides (or angles over pi, for a model without shapes), the largest against 1/2."""
+    row = samp.MODELS[model]
+    if row.disk is None:
+        vals = row.angles(rng, count)
     else:
         vals = samp.sides_batch(model, rng, count, m)
     d = vals.max(axis=1) - 0.5
@@ -468,16 +480,16 @@ def _reference_counts(model, rng, count, m):
     return [count - right.sum() - obtuse.sum(), right.sum(), obtuse.sum()]
 
 
-@pytest.mark.parametrize("model,m", [("gaussian", 2), ("hemisphere", 2), ("angles", 2),
-                                     ("ndim", 3), ("ndim", 5), ("ndim", 12)])
+@pytest.mark.parametrize("model,m", [(model, m) for model, row in samp.MODELS.items()
+                                     for m in _dimensions(row)])
 def test_block_counts_equal_normalised_reference(model, m):
-    block = samp._class_counts_block(model, m)
+    counts = samp.MODELS[model].counts
     for seed in range(30):
         rng = lambda: samp.RngSeed(seed, 4).generator(block=seed)
-        assert list(block(rng(), _ROWS)) == _reference_counts(model, rng(), _ROWS, m)
+        assert list(counts(rng(), _ROWS, m)) == _reference_counts(model, rng(), _ROWS, m)
 
 
-@pytest.mark.parametrize("model", ["gaussian", "hemisphere"])
+@pytest.mark.parametrize("model", [model for model, row in samp.MODELS.items() if row.radius])
 def test_radius_counts_equal_histogram_of_disk_radii(model):
     edges = np.linspace(0.0, 0.5, 51)
     for seed in range(100):
@@ -568,8 +580,8 @@ def test_exact_right_preshape_is_right_at_every_scale(m):
         assert list(samp._preshape_counts(scale * z[None])) == [0, 1, 0]
 
 
-@pytest.mark.parametrize("model,m", [("gaussian", 2), ("hemisphere", 2), ("angles", 2),
-                                     ("ndim", 3), ("ndim", 12)])
+@pytest.mark.parametrize("model,m", [(model, m) for model, row in samp.MODELS.items()
+                                     for m in _dimensions(row, (3, 12))])
 def test_class_fractions_workers_agree(model, m):
     n = 3 * samp.BLOCK_SIZE + 7
     one = samp.class_fractions(model, n, seed=66, m=m, workers=1)
@@ -588,3 +600,57 @@ def test_class_fractions_rejects_bad_model_and_m():
         samp.angle_bin_counts("hemisphere", 0)
     with pytest.raises(ValueError, match="m >= 1"):
         samp.class_fractions("ndim", 10, m=0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda model, m: samp.class_fractions(model, 100, seed=1, m=m),
+    lambda model, m: samp.disk_batch(model, samp.RngSeed(1).generator(), 10, m),
+    lambda model, m: samp.sides_batch(model, samp.RngSeed(1).generator(), 10, m),
+], ids=["class_fractions", "disk_batch", "sides_batch"])
+def test_m_is_checked_against_the_model(call):
+    # a planar model takes m = 2 alone; a model that reads m takes integers >= 1
+    for model, m in (("gaussian", 5), ("hemisphere", 3), ("gaussian", 1), ("hemisphere", 2.5)):
+        with pytest.raises(ValueError, match=f"model '{model}' takes m = 2 alone"):
+            call(model, m)
+    for m in (2.5, 0, -1, np.float64(3.0)):
+        with pytest.raises(ValueError, match="model 'ndim' takes an integer m >= 1"):
+            call("ndim", m)
+    for model, m in (("gaussian", 2), ("hemisphere", 2), ("ndim", 1), ("ndim", np.int64(4))):
+        call(model, m)
+    with pytest.raises(ValueError, match="model 'angles' takes m = 2 alone"):
+        samp.class_fractions("angles", 100, m=3)
+
+
+def test_angles_kernel_calls_the_module_sampler_by_name(monkeypatch):
+    # a wrapper installed on the module's name, as the benchmark's tracer does,
+    # sees the calls the table makes
+    calls, original = [], samp.uniform_angles_batch
+    monkeypatch.setattr(samp, "uniform_angles_batch",
+                        lambda rng, n: calls.append(n) or original(rng, n))
+    samp.angle_bin_counts("angles", 10)
+    assert calls == [10]
+
+
+def test_check_model_names_the_models_that_would_do():
+    assert samp.check_model("ndim", "disk", m=7) is samp.MODELS["ndim"]
+    with pytest.raises(ValueError, match="^unknown model: expected 'gaussian' or 'hemisphere' "
+                                         "or 'angles' or 'ndim', got 'disk'$"):
+        samp.check_model("disk")
+    with pytest.raises(ValueError, match="^disk coordinates need model 'gaussian' or "
+                                         "'hemisphere' or 'ndim', got 'angles'$"):
+        samp.check_model("angles", "disk")
+    # without an m to give, the models that read one do not fit
+    with pytest.raises(ValueError, match="^disk coordinates need model 'gaussian' or "
+                                         "'hemisphere', got 'ndim'$"):
+        samp.check_model("ndim", "disk", m=None)
+    with pytest.raises(ValueError, match="^--m applies to model 'ndim' only, got 'gaussian'$"):
+        samp.check_model("gaussian", "reads_m", "--m applies to model")
+
+
+@pytest.mark.parametrize("n", [0, -1, 2.5])
+def test_bins_per_side_below_one_is_rejected(n):
+    for call in (lambda: samp.angle_bin_counts("gaussian", 100, bins_per_side=n),
+                 lambda: samp.angle_bin_probabilities(n), lambda: samp.angle_bins(n),
+                 lambda: samp.angle_bin_index(0.2, 0.3, n)):
+        with pytest.raises(ValueError, match="bins_per_side must be an integer >= 1"):
+            call()
