@@ -236,8 +236,11 @@ def _sides_to_angles(s2: np.ndarray) -> np.ndarray:
 
 def iter_blocks(n: int, seed):
     """Iterator of (generator, count) for each block of an n-sample budget;
-    block i draws from the generator keyed by (seed, stream, i).  n < 1
-    raises ValueError at the call, before any caller writes output."""
+    block i draws from the generator keyed by (seed, stream, i).  An n that
+    is not an integer >= 1 (a bool or a float included) raises ValueError at
+    the call, before any caller writes output."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise ValueError(f"the sample count must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     seed = as_rng_seed(seed)

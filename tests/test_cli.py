@@ -651,6 +651,26 @@ def test_plot_disk_scatter_inside_disk(tmp_path, capsys):
     assert text.startswith("<svg") and text.count("<circle") == 2001
 
 
+def test_plot_disk_scatter_streams_the_svg_block_by_block(tmp_path, capsys, monkeypatch):
+    # each block's circles are written before the next block is drawn, so no
+    # block is kept; the bytes are pinned by the scatter-* golden cases
+    from trishape import sampling
+
+    events, draw, write = [], sampling.disk_batch, cli._write_lines
+    monkeypatch.setattr(sampling, "disk_batch",
+                        lambda *a: events.append("draw") or draw(*a))
+    monkeypatch.setattr(cli, "_write_lines", lambda out, line, columns: events.append(
+        "svg" if out.name.endswith(".svg") else "csv") or write(out, line, columns))
+    f, svg = tmp_path / "scatter.csv", tmp_path / "scatter.svg"
+    n = sampling.BLOCK_SIZE + 10
+    code, _, _ = run_cli(["plot-data", "disk-scatter", "-n", str(n), "-o", str(f),
+                          "--svg", str(svg)], capsys)
+    assert code == 0
+    assert events == ["draw", "csv", "svg"] * 2
+    text = svg.read_text()
+    assert text.count("<circle") == n + 1 and text.endswith("</svg>\n")
+
+
 def test_plot_radius_histogram_counts_and_curve(tmp_path, capsys):
     f = tmp_path / "hist.csv"
     code, _, _ = run_cli(["plot-data", "radius-histogram", "-n", "20000", "--seed", "6",

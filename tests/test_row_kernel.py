@@ -1,0 +1,232 @@
+"""The row writer's NumPy kernels against CPython's '%' formatting.
+
+The oracle is the row writer the kernels replaced: CPython's correctly
+rounded '%.17g' (and '%.6f' for the SVG) applied row by row.  Every
+comparison is on the text, with ==.
+"""
+
+import io
+import math
+from fractions import Fraction
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from trishape import cli
+
+
+def reference_rows(columns):
+    """The CSV writer before the kernels: line % row, 1024 rows at a time."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join("%.17g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
+    out = io.StringIO()
+    for lo in range(0, len(columns[0]), 1024):
+        rows = zip(*(c[lo:lo + 1024].tolist() for c in columns))
+        out.write("".join(line % row for row in rows))
+    return out.getvalue()
+
+
+def written(columns, line=None):
+    out = io.StringIO()
+    if line is None:
+        cli._write_rows(out, columns)
+    else:
+        cli._write_lines(out, line, columns)
+    return out.getvalue()
+
+
+def as_columns(values, width=4):
+    """values cut into `width` float columns (the tail dropped)."""
+    values = np.asarray(values, dtype=float)
+    rows = len(values) // width
+    return list(values[:rows * width].reshape(rows, width).T)
+
+
+def bit_patterns(rng, n):
+    """n random float64 bit patterns: half over every exponent (subnormals,
+    huge values, inf and NaN payloads among them), half with the exponent
+    in the kernel's range and around it."""
+    raw = rng.integers(0, 2 ** 64, n, dtype=np.uint64, endpoint=False)
+    near = raw[n // 2:] & np.uint64((1 << 52) - 1)
+    near |= (rng.integers(1023 - 45, 1023 + 150, n - n // 2).astype(np.uint64) << np.uint64(52))
+    near |= raw[n // 2:] & np.uint64(1 << 63)
+    return np.concatenate((raw[:n // 2], near)).view(np.float64)
+
+
+def powers_of_ten(ulps):
+    """Every float 10**j, j = -330..310, and `ulps` floats either side."""
+    tens = np.array([float(f"1e{j}") for j in range(-330, 311)])
+    steps = np.arange(-ulps, ulps + 1)
+    around = (np.abs(tens).view(np.int64)[:, None] + steps).ravel()
+    around = around[(around >= 0) & (around < 0x7FF0000000000000)].view(np.float64)
+    return np.concatenate((around, -around))
+
+
+EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e-11, -1e-11, 1e43, -1e43,
+         math.nextafter(1e-11, 0), math.nextafter(1e-11, 1), math.nextafter(1e43, 0),
+         math.nextafter(1e43, math.inf), 5e-324, -5e-324, 2.2250738585072014e-308,
+         -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
+         1e-14, 0.5, 1.0, 10.0, 100.0, 120.0, 1e16, 1e17, 2.0 ** 53, 2.0 ** 53 + 2,
+         123456789012345678.0, 0.1, 0.2, 0.30000000000000004, 1e-5, 1e-4, 9.5, 0.25e-4]
+
+
+def test_a_million_random_bit_patterns_match_cpython():
+    rng = np.random.default_rng(20240615)
+    values = bit_patterns(rng, 1_000_000)
+    assert np.isnan(values).any() and (np.abs(values) < 2.2250738585072014e-308).any()
+    columns = as_columns(values)
+    assert written(columns) == reference_rows(columns)
+
+
+def test_powers_of_ten_and_their_neighbours_match_cpython():
+    columns = as_columns(powers_of_ten(40), width=3)
+    assert written(columns) == reference_rows(columns)
+
+
+def kernel_cells(fmt, values):
+    """Where the kernel of fmt formats values itself, and not CPython."""
+    values = np.asarray(values, dtype=float)
+    slot = np.empty((len(values), 3), cli._WORD)
+    return cli._KERNELS[fmt](values, cli._kernel_tables(), slot)
+
+
+def test_the_decade_may_miss_by_one_either_way(monkeypatch):
+    # floor(log10 x) is exact away from powers of ten; the kernel redoes the
+    # cells it misses.  Here it misses a third of them by +1 and a third by -1.
+    decade, rng = cli._decade, np.random.default_rng(5)
+    ordinary = rng.uniform(-1e3, 1e3, 10_000)
+    exact = kernel_cells("%.17g", ordinary)
+
+    def off_by_one(a):
+        return decade(a) + rng.integers(-1, 2, len(a))
+
+    monkeypatch.setattr(cli, "_decade", off_by_one)
+    columns = as_columns(np.concatenate((powers_of_ten(20), bit_patterns(rng, 100_000))))
+    assert written(columns) == reference_rows(columns)
+    # and it redoes them itself, leaving CPython no more cells than before
+    # (about 0.4% of them: the products that round onto a half-integer)
+    assert np.array_equal(kernel_cells("%.17g", ordinary), exact) and exact.mean() > 0.99
+
+
+def test_exact_ties_match_cpython():
+    # small odd multiples of powers of two: x * 10**(16 - k) is exactly a
+    # half-integer for some of them (2**-25 = 2.98023223876953125e-08, say),
+    # and CPython rounds those half to even
+    odd = np.arange(1, 32, 2)
+    values = (odd[None, :] * 2.0 ** -np.arange(1, 120)[:, None]).ravel()
+    columns = as_columns(np.concatenate((values, -values)), width=2)
+    assert written(columns) == reference_rows(columns)
+    assert "%.17g" % 2.0 ** -25 == "2.9802322387695312e-08"
+    # a product that lands on a half-integer is left to CPython, which knows
+    # whether the exact product was a tie
+    assert not kernel_cells("%.17g", [2.0 ** -25, 3 * 2.0 ** -25]).any()
+    assert not kernel_cells("%.6f", np.arange(1, 256, 2) / 128.0).any()
+    assert kernel_cells("%.6f", [0.0078124, 0.0078126]).all()
+
+
+def test_edges_signs_and_specials_match_cpython():
+    values = np.array(EDGES * 8)
+    columns = as_columns(values, width=2)
+    assert written(columns) == reference_rows(columns)
+    # a 17-digit carry to a power of ten: 1e-14 is the float just below 10**-14;
+    # none lies in the kernel's range, so CPython's cell writes it
+    assert "%.17g" % 1e-14 == "1e-14" and Fraction(1e-14) < Fraction(1, 10 ** 14)
+
+
+def test_fixed_six_decimals_match_cpython():
+    rng = np.random.default_rng(7)
+    values = np.concatenate((
+        rng.uniform(-0.5, 0.5, 50_000),
+        np.arange(-4095, 4096, 2) / 128.0,                  # exact ties: 1/128 = 0.0078125
+        (np.arange(-2000, 2000) + 0.5) / 1e6,             # near ties at the sixth decimal
+        np.nextafter((np.arange(0, 2000) + 0.5) / 1e6, 0),
+        9.9999996 * 10.0 ** np.arange(-6, 11),               # carries into a new digit
+        -9.9999996 * 10.0 ** np.arange(-6, 11),
+        EDGES, bit_patterns(rng, 20_000)))
+    line = "<%.6f|%.6f>\n"
+    columns = as_columns(values, width=2)
+    want = "".join(line % row for row in zip(*(c.tolist() for c in columns)))
+    assert written(columns, line) == want
+
+
+def test_every_cell_through_cpython_when_the_guard_fails(monkeypatch):
+    # a host whose long double cannot round exactly gets the same bytes, and
+    # no kernel runs
+    rng = np.random.default_rng(11)
+    columns = as_columns(np.concatenate((rng.random(3000), EDGES)))
+    columns.append(np.array(["acute", "right"] * (len(columns[0]) // 2 + 1), dtype=object)
+                   [:len(columns[0])])
+    want = reference_rows(columns)
+
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran")
+
+    monkeypatch.setattr(cli, "_kernel_tables", lambda: None)
+    monkeypatch.setattr(cli, "_KERNELS", dict.fromkeys(cli._KERNELS, no_kernel))
+    assert written(columns) == want
+    line = "<%.6f>\n"
+    assert written(columns[:1], line) == "".join(line % v for v in columns[0].tolist())
+
+
+def test_this_host_passes_the_long_double_check():
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("long double has no 64-bit mantissa here")
+    tables = cli._kernel_tables()
+    assert tables is not None
+    assert tables.pow10[27] == np.longdouble(10) ** 27 and int(tables.pow10[27]) == 10 ** 27
+
+
+class Writes(io.StringIO):
+    calls = 0
+
+    def write(self, text):
+        self.calls += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("rows", [cli._KERNEL_MIN_ROWS, 3 * cli._ROWS_PER_WRITE + 17])
+def test_mixed_columns_in_blocks_of_rows(rows):
+    # floats, ints and strings; a row count that is not a multiple of the block
+    rng = np.random.default_rng(rows)
+    columns = [rng.standard_normal(rows), rng.integers(-10 ** 6, 10 ** 6, rows),
+               np.array(["acute", "right", "obtuse"], dtype=object)[rng.integers(0, 3, rows)],
+               rng.random(rows) * 10.0 ** rng.integers(-12, 40, rows), rng.random(rows)]
+    out = Writes()
+    cli._write_rows(out, columns)
+    assert out.getvalue() == reference_rows(columns)
+    assert out.calls == -(-rows // cli._ROWS_PER_WRITE)      # one write per block
+
+
+def test_short_tables_take_cpython_and_the_kernel_agrees(monkeypatch):
+    rng = np.random.default_rng(3)
+    columns = [rng.random(50), rng.integers(0, 9, 50), rng.random(50) * 1e4]
+    short = written(columns)
+    monkeypatch.setattr(cli, "_KERNEL_MIN_ROWS", 0)
+    assert written(columns) == short == reference_rows(columns)
+
+
+def test_bytes_columns_are_written_as_their_text():
+    codes = np.random.default_rng(4).integers(0, 3, 300)
+    names = np.array(["acute", "right", "obtuse"], dtype=object)[codes]
+    for rows in (300, 20):    # the kernel and the CPython path
+        assert (written([np.arange(rows), cli._class_column(codes[:rows])])
+                == reference_rows([np.arange(rows), names[:rows]]))
+
+
+def test_import_builds_no_kernel_table():
+    code = ("import contextlib, io\n"
+            "import trishape.cli as c\n"
+            "assert c._kernel_tables.cache_info().currsize == 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    c.main(['prob', '3'])\n"
+            "    c.main(['plot-data', 'radius-histogram', '-n', '100'])\n"
+            "assert c._kernel_tables.cache_info().currsize == 0\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    c.main(['sample', 'gaussian', '-n', '500'])\n"
+            "    c.main(['plot-data', 'hemisphere-map'])\n"
+            "assert c._kernel_tables.cache_info().misses == 1\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr

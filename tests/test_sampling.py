@@ -52,6 +52,23 @@ def test_iter_blocks_partition_budget_by_block_generator():
         assert np.array_equal(rng.standard_normal(4), ref.standard_normal(4))
 
 
+@pytest.mark.parametrize("call", [
+    lambda n: samp.class_fractions("gaussian", n),
+    lambda n: samp.angle_bin_counts("gaussian", n),
+    lambda n: samp.broken_stick_fraction(n),
+    lambda n: samp.iter_blocks(n, 0),
+], ids=["class_fractions", "angle_bin_counts", "broken_stick_fraction", "iter_blocks"])
+@pytest.mark.parametrize("n", [100.5, 2.5, 7.5, math.nan, True, np.float64(3.0)], ids=repr)
+def test_sample_count_must_be_an_integer(call, n):
+    # every sampled path counts its samples through iter_blocks; a bool is not a count
+    with pytest.raises(ValueError, match="the sample count must be an integer"):
+        call(n)
+
+
+def test_sample_count_may_be_a_numpy_integer():
+    assert samp.class_fractions("gaussian", np.int64(100), seed=1)["n_samples"] == 100
+
+
 def _dimensions(row, read=(3, 5, 12)):
     """The dimensions m a test runs a model at: those it reads, or 2 if planar."""
     return read if row.reads_m else (2,)
