@@ -55,7 +55,7 @@ _EXPORTS = {
 
 __all__ = [*_EXPORTS, *_SUBMODULES]
 
-for _name in _SUBMODULES:
+for _name in (*_SUBMODULES, "_rows"):       # _rows, the bulk row writer, is not exported
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     globals()[_name] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)

@@ -12,6 +12,11 @@ A shape lives in any of five equivalent forms:
 
 Every ordered pair of representations has a conversion here, plus the Hopf
 map and the quaternion machinery that makes it rotation-equivariant.
+
+They compute on Python floats: inside them a shape matrix is a 2x2 tuple of
+floats, and each matrix product a sum written out in a fixed order, so no BLAS
+kernel decides a bit.  NumPy is imported only at the array boundary, by the
+public functions that return an ndarray.
 """
 
 import itertools
@@ -19,17 +24,26 @@ import math
 import struct
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
-from .core import (DISK_FROM_SIDES, HELMERT3, INPUT_TOL, SQRT3,  # noqa: F401 (re-exported)
-                   _shapes_to_xy, _sides_from_xy)
-from .errors import DomainError, NotATriangleError
+from .errors import INPUT_TOL, DomainError, NotATriangleError
 
 TWO_PI = 2.0 * math.pi
+SQRT3 = math.sqrt(3.0)
 
 # Tie-break for the SVD rotation angle when sigma1 ~ sigma2 (V is arbitrary
 # at the equilateral point; theta = 0 keeps output deterministic).
 DEGENERATE_SVD_TOL = 1e-9
+
+
+def __getattr__(name):      # core's names, re-exported here without importing NumPy
+    if name in ("DISK_FROM_SIDES", "HELMERT3", "_shapes_to_xy", "_sides_from_xy"):
+        from . import core
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _array(x):             # NumPy is imported on first use
+    import numpy as np
+    return np.array(x)
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
@@ -85,11 +99,11 @@ class SquaredSides:
             )
         self.a2, self.b2, self.c2 = (max(v, 0.0) for v in vals)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a2, self.b2, self.c2])
+    def as_array(self):
+        return _array([self.a2, self.b2, self.c2])
 
-    def lengths(self) -> np.ndarray:
-        return np.sqrt(self.as_array())
+    def lengths(self):
+        return _array([math.sqrt(self.a2), math.sqrt(self.b2), math.sqrt(self.c2)])
 
 
 @dataclass
@@ -121,8 +135,8 @@ class DiskPoint:
         self.r = _clamp(r, 0.0, 0.5)
         self.phi = _wrap(float(self.phi), TWO_PI)
 
-    def xy(self) -> np.ndarray:
-        return np.array(_embedding(self))
+    def xy(self):
+        return _array(_embedding(self))
 
 
 @dataclass
@@ -140,18 +154,20 @@ class UnitQuaternion:
             raise DomainError(f"quaternion must have unit norm, got |q|^2 = {n2}")
 
 
-def rotation(theta: float) -> np.ndarray:
+def rotation(theta: float):
     """2x2 counterclockwise rotation by theta."""
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return _array([[c, -s], [s, c]])
 
 
-def _check_unit_matrix(m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (2, 2):
-        raise ValueError(f"shape matrix must be 2x2, got shape {m.shape}")
-    if not abs(math.hypot(*m.ravel().tolist()) - 1.0) <= INPUT_TOL:
-        raise DomainError(f"shape matrix must have unit Frobenius norm, got {np.linalg.norm(m)}")
+def _unit_matrix(m) -> tuple:
+    """A 2x2 array-like as a 2x2 tuple of floats, checked to have unit Frobenius norm."""
+    if kind_of(m) != "matrix":
+        raise ValueError(f"shape matrix must be 2x2, got {m!r}")
+    m = tuple(tuple(map(float, row)) for row in m)
+    norm = math.hypot(*m[0], *m[1])
+    if not abs(norm - 1.0) <= INPUT_TOL:
+        raise DomainError(f"shape matrix must have unit Frobenius norm, got {norm}")
     return m
 
 
@@ -180,11 +196,12 @@ def svd2x2_factors(m):
     sigma1 >= sigma2 >= 0 and theta in [0, pi).  U absorbs any reflection, so
     it is orthogonal but not necessarily a rotation.
     """
-    m = _check_unit_matrix(m)
-    sigma1, sigma2, theta, nu, mu, gap = _svd_parts(*m.ravel().tolist())
+    import numpy as np
+    m = _unit_matrix(m)
+    sigma1, sigma2, theta, nu, mu, gap = _svd_parts(*m[0], *m[1])
     if sigma1 - sigma2 < DEGENERATE_SVD_TOL:
         # V arbitrary at the equilateral point; theta is pinned, so refit U
-        return m @ np.diag([1.0 / sigma1, 1.0 / sigma2]), (sigma1, sigma2), theta
+        return np.array(m) @ np.diag([1.0 / sigma1, 1.0 / sigma2]), (sigma1, sigma2), theta
 
     u = rotation(mu)
     if gap < 0.0:
@@ -197,15 +214,19 @@ def svd2x2_factors(m):
 
 def svd2x2(m) -> SvdShape:
     """Reduced SVD of a unit-norm shape matrix; the left factor is not formed."""
-    s1, s2, theta = _svd_parts(*_check_unit_matrix(m).ravel().tolist())[:3]
+    m = _unit_matrix(m)
+    s1, s2, theta = _svd_parts(*m[0], *m[1])[:3]
     return SvdShape(min(s1, 1.0), max(s2, 0.0), theta)
 
 
-def svd_to_shape(s: SvdShape) -> np.ndarray:
-    """Canonical shape matrix Sigma @ V^T (left factor I), with its product's signed zeros."""
+def _svd_to_shape(s: SvdShape) -> tuple:
     c, t = math.cos(s.theta), math.sin(s.theta)
-    return np.array([[s.sigma1 * c + 0.0, s.sigma1 * t + 0.0],
-                     [0.0 - s.sigma2 * t, s.sigma2 * c + 0.0]])
+    return ((s.sigma1 * c + 0.0, s.sigma1 * t + 0.0), (0.0 - s.sigma2 * t, s.sigma2 * c + 0.0))
+
+
+def svd_to_shape(s: SvdShape):
+    """Canonical shape matrix Sigma @ V^T (left factor I), with its product's signed zeros."""
+    return _array(_svd_to_shape(s))
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +260,22 @@ def disk_to_hemisphere(d: DiskPoint) -> HemispherePoint:
 # (2) <-> (4) squared sides and disk
 
 
+def _sides_at(g: float, t: float) -> SquaredSides:
+    """Squared sides (1 - g cos(t + offset))/3 at offsets +2pi/3, -2pi/3, 0."""
+    return SquaredSides(*((1.0 - g * math.cos(t + offset)) / 3.0
+                          for offset in (TWO_PI / 3.0, -TWO_PI / 3.0, 0.0)))
+
+
 def disk_to_sides(d: DiskPoint) -> SquaredSides:
     """Squared sides (1 - 2 r cos(phi + offset))/3 at offsets +2pi/3, -2pi/3, 0."""
-    r, phi = d.r, d.phi
-    a2 = (1.0 - 2.0 * r * math.cos(phi + TWO_PI / 3.0)) / 3.0
-    b2 = (1.0 - 2.0 * r * math.cos(phi - TWO_PI / 3.0)) / 3.0
-    c2 = (1.0 - 2.0 * r * math.cos(phi)) / 3.0
-    return SquaredSides(a2, b2, c2)
+    return _sides_at(2.0 * d.r, d.phi)
 
 
 def sides_to_disk(s: SquaredSides) -> DiskPoint:
-    """Polar coordinates of DISK_FROM_SIDES @ (a2, b2, c2); inverse of disk_to_sides."""
-    x, y = DISK_FROM_SIDES @ s.as_array()
+    """Polar coordinates of DISK_FROM_SIDES @ (a2, b2, c2); inverse of disk_to_sides.
+    y = (sqrt(3)/2)(a2 - b2) keeps full relative precision where a2 ~ b2."""
+    x = 0.0 + 0.5 * s.a2 + 0.5 * s.b2 - s.c2
+    y = SQRT3 / 2.0 * (s.a2 - s.b2)
     r = math.hypot(x, y)
     if r > 0.5 + INPUT_TOL:
         raise NotATriangleError(f"squared sides map outside the disk (r = {r})")
@@ -264,12 +289,7 @@ def sides_to_disk(s: SquaredSides) -> DiskPoint:
 
 def svd_to_sides(s: SvdShape) -> SquaredSides:
     """Closed-form squared sides (1 - (sigma1^2 - sigma2^2) cos(2 theta + offset))/3."""
-    gap = s.sigma1**2 - s.sigma2**2
-    t2 = 2.0 * s.theta
-    a2 = (1.0 - gap * math.cos(t2 + TWO_PI / 3.0)) / 3.0
-    b2 = (1.0 - gap * math.cos(t2 - TWO_PI / 3.0)) / 3.0
-    c2 = (1.0 - gap * math.cos(t2)) / 3.0
-    return SquaredSides(a2, b2, c2)
+    return _sides_at(s.sigma1**2 - s.sigma2**2, 2.0 * s.theta)
 
 
 def svd_to_disk(s: SvdShape) -> DiskPoint:
@@ -299,78 +319,79 @@ def hemisphere_to_sides(h: HemispherePoint) -> SquaredSides:
 
 def shape_to_sides(m) -> SquaredSides:
     """Squared sides as diag((M D)^T (M D)) for the Helmert frame D = helmert(3)."""
-    m = _check_unit_matrix(m)
-    e = m @ HELMERT3
-    return SquaredSides(*(e * e).sum(axis=0))
+    (a, b), (c, d) = _unit_matrix(m)
+    r2, r6 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)      # HELMERT3's entries, summed out
+    e = [(a * u + b * v, c * u + d * v) for u, v in ((r2, r6), (-r2, r6), (0.0, -2.0 * r6))]
+    return SquaredSides(*(p * p + q * q for p, q in e))
 
 
 def shape_to_disk(m) -> DiskPoint:
-    """Disk point from the Gram matrix: r cos phi = (G11 - G22)/2, r sin phi = G12."""
-    m = _check_unit_matrix(m)
-    gram = m.T @ m
-    x = (gram[0, 0] - gram[1, 1]) / 2.0
-    y = gram[0, 1]
+    """Disk point from the Gram matrix: r cos phi = (G11 - G22)/2, r sin phi = G12,
+    with G12 summed from +0.0, so that a zero is never -0.0."""
+    (a, b), (c, d) = _unit_matrix(m)
+    x = ((a * a + c * c) - (b * b + d * d)) / 2.0
+    y = 0.0 + a * b + c * d
     r = math.hypot(x, y)
     phi = math.atan2(y, x) if r > 0.0 else 0.0
     return DiskPoint(min(r, 0.5), _wrap(phi, TWO_PI))
 
 
 def shape_to_hemisphere(m) -> HemispherePoint:
-    x, y, z = shape_to_hemisphere_cartesian(m) * 2.0
-    lat = math.atan2(z, math.hypot(x, y))
+    x, y, z = _hopf(_unit_matrix(m))
+    lat = math.atan2(abs(z), math.hypot(x, y))
     phi = math.atan2(y, x) if math.hypot(x, y) > 0.0 else 0.0
     return HemispherePoint(lat, _wrap(phi, TWO_PI))
 
 
-def sides_to_shape(s: SquaredSides) -> np.ndarray:
+def sides_to_shape(s: SquaredSides):
     """A shape matrix with the given sides (canonical representative, U = I)."""
-    return _follow(("sides", "matrix"), s)
+    return _array(_follow(("sides", "matrix"), s))
 
 
-def hemisphere_to_cartesian(h: HemispherePoint) -> np.ndarray:
+def hemisphere_to_cartesian(h: HemispherePoint):
     """Embed (latitude, longitude) as the 3-vector (1/2)(cos lat cos lon, cos lat sin lon, sin lat)."""
-    return np.array(_embedding(h))
+    return _array(_embedding(h))
 
 
 # ---------------------------------------------------------------------------
 # Hopf map and quaternion equivariance
 
 
-def hopf(m) -> np.ndarray:
+def _hopf(m: tuple) -> tuple:
+    (a, b), (c, d) = m
+    return (a ** 2 + c ** 2) - (b ** 2 + d ** 2), 2.0 * (a * b + c * d), 2.0 * (a * d - c * b)
+
+
+def hopf(m):
     """Hopf map of a unit-norm 2x2 matrix onto the unit sphere.
 
     The third coordinate is 2 det(M), so its sign records the orientation;
     the shape construction folds it positive (see shape_to_hemisphere_cartesian).
     """
-    m = _check_unit_matrix(m)
-    return np.array([
-        (m[0, 0] ** 2 + m[1, 0] ** 2) - (m[0, 1] ** 2 + m[1, 1] ** 2),
-        2.0 * (m[0, 0] * m[0, 1] + m[1, 0] * m[1, 1]),
-        2.0 * (m[0, 0] * m[1, 1] - m[1, 0] * m[0, 1]),
-    ])
+    return _array(_hopf(_unit_matrix(m)))
 
 
-def shape_to_hemisphere_cartesian(m) -> np.ndarray:
+def shape_to_hemisphere_cartesian(m):
     """Cartesian hemisphere point (1/2) Hopf(M) with the height folded positive."""
     v = 0.5 * hopf(m)
     v[2] = abs(v[2])
     return v
 
 
-def q3_from_quaternion(quat: UnitQuaternion) -> np.ndarray:
+def q3_from_quaternion(quat: UnitQuaternion):
     """3x3 rotation about axis (beta, gamma, delta) by angle 2 acos(alpha)."""
     a, b, g, d = quat.alpha, quat.beta, quat.gamma, quat.delta
-    return np.array([
+    return _array([
         [a * a + b * b - g * g - d * d, 2.0 * (a * d + b * g), 2.0 * (b * d - a * g)],
         [-2.0 * (a * d - b * g), a * a - b * b + g * g - d * d, 2.0 * (a * b + g * d)],
         [2.0 * (a * g + b * d), -2.0 * (a * b - g * d), a * a - b * b - g * g + d * d],
     ])
 
 
-def q4_from_quaternion(quat: UnitQuaternion) -> np.ndarray:
+def q4_from_quaternion(quat: UnitQuaternion):
     """4x4 rotation acting on column-flattened 2x2 matrices, paired with q3_from_quaternion."""
     a, b, g, d = quat.alpha, quat.beta, quat.gamma, quat.delta
-    return np.array([
+    return _array([
         [a, -b, d, -g],
         [b, a, g, d],
         [-d, -g, a, b],
@@ -383,7 +404,8 @@ def hopf_equivariance_check(quat: UnitQuaternion, m) -> float:
 
     Q4 acts by flattening M to (M11, M21, M12, M22), rotating, and reshaping.
     """
-    m = _check_unit_matrix(m)
+    import numpy as np
+    m = np.array(_unit_matrix(m))
     q3 = q3_from_quaternion(quat)
     q4 = q4_from_quaternion(quat)
     rotated = (q4 @ m.flatten(order="F")).reshape(2, 2, order="F")
@@ -393,14 +415,14 @@ def hopf_equivariance_check(quat: UnitQuaternion, m) -> float:
 # ---------------------------------------------------------------------------
 # roundtrips
 
-# Each representation kind and its type; a "matrix" is any 2x2 array-like.
-# The order is the order in which roundtrip_all visits the kinds.
+# Each representation kind and its type; a "matrix" is any 2x2 array-like, and
+# has none.  The order is the order in which roundtrip_all visits the kinds.
 REPRESENTATIONS = {
     "svd": SvdShape,
     "sides": SquaredSides,
     "hemisphere": HemispherePoint,
     "disk": DiskPoint,
-    "matrix": np.ndarray,
+    "matrix": None,
 }
 _KIND_OF_TYPE = {cls: kind for kind, cls in REPRESENTATIONS.items() if kind != "matrix"}
 _PACK = {cls: struct.Struct(f"{len(fields(cls))}d").pack for cls in _KIND_OF_TYPE}
@@ -409,15 +431,16 @@ _PACK = {cls: struct.Struct(f"{len(fields(cls))}d").pack for cls in _KIND_OF_TYP
 # roundtrip_all memoises each primitive, not each route.
 _ROUTES = {
     ("svd", "sides"): (svd_to_sides,), ("svd", "hemisphere"): (svd_to_hemisphere,),
-    ("svd", "disk"): (svd_to_disk,), ("svd", "matrix"): (svd_to_shape,),
+    ("svd", "disk"): (svd_to_disk,), ("svd", "matrix"): (_svd_to_shape,),
     ("sides", "svd"): (sides_to_disk, disk_to_svd), ("sides", "disk"): (sides_to_disk,),
     ("sides", "hemisphere"): (sides_to_disk, disk_to_hemisphere),
-    ("sides", "matrix"): (sides_to_disk, disk_to_svd, svd_to_shape),
+    ("sides", "matrix"): (sides_to_disk, disk_to_svd, _svd_to_shape),
     ("hemisphere", "svd"): (hemisphere_to_svd,), ("hemisphere", "disk"): (hemisphere_to_disk,),
     ("hemisphere", "sides"): (hemisphere_to_disk, disk_to_sides),
-    ("hemisphere", "matrix"): (hemisphere_to_svd, svd_to_shape),
+    ("hemisphere", "matrix"): (hemisphere_to_svd, _svd_to_shape),
     ("disk", "svd"): (disk_to_svd,), ("disk", "sides"): (disk_to_sides,),
-    ("disk", "hemisphere"): (disk_to_hemisphere,), ("disk", "matrix"): (disk_to_svd, svd_to_shape),
+    ("disk", "hemisphere"): (disk_to_hemisphere,),
+    ("disk", "matrix"): (disk_to_svd, _svd_to_shape),
     ("matrix", "svd"): (svd2x2,), ("matrix", "sides"): (shape_to_sides,),
     ("matrix", "hemisphere"): (shape_to_hemisphere,), ("matrix", "disk"): (shape_to_disk,),
 }
@@ -435,8 +458,11 @@ def kind_of(x) -> str:
     kind = _KIND_OF_TYPE.get(type(x))
     if kind is not None:
         return kind
-    if np.shape(x) == (2, 2):
-        return "matrix"
+    try:                    # a 2x2 array-like: an ndarray, or nested sequences
+        if getattr(x, "shape", (2, 2)) == (2, 2) and len(x) == 2 and all(len(r) == 2 for r in x):
+            return "matrix"
+    except TypeError:
+        pass
     raise ValueError(f"not a shape representation: {x!r}")
 
 
@@ -447,7 +473,8 @@ def convert(x, target: str):
         raise ValueError(f"unknown representation {target!r}")
     if src == target:
         return x
-    return _follow((src, target), x)
+    out = _follow((src, target), x)
+    return _array(out) if target == "matrix" else out
 
 
 def _embedding(value) -> list:
@@ -498,7 +525,7 @@ class RoundtripReport:
 def _bits(value) -> bytes:
     """The bit pattern of a value's floats, in which -0.0 and 0.0 differ."""
     pack = _PACK.get(type(value))
-    return pack(*vars(value).values()) if pack else np.asarray(value, dtype=float).tobytes()
+    return pack(*vars(value).values()) if pack else struct.pack("4d", *value[0], *value[1])
 
 
 def roundtrip_all(x, include_matrix: bool = True) -> RoundtripReport:
@@ -513,6 +540,7 @@ def roundtrip_all(x, include_matrix: bool = True) -> RoundtripReport:
     each distinct input (its float bits), the _COMPARED_VIA embeddings too.
     """
     start = kind_of(x)
+    x = _unit_matrix(x) if start == "matrix" else x
     others = [k for k in REPRESENTATIONS if k != start and (include_matrix or k != "matrix")]
     via = (_COMPARED_VIA[start],) if start in _COMPARED_VIA else ()
     runs = {}                                # (primitive, input bits) -> output and its bits

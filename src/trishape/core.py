@@ -14,10 +14,9 @@ The bridge between the 2x3 matrices and the 2x2 shape matrix is the
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import INPUT_TOL, DomainError  # noqa: F401 (INPUT_TOL re-exported)
 
 EXACT_TOL = 1e-12   # closed-form linear-algebra identities
-INPUT_TOL = 1e-9    # validation of user-supplied values
 
 SQRT3 = float(np.sqrt(3.0))
 

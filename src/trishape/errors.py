@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the tolerance of input validation, shared across the package."""
+
+INPUT_TOL = 1e-9    # validation of user-supplied values
 
 
 class DomainError(ValueError):

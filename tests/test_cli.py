@@ -71,13 +71,15 @@ def test_convert_usage_errors(capsys):
     ("svd", ["1", "0", "nan"]),
     ("matrix", ["nan", "1", "0", "1"]),
     ("matrix", ["inf", "1", "0", "1"]),
+    ("matrix", ["1e308", "-inf", "0", "1"]),
+    ("matrix", ["0", "0", "0", "0"]),
 ])
 def test_convert_non_finite_input_is_domain_error(rep, values, capsys):
     to = "disk" if rep != "disk" else "svd"
     code, out, err = run_cli(["convert", "--from", rep, "--to", to, *values], capsys)
     assert code == 2
     assert out == ""
-    assert "domain error" in err
+    assert err.startswith("trishape: domain error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("values,code", [
@@ -123,6 +125,20 @@ def test_convert_matrix_input(capsys):
     assert code == 0
     rec = parse_record(out)
     assert abs(float(rec["latitude"]) - math.pi / 2) < 1e-9
+
+
+@pytest.mark.parametrize("values,want", [
+    (["1e200", "0", "0", "1e200"], (1 / math.sqrt(2), 1 / math.sqrt(2))),    # equilateral
+    (["1e-320", "0", "0", "0"], (1.0, 0.0)),                                  # collinear
+])
+def test_convert_matrix_input_is_normalised_without_overflow(values, want, capsys):
+    # the squared norm of either matrix overflows or underflows as a float
+    code, out, err = run_cli(["convert", "--from", "matrix", "--to", "svd", *values], capsys)
+    assert (code, err) == (0, "")
+    rec = parse_record(out)
+    assert float(rec["sigma1"]) == pytest.approx(want[0], abs=1e-15)
+    assert float(rec["sigma2"]) == pytest.approx(want[1], abs=1e-15)
+    assert rec["theta"] == "0"
 
 
 # ---------------------------------------------------------------------------
@@ -635,6 +651,19 @@ def test_plot_data_option_its_kind_ignores_is_usage_error(kind, flag, tmp_path, 
     assert not f.exists() and not svg.exists()
 
 
+def test_plot_disk_scatter_with_an_unwritable_path_leaves_no_file(tmp_path, capsys):
+    f, svg, missing = tmp_path / "out.csv", tmp_path / "x.svg", tmp_path / "no" / "such"
+    code, out, err = run_cli(["plot-data", "disk-scatter", "-n", "10", "-o", str(f),
+                              "--svg", str(missing / "x.svg")], capsys)
+    assert (code, out) == (1, "") and err.startswith("trishape: error:")
+    assert not f.exists()
+    # and the --svg check leaves no file behind when -o is the path that fails
+    code, out, err = run_cli(["plot-data", "disk-scatter", "-n", "10", "-o", str(missing),
+                              "--svg", str(svg)], capsys)
+    assert (code, out) == (1, "") and err.startswith("trishape: error:")
+    assert not svg.exists()
+
+
 def test_plot_disk_scatter_inside_disk(tmp_path, capsys):
     f = tmp_path / "scatter.csv"
     svg = tmp_path / "scatter.svg"
@@ -654,12 +683,12 @@ def test_plot_disk_scatter_inside_disk(tmp_path, capsys):
 def test_plot_disk_scatter_streams_the_svg_block_by_block(tmp_path, capsys, monkeypatch):
     # each block's circles are written before the next block is drawn, so no
     # block is kept; the bytes are pinned by the scatter-* golden cases
-    from trishape import sampling
+    from trishape import _rows, sampling
 
-    events, draw, write = [], sampling.disk_batch, cli._write_lines
+    events, draw, write = [], sampling.disk_batch, _rows._write_lines
     monkeypatch.setattr(sampling, "disk_batch",
                         lambda *a: events.append("draw") or draw(*a))
-    monkeypatch.setattr(cli, "_write_lines", lambda out, line, columns: events.append(
+    monkeypatch.setattr(_rows, "_write_lines", lambda out, line, columns: events.append(
         "svg" if out.name.endswith(".svg") else "csv") or write(out, line, columns))
     f, svg = tmp_path / "scatter.csv", tmp_path / "scatter.svg"
     n = sampling.BLOCK_SIZE + 10

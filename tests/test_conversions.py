@@ -153,6 +153,19 @@ def test_sides_to_disk_examples():
     assert abs(d.phi - np.pi / 3) < 1e-12
 
 
+@pytest.mark.parametrize("a2,b2,c2", [(0.500000000005673, 0.499999999994327, 0.0),
+                                      (0.4 + 3e-9, 0.4 - 3e-9, 0.2), (0.4 + 1e-13, 0.4, 0.2 - 1e-13)])
+def test_sides_to_disk_keeps_a_small_angle_to_full_precision(a2, b2, c2):
+    # y = (sqrt(3)/2)(a2 - b2), where a2 - b2 is exact: a small phi keeps its
+    # digits, of which the product's rounded terms lost up to half
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    a, b, c = map(mpmath.mpf, (a2, b2, c2))
+    phi = mpmath.atan2(mpmath.sqrt(3) / 2 * (a - b), (a + b) / 2 - c)
+    got = conv.sides_to_disk(conv.SquaredSides(a2, b2, c2)).phi
+    assert abs(got - phi) <= 4e-16 * phi
+
+
 def test_disk_sides_roundtrip():
     for _ in range(1000):
         d = conv.DiskPoint(0.5 * np.sqrt(RNG.uniform()), RNG.uniform(0, 2 * np.pi))
@@ -548,6 +561,66 @@ def test_roundtrip_keeps_the_frozen_reports(include_matrix):
         report = conv.roundtrip_all(v, include_matrix)
         got = (report.n_cycles, struct.pack("d", report.max_discrepancy), report.worst_cycle)
         assert got == _frozen_roundtrip(v, include_matrix), v
+
+
+# the public function of each route that has a name of its own
+_NAMED = {
+    ("svd", "sides"): conv.svd_to_sides, ("svd", "hemisphere"): conv.svd_to_hemisphere,
+    ("svd", "disk"): conv.svd_to_disk, ("svd", "matrix"): conv.svd_to_shape,
+    ("sides", "svd"): conv.sides_to_svd, ("sides", "hemisphere"): conv.sides_to_hemisphere,
+    ("sides", "disk"): conv.sides_to_disk, ("sides", "matrix"): conv.sides_to_shape,
+    ("hemisphere", "svd"): conv.hemisphere_to_svd, ("hemisphere", "disk"): conv.hemisphere_to_disk,
+    ("hemisphere", "sides"): conv.hemisphere_to_sides, ("disk", "svd"): conv.disk_to_svd,
+    ("disk", "sides"): conv.disk_to_sides, ("disk", "hemisphere"): conv.disk_to_hemisphere,
+    ("matrix", "svd"): conv.svd2x2, ("matrix", "sides"): conv.shape_to_sides,
+    ("matrix", "hemisphere"): conv.shape_to_hemisphere, ("matrix", "disk"): conv.shape_to_disk,
+}
+
+
+def _as_floats(v):
+    """v as the conversions carry it inside: a matrix as a 2x2 tuple of floats."""
+    return tuple(map(tuple, np.asarray(v, dtype=float).tolist())) if conv.kind_of(v) == "matrix" \
+        else v
+
+
+def test_public_functions_equal_their_float_routes():
+    values = _seeded_values(1000, 4242) + _EDGE_VALUES
+    assert sum(conv.kind_of(v) == "matrix" for v in values) > 1000
+    for v in values:
+        src = conv.kind_of(v)
+        for target in conv.REPRESENTATIONS:
+            if target == src:
+                continue
+            route = conv._follow((src, target), _as_floats(v))
+            public = conv.convert(v, target)
+            if target == "matrix":
+                assert type(route) is tuple and isinstance(public, np.ndarray)
+            else:
+                assert type(route) is type(public)
+            want = _frozen_bits(target, route)
+            assert _frozen_bits(target, public) == want, (v, target)
+            if (src, target) in _NAMED:
+                assert _frozen_bits(target, _NAMED[src, target](v)) == want, (v, target)
+        if src == "matrix":
+            assert conv.hopf(v).tobytes() == np.asarray(conv._hopf(_as_floats(v))).tobytes()
+
+
+def test_a_matrix_is_any_2x2_container():
+    zs = [v for v in _seeded_values(40, 5) if conv.kind_of(v) == "matrix"]
+    for z in zs + [np.array([[0.0, -0.0], [1.0, -0.0]]), np.eye(2) / math.sqrt(2)]:
+        forms = [z, z.tolist(), tuple(map(tuple, z.tolist()))]
+        assert [conv.kind_of(f) for f in forms] == ["matrix"] * 3
+        for target in conv.REPRESENTATIONS:
+            bits = {_frozen_bits(target, conv.convert(f, target)) for f in forms}
+            assert len(bits) == 1, (z, target)
+        reports = {(r.n_cycles, struct.pack("d", r.max_discrepancy), r.worst_cycle)
+                   for r in map(conv.roundtrip_all, forms)}
+        assert len(reports) == 1, z
+    for bad in ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], np.zeros((2, 2, 1)), [1.0, 0.0], "ab", 0.5):
+        with pytest.raises(ValueError, match="not a shape representation"):
+            conv.kind_of(bad)
+    with pytest.raises(DomainError, match="unit Frobenius norm"):
+        conv.convert([[1.0, 0.0], [0.0, 1.0]], "svd")
 
 
 def test_all_pairwise_routes_commute():

@@ -11,6 +11,8 @@ Any change to these bytes must be deliberate and named in CHANGES.md.
 """
 
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -207,7 +209,7 @@ GOLDEN = {
     },
     "convert-matrix-svd": {
         "code": 0,
-        "stdout": "09cb31fd65c992154ea723bd0f43e0e29ad81ca35266237079ae577541611298",
+        "stdout": "31ef5b81169ce6a5a970e108bef2313d30b806114b4528bc39813ed66afb513c",
     },
     "convert-hemisphere-roundtrip": {
         "code": 0,
@@ -215,7 +217,7 @@ GOLDEN = {
     },
     "convert-sides-roundtrip": {
         "code": 0,
-        "stdout": "7942753a1b27a6bd98bbc82e9cbe66f0a41c069fa564ce97e10c28ce9f36b820",
+        "stdout": "30e3e62f678f9d0e64b1b5450ac8061793b647db99a332b4b0076e0f457cf108",
     },
     "convert-disk-roundtrip": {
         "code": 0,
@@ -223,7 +225,7 @@ GOLDEN = {
     },
     "convert-svd-equilateral-roundtrip": {
         "code": 0,
-        "stdout": "eb62c12e9991ec48089174e53fa7de420bc8793edb642a569178e71a559e8a62",
+        "stdout": "b520d8859bf5c4e30fc6bc429a8283e4c0b2c941a80746c9cb02b6e79e244875",
     },
     "convert-matrix-signed-zero-roundtrip": {
         "code": 0,
@@ -281,3 +283,26 @@ def digest_case(case_id, argv, files, workdir, capsys):
 @pytest.mark.parametrize("case_id,argv,files", CASES, ids=[c[0] for c in CASES])
 def test_golden_bytes(case_id, argv, files, workdir, capsys):
     assert digest_case(case_id, argv, files, workdir, capsys) == GOLDEN[case_id]
+
+
+def test_convert_goldens_without_numpy():
+    # prob and convert compute on Python floats: with NumPy made unimportable
+    # they print the golden bytes (and prob what it prints in this process)
+    cases = [(c, argv) for c, argv, _ in CASES if c.startswith("convert-")]
+    code = ("import contextlib, hashlib, io, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from trishape import cli\n"
+            f"for argv in {[argv for _, argv in cases] + [['prob', '3']]!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        rc = cli.main(argv)\n"
+            "    print(rc, hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    got = [line.split() for line in proc.stdout.splitlines()]
+    want = [[str(GOLDEN[c]["code"]), GOLDEN[c]["stdout"]] for c, _ in cases]
+    assert len(cases) == 7 and got[:-1] == want
+    prob = subprocess.run([sys.executable, "-m", "trishape.cli", "prob", "3"],
+                          capture_output=True, timeout=60)
+    assert got[-1] == ["0", _sha(prob.stdout)]

@@ -47,7 +47,7 @@ def ran_after(code: str) -> set:
         f"import sys\n{code}\n"
         "print(*[name for name, m in sys.modules.items() if name.startswith('trishape.')"
         " and type(m).__name__ != '_LazyModule'], *[name for name in"
-        " ('numpy.random', 'concurrent.futures', 'json') if name in sys.modules])").split())
+        " ('numpy', 'numpy.random', 'concurrent.futures', 'json') if name in sys.modules])").split())
 
 
 def test_import_runs_no_submodule():
@@ -87,28 +87,49 @@ def test_benchmark_traced_names_resolve():
 
 
 def _cli(*argv: str) -> str:
-    """Code that runs one command, its stdout discarded, and checks its exit code."""
+    """Code that runs one command, its stdout discarded, and checks its exit code
+    (--help exits through SystemExit(0))."""
     return ("import contextlib, io\nfrom trishape import cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert cli.main({list(argv)!r}) == 0")
+            f"    try:\n        assert cli.main({list(argv)!r}) == 0\n"
+            "    except SystemExit as exc:\n        assert exc.code == 0")
 
 
 def test_one_shot_commands_load_only_what_they_use(tmp_path):
     f = tmp_path / "pre.csv"
     fresh(_cli("sample", "gaussian", "-n", "64", "--emit", "preshapes", "-o", str(f)))
-    base = {"trishape.cli", "trishape.errors", "trishape.conversions", "trishape.core"}
+    base = {"trishape.cli", "trishape.errors", "trishape.conversions"}
     assert ran_after(_cli("convert", "--from", "disk", "--to", "sides", "0.1", "0.2")) == base
     assert ran_after(_cli("test", str(f))) == {"trishape.cli", "trishape.errors", "trishape.core",
-                                               "trishape.uniformity", "trishape.specfun"}
-    assert ran_after(_cli("construct", "0.3", "0.3", "0.4")) == base | {"trishape.geometry"}
+                                               "trishape.uniformity", "trishape.specfun", "numpy"}
+    assert ran_after(_cli("construct", "0.3", "0.3", "0.4")) == base | {
+        "trishape.core", "trishape.geometry", "numpy"}
     assert ran_after(_cli("prob", "3")) == {"trishape.cli", "trishape.errors", "trishape.specfun"}
     # sampling re-exports the exact probabilities without running specfun,
     # and takes its disk and sides kernels from core, not conversions
     drawing = {"trishape.cli", "trishape.errors", "trishape.core", "trishape.sampling",
-               "numpy.random"}
+               "numpy", "numpy.random"}
     assert ran_after(_cli("sample", "angles", "-n", "100", "--summary")) == drawing
-    assert ran_after(_cli("sample", "gaussian", "-n", "100")) == drawing
+    assert ran_after(_cli("sample", "gaussian", "-n", "100")) == drawing | {"trishape._rows"}
     assert "json" in ran_after(_cli("prob", "3", "--format", "json"))
+    assert "numpy" in ran_after(_cli("plot-data", "hemisphere-map", "--grid", "2"))
+
+
+# one convert from each source kind, and --roundtrip and --format json
+_CONVERTS = [
+    ["--from", "svd", "--to", "matrix", "0.8", "0.6", "0.3"],
+    ["--from", "sides", "--to", "hemisphere", "0.17", "0.36", "0.47", "--roundtrip"],
+    ["--from", "hemisphere", "--to", "svd", "0.4", "7.5", "--format", "json"],
+    ["--from", "disk", "--to", "matrix", "0.3", "2.5", "--roundtrip", "--format", "csv"],
+    ["--from", "matrix", "--to", "disk", "0", "-0", "1", "-0", "--roundtrip", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["convert", "--help"], ["prob", "12"],
+                                  *(["convert", *a] for a in _CONVERTS)], ids=" ".join)
+def test_scalar_commands_load_no_numpy(argv):
+    loaded = ran_after(_cli(*argv))
+    assert not loaded & {"numpy", "trishape.core", "trishape._rows"}, loaded
 
 
 @pytest.mark.parametrize("argv", [

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from trishape import cli
+from trishape import _rows, cli
 
 
 def reference_rows(columns):
@@ -31,9 +31,9 @@ def reference_rows(columns):
 def written(columns, line=None):
     out = io.StringIO()
     if line is None:
-        cli._write_rows(out, columns)
+        _rows._write_rows(out, columns)
     else:
-        cli._write_lines(out, line, columns)
+        _rows._write_lines(out, line, columns)
     return out.getvalue()
 
 
@@ -88,21 +88,21 @@ def test_powers_of_ten_and_their_neighbours_match_cpython():
 def kernel_cells(fmt, values):
     """Where the kernel of fmt formats values itself, and not CPython."""
     values = np.asarray(values, dtype=float)
-    slot = np.empty((len(values), 3), cli._WORD)
-    return cli._KERNELS[fmt](values, cli._kernel_tables(), slot)
+    slot = np.empty((len(values), 3), _rows._WORD)
+    return _rows._KERNELS[fmt](values, _rows._kernel_tables(), slot)
 
 
 def test_the_decade_may_miss_by_one_either_way(monkeypatch):
     # floor(log10 x) is exact away from powers of ten; the kernel redoes the
     # cells it misses.  Here it misses a third of them by +1 and a third by -1.
-    decade, rng = cli._decade, np.random.default_rng(5)
+    decade, rng = _rows._decade, np.random.default_rng(5)
     ordinary = rng.uniform(-1e3, 1e3, 10_000)
     exact = kernel_cells("%.17g", ordinary)
 
     def off_by_one(a):
         return decade(a) + rng.integers(-1, 2, len(a))
 
-    monkeypatch.setattr(cli, "_decade", off_by_one)
+    monkeypatch.setattr(_rows, "_decade", off_by_one)
     columns = as_columns(np.concatenate((powers_of_ten(20), bit_patterns(rng, 100_000))))
     assert written(columns) == reference_rows(columns)
     # and it redoes them itself, leaving CPython no more cells than before
@@ -163,8 +163,8 @@ def test_every_cell_through_cpython_when_the_guard_fails(monkeypatch):
     def no_kernel(*args):
         raise AssertionError("a kernel ran")
 
-    monkeypatch.setattr(cli, "_kernel_tables", lambda: None)
-    monkeypatch.setattr(cli, "_KERNELS", dict.fromkeys(cli._KERNELS, no_kernel))
+    monkeypatch.setattr(_rows, "_kernel_tables", lambda: None)
+    monkeypatch.setattr(_rows, "_KERNELS", dict.fromkeys(_rows._KERNELS, no_kernel))
     assert written(columns) == want
     line = "<%.6f>\n"
     assert written(columns[:1], line) == "".join(line % v for v in columns[0].tolist())
@@ -173,7 +173,7 @@ def test_every_cell_through_cpython_when_the_guard_fails(monkeypatch):
 def test_this_host_passes_the_long_double_check():
     if np.finfo(np.longdouble).nmant < 63:
         pytest.skip("long double has no 64-bit mantissa here")
-    tables = cli._kernel_tables()
+    tables = _rows._kernel_tables()
     assert tables is not None
     assert tables.pow10[27] == np.longdouble(10) ** 27 and int(tables.pow10[27]) == 10 ** 27
 
@@ -186,7 +186,7 @@ class Writes(io.StringIO):
         return super().write(text)
 
 
-@pytest.mark.parametrize("rows", [cli._KERNEL_MIN_ROWS, 3 * cli._ROWS_PER_WRITE + 17])
+@pytest.mark.parametrize("rows", [_rows._KERNEL_MIN_ROWS, 3 * _rows._ROWS_PER_WRITE + 17])
 def test_mixed_columns_in_blocks_of_rows(rows):
     # floats, ints and strings; a row count that is not a multiple of the block
     rng = np.random.default_rng(rows)
@@ -194,16 +194,16 @@ def test_mixed_columns_in_blocks_of_rows(rows):
                np.array(["acute", "right", "obtuse"], dtype=object)[rng.integers(0, 3, rows)],
                rng.random(rows) * 10.0 ** rng.integers(-12, 40, rows), rng.random(rows)]
     out = Writes()
-    cli._write_rows(out, columns)
+    _rows._write_rows(out, columns)
     assert out.getvalue() == reference_rows(columns)
-    assert out.calls == -(-rows // cli._ROWS_PER_WRITE)      # one write per block
+    assert out.calls == -(-rows // _rows._ROWS_PER_WRITE)      # one write per block
 
 
 def test_short_tables_take_cpython_and_the_kernel_agrees(monkeypatch):
     rng = np.random.default_rng(3)
     columns = [rng.random(50), rng.integers(0, 9, 50), rng.random(50) * 1e4]
     short = written(columns)
-    monkeypatch.setattr(cli, "_KERNEL_MIN_ROWS", 0)
+    monkeypatch.setattr(_rows, "_KERNEL_MIN_ROWS", 0)
     assert written(columns) == short == reference_rows(columns)
 
 
@@ -217,16 +217,16 @@ def test_bytes_columns_are_written_as_their_text():
 
 def test_import_builds_no_kernel_table():
     code = ("import contextlib, io\n"
-            "import trishape.cli as c\n"
-            "assert c._kernel_tables.cache_info().currsize == 0\n"
+            "import trishape.cli as c, trishape._rows as r\n"
+            "assert r._kernel_tables.cache_info().currsize == 0\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    c.main(['prob', '3'])\n"
             "    c.main(['plot-data', 'radius-histogram', '-n', '100'])\n"
-            "assert c._kernel_tables.cache_info().currsize == 0\n"
+            "assert r._kernel_tables.cache_info().currsize == 0\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    c.main(['sample', 'gaussian', '-n', '500'])\n"
             "    c.main(['plot-data', 'hemisphere-map'])\n"
-            "assert c._kernel_tables.cache_info().misses == 1\n")
+            "assert r._kernel_tables.cache_info().misses == 1\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
