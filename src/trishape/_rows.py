@@ -1,14 +1,15 @@
 """Row formatting: bulk output (``sample``, ``plot-data`` and the SVG scatter)
 goes through NumPy kernels that write the bytes of CPython's correctly rounded
-'%.17g' and '%.6f'.  For a finite x with 1e-11 <= |x| < 1e43 and
-k = floor(log10 |x|), the 17 digits of '%.17g' are N = round(|x| * 10**(16 - k)).
-In a long double with a 64-bit mantissa, 10**j is exact for j <= 27 and every
-half-integer below 2**57 is representable, so the product (a quotient for
-j < 0) rounds once and monotonically: unless it lands on a half-integer, it
-lies strictly between the same two half-integers as the exact product, and
-(y + 2**63) - 2**63 is the correctly rounded N (Steele & White 1990; Adams,
-Ryu, 2018).  Products that land on a half-integer (about 0.4% of cells), zeros,
-inf, NaN and values out of range go to CPython one at a time, as does every
+'%.17g' and '%.6f'.  For a finite x with 1e-4 <= |x| < 1e17, which '%.17g'
+writes without an exponent, and k = floor(log10 |x|), the 17 digits of '%.17g'
+are N = round(|x| * 10**(16 - k)).  In a long double with a 64-bit mantissa,
+10**j is exact for j <= 27 and every half-integer below 2**57 is
+representable, so the product rounds once and monotonically: unless it lands
+on a half-integer, it lies strictly between the same two half-integers as the
+exact product, and (y + 2**63) - 2**63 is the correctly rounded N (Steele &
+White 1990; Adams, Ryu, 2018).  Products that land on a half-integer (about
+0.4% of cells), zeros, inf, NaN and values out of range (at most about 2e-4
+of the cells the commands write) go to CPython one at a time, as does every
 cell on a host whose long double fails the check in _kernel_tables.
 
 A cell is the bytes of its text, in order, in a 24-byte slot with NULs
@@ -77,13 +78,9 @@ def _kernel_tables():
 def _round_scaled(a, j, tables):
     """(y, N): y = a * 10**j rounded once to a long double, N = y rounded to
     an integer.  N = round(a * 10**j) exactly unless y is a half-integer, for
-    |j| <= 27 (j is clipped to that)."""
-    j = np.clip(j, -27, 27)
+    0 <= j <= 27 (j is clipped to that)."""
     y = a.astype(np.longdouble)
-    y *= tables.pow10[np.maximum(j, 0)]
-    down = np.flatnonzero(j < 0)
-    if down.size:
-        y[down] = a[down].astype(np.longdouble) / tables.pow10[-j[down]]
+    y *= tables.pow10[np.clip(j, 0, 27)]
     n = y + tables.big
     n -= tables.big
     return y, n
@@ -154,9 +151,9 @@ def _g17_kernel(v, tables, slot):
     """Write '%.17g' % x into the slot of each x of v that it can; return
     where it did."""
     a = np.abs(v)
-    ok = (a >= 1e-11) & (a < 1e43)
+    ok = (a >= 1e-4) & (a < 1e17)
     a[~ok] = 1.0
-    k = _decade(a)
+    k = np.minimum(_decade(a), 16)                  # as |x| < 1e17: so 16 - k >= 0
     y, n = _round_scaled(a, 16 - k, tables)
     # the decade may miss by one either way, and rounding may carry to 10**17:
     # redo those cells a decade over.  A cell is good if its product is above
@@ -168,26 +165,18 @@ def _g17_kernel(v, tables, slot):
         k[redo] += np.where(up[redo], 1, -1)
         y[redo], n[redo] = _round_scaled(a[redo], 16 - k[redo], tables)
         ok[redo] &= up[redo] | (y[redo] > 10 ** 16)
-    ok &= ~_tie(y, n) & (n >= 10 ** 16) & (n < 10 ** 17) & (k >= -11) & (k <= 42)
+    # '%.17g' writes an exponent outside -4 <= k <= 16: past a carry to 10**17, say
+    ok &= ~_tie(y, n) & (n >= 10 ** 16) & (n < 10 ** 17) & (k >= -4) & (k <= 16)
     del a, y
     n[~ok] = 10 ** 16
     n = n.astype(np.uint64)
     digits, zeros = _digit_words(n, tables)
     del n
-    # fixed notation for -4 <= k <= 16, else d.ddd (the layout of 0) and e+XX
-    sci = (k < -4) | (k > 16)
-    e = np.where(sci, 0, k)
+    e = np.where(ok, k, 0)                          # cells left to CPython: the layout of 0
     row = e + 4 + 21 * (zeros >= 16 - e)            # no digit after the point: no point
     cut = 18 - zeros                                # the trailing zeros start there
     _splice(slot, digits, tables, tables.split[row], tables.shift[row],
             lambda i: tables.extra[i][row], _sign(v), cut)
-    sci = np.flatnonzero(ok & sci)
-    if sci.size:
-        end = np.where(zeros[sci] == 16, 2, 19 - zeros[sci])    # after the mantissa
-        exp = np.abs(k[sci])
-        text = np.stack((np.full(sci.size, ord("e")), np.where(k[sci] < 0, ord("-"), ord("+")),
-                         exp // 10 + ord("0"), exp % 10 + ord("0")), axis=1)
-        slot.view(np.uint8)[sci[:, None], end[:, None] + np.arange(4)] = text
     return ok
 
 

@@ -14,7 +14,6 @@ only in the bodies of the commands that compute with arrays, so ``prob``,
 """
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import math
@@ -81,7 +80,7 @@ class _Parser(argparse.ArgumentParser):
 def _rep_fields(kind: str) -> tuple:
     if kind == "matrix":
         return ("m11", "m12", "m21", "m22")
-    return tuple(f.name for f in dataclasses.fields(conv.REPRESENTATIONS[kind]))
+    return conv.REPRESENTATIONS[kind].__match_args__     # the dataclass's fields, in order
 
 
 def _rep_value(rep: str, values):
@@ -104,20 +103,25 @@ def _rep_record(value) -> dict:
     return {"representation": kind, **dict(zip(fields, values))}
 
 
-def _emit_record(rec: dict, fmt: str, out):
+def _record_text(rec: dict, fmt: str) -> str:
     if fmt == "json":
         import json
 
         # NumPy floats are floats to json; other NumPy scalars and arrays go through tolist
-        out.write(json.dumps(rec, indent=2, default=lambda v: v.tolist()))
-        out.write("\n")
-    elif fmt == "csv":
+        return json.dumps(rec, indent=2, default=lambda v: v.tolist()) + "\n"
+    if fmt == "csv":
         # one header row, one value row; vector cells are space-separated
-        out.write(",".join(rec) + "\n")
-        out.write(",".join(_fmt(v) for v in rec.values()) + "\n")
-    else:
-        for k, v in rec.items():
-            out.write(f"{k} = {_fmt(v)}\n")
+        return ",".join(rec) + "\n" + ",".join(_fmt(v) for v in rec.values()) + "\n"
+    return "".join(f"{k} = {_fmt(v)}\n" for k, v in rec.items())
+
+
+def _writes(text: str, code: int = EXIT_OK):
+    """The writer of a command whose output is built whole: it writes text
+    and returns the exit code."""
+    def write(out):
+        out.write(text)
+        return code
+    return write
 
 
 def _check_size(flag: str, value: int, least: int = 1):
@@ -129,7 +133,7 @@ def _check_size(flag: str, value: int, least: int = 1):
 # convert
 
 
-def _cmd_convert(args, out) -> int:
+def _cmd_convert(args):
     # on floats throughout: a matrix is a 2x2 tuple, and conv.convert's arrays are not made
     value = _rep_value(args.from_rep, args.values)
     route = (args.from_rep, args.to_rep)
@@ -139,15 +143,14 @@ def _cmd_convert(args, out) -> int:
         report = conv.roundtrip_all(value)
         rec["roundtrip_cycles"] = report.n_cycles
         rec["roundtrip_max_discrepancy"] = report.max_discrepancy
-    _emit_record(rec, args.format, out)
-    return EXIT_OK
+    return _writes(_record_text(rec, args.format))
 
 
 # ---------------------------------------------------------------------------
 # sample
 
 
-def _sample_options(args):
+def _cmd_sample(args):
     need = None if args.m is None and args.k is None else "reads_m"
     if sampling.check_model(args.model, need, "--m and --k apply to model").reads_m:
         if args.m is None:
@@ -165,9 +168,10 @@ def _sample_options(args):
         raise ValueError("per-sample rows need triangles (k = 3); "
                          "use --emit preshapes for general k")
     sampling.iter_blocks(args.n, (args.seed, args.stream))  # raises on a bad -n, seed, stream
+    return functools.partial(_sample_rows, args)
 
 
-def _cmd_sample(args, out) -> int:
+def _sample_rows(args, out) -> int:
     import numpy as np
     model, row = args.model, sampling.MODELS[args.model]
     m = args.m if args.m is not None else 2
@@ -181,7 +185,7 @@ def _cmd_sample(args, out) -> int:
             rec["m"] = m
         rec.update((key, fr[key]) for name in sampling.CLASS_NAMES
                    for key in (name, f"{name}_stderr"))
-        _emit_record(rec, args.format, out)
+        out.write(_record_text(rec, args.format))
         return EXIT_OK
 
     if args.emit == "preshapes":
@@ -209,11 +213,10 @@ def _cmd_sample(args, out) -> int:
 # prob / construct
 
 
-def _cmd_prob(args, out) -> int:
+def _cmd_prob(args):
     obtuse = specfun.obtuse_probability_ndim(args.n)
-    _emit_record({"n": args.n, "obtuse": obtuse, "acute": 1.0 - obtuse},
-                 args.format, out)
-    return EXIT_OK
+    return _writes(_record_text({"n": args.n, "obtuse": obtuse, "acute": 1.0 - obtuse},
+                                args.format))
 
 
 def _triangle_ratio_residual(tri, ref: list) -> float:
@@ -226,7 +229,7 @@ def _triangle_ratio_residual(tri, ref: list) -> float:
     return max(abs(v / r / scale - 1.0) for v, r in zip(lengths, ref) if r > 0)
 
 
-def _cmd_construct(args, out) -> int:
+def _cmd_construct(args):
     sides = conv.SquaredSides(args.a2, args.b2, args.c2)
     result = geometry.construct_in_hemisphere(sides)
     rec = {
@@ -243,8 +246,7 @@ def _cmd_construct(args, out) -> int:
         for j in range(3):
             rec[f"triangle_{i}_vertex_{j + 1}"] = tri[j]
         rec[f"triangle_{i}_ratio_residual"] = _triangle_ratio_residual(tri, ref)
-    _emit_record(rec, args.format, out)
-    return EXIT_OK
+    return _writes(_record_text(rec, args.format))
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +275,19 @@ def _read_preshape_file(path):
             raise ValueError(f"cannot parse sample file {path!r}: {exc}") from exc
 
 
-def _cmd_test(args, out) -> int:
+def _cmd_test(args):
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     reports = uniformity.uniformity_suite(_read_preshape_file(args.file), args.which).reports
     if args.format == "json":
-        _emit_record({"alpha": args.alpha, "tests": [vars(r) for r in reports]},
-                     "json", out)
+        text = _record_text({"alpha": args.alpha, "tests": [vars(r) for r in reports]}, "json")
     else:
-        for r in reports:
-            verdict = "REJECT" if r.rejected(args.alpha) else "pass"
-            out.write(f"{r.name}: statistic = {_fmt(r.statistic)}  "
-                      f"reference = {r.reference}  p = {_fmt(r.p_value)}  "
-                      f"t = {r.n_samples}  [{verdict} at alpha={args.alpha:g}]\n")
-    return EXIT_REJECTED if any(r.rejected(args.alpha) for r in reports) else EXIT_OK
+        text = "".join(f"{r.name}: statistic = {_fmt(r.statistic)}  "
+                       f"reference = {r.reference}  p = {_fmt(r.p_value)}  t = {r.n_samples}  "
+                       f"[{'REJECT' if r.rejected(args.alpha) else 'pass'} at "
+                       f"alpha={args.alpha:g}]\n" for r in reports)
+    return _writes(text, EXIT_REJECTED if any(r.rejected(args.alpha) for r in reports)
+                   else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +363,7 @@ def _plot_hemisphere_map(args, out):
 
 # Each plot-data kind: its writer, the kernel its model needs (None: it draws
 # nothing, else it reads -n, --model and the draw options) and its own options.
-# The parser leaves options None; _plot_options rejects one given to a kind that
+# The parser leaves options None; _cmd_plot_data rejects one given to a kind that
 # does not read it, before -o creates a file, fills in the defaults of the rest
 # and checks the sizes, -n, --seed, --stream and the model among them.
 _DRAW_DEFAULTS = {"seed": 0, "stream": 0, "workers": 1}
@@ -376,8 +377,8 @@ _PLOTS = {
 }
 
 
-def _plot_options(args):
-    _, need, reads = _PLOTS[args.kind]
+def _cmd_plot_data(args):
+    plot, need, reads = _PLOTS[args.kind]
     reads = (*reads, "n", "model", *_DRAW_DEFAULTS) if need else reads
     for name, default in _PLOT_DEFAULTS.items():
         flag = "-n" if name == "n" else "--" + name.replace("_", "-")
@@ -395,11 +396,7 @@ def _plot_options(args):
         open(args.svg, "a").close()
         if not existed:
             os.remove(args.svg)
-
-
-def _cmd_plot_data(args, out) -> int:
-    _PLOTS[args.kind][0](args, out)
-    return EXIT_OK
+    return lambda out: plot(args, out) or EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +447,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--summary", action="store_true",
                    help="print class fractions instead of per-sample rows")
     p.add_argument("--emit", choices=("rows", "preshapes"), default="rows")
-    p.set_defaults(func=_cmd_sample, check=_sample_options)
+    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("prob", parents=[_RECORD],
                        help="analytic obtuse/acute probabilities in dimension n")
@@ -470,7 +467,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--which", choices=(*_SUITE_TESTS, "all"), default="all")
     p.set_defaults(func=_cmd_test)
 
-    # defaults in _PLOT_DEFAULTS, filled in by _plot_options for the kinds that read them
+    # defaults in _PLOT_DEFAULTS, filled in by _cmd_plot_data for the kinds that read them
     p = sub.add_parser("plot-data", parents=[_OUTPUT, _draws(dict.fromkeys(_DRAW_DEFAULTS))],
                        help="emit figure data as CSV")
     p.add_argument("kind", choices=tuple(_PLOTS))
@@ -480,7 +477,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--grid", type=int, help="hemisphere-map latitude grid")
     p.add_argument("--model", choices=_MODELS)
     p.add_argument("--svg", help="also write a minimal SVG scatter")
-    p.set_defaults(func=_cmd_plot_data, check=_plot_options)
+    p.set_defaults(func=_cmd_plot_data)
 
     return parser
 
@@ -489,11 +486,12 @@ def main(argv=None) -> int:
     out = None
     try:
         args = _build_parser().parse_args(argv)
-        if hasattr(args, "check"):
-            args.check(args)              # before -o creates a file
+        # each command checks its inputs, and builds what it prints whole,
+        # before -o creates a file; it returns the writer of its output
+        write = args.func(args)
         if args.output not in (None, "-"):
             out = open(args.output, "w", newline="\n")
-        return args.func(args, out or sys.stdout)
+        return write(out or sys.stdout)
     except DomainError as exc:
         print(f"trishape: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN

@@ -34,20 +34,13 @@ SQRT3 = math.sqrt(3.0)
 DEGENERATE_SVD_TOL = 1e-9
 
 
-def __getattr__(name):      # core's names, re-exported here without importing NumPy
-    if name in ("DISK_FROM_SIDES", "HELMERT3", "_shapes_to_xy", "_sides_from_xy"):
-        from . import core
-        return getattr(core, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _array(x):             # NumPy is imported on first use
     import numpy as np
     return np.array(x)
 
 
 def _clamp(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
+    return lo if x < lo else hi if x > hi else x + 0.0      # + 0.0: never -0.0
 
 
 def _wrap(angle: float, period: float) -> float:
@@ -97,7 +90,7 @@ class SquaredSides:
             raise NotATriangleError(
                 f"triangle inequality fails: a^4 + b^4 + c^4 = {quartic} > 1/2"
             )
-        self.a2, self.b2, self.c2 = (max(v, 0.0) for v in vals)
+        self.a2, self.b2, self.c2 = (max(v, 0.0) + 0.0 for v in vals)     # never -0.0
 
     def as_array(self):
         return _array([self.a2, self.b2, self.c2])
@@ -271,11 +264,17 @@ def disk_to_sides(d: DiskPoint) -> SquaredSides:
     return _sides_at(2.0 * d.r, d.phi)
 
 
+def _plane(u1: float, u2: float, u3: float) -> tuple:
+    """core.DISK_FROM_SIDES @ (u1, u2, u3) on floats: the Cartesian point of
+    barycentric weights u on the triangle of its columns.  Its y, (sqrt(3)/2)
+    (u1 - u2), keeps full relative precision where u1 ~ u2 and is 0.0 where
+    they are equal; its x is summed from +0.0, so neither is ever -0.0."""
+    return 0.0 + 0.5 * u1 + 0.5 * u2 - u3, SQRT3 / 2.0 * (u1 - u2)
+
+
 def sides_to_disk(s: SquaredSides) -> DiskPoint:
-    """Polar coordinates of DISK_FROM_SIDES @ (a2, b2, c2); inverse of disk_to_sides.
-    y = (sqrt(3)/2)(a2 - b2) keeps full relative precision where a2 ~ b2."""
-    x = 0.0 + 0.5 * s.a2 + 0.5 * s.b2 - s.c2
-    y = SQRT3 / 2.0 * (s.a2 - s.b2)
+    """Polar coordinates of _plane(a2, b2, c2); inverse of disk_to_sides."""
+    x, y = _plane(s.a2, s.b2, s.c2)
     r = math.hypot(x, y)
     if r > 0.5 + INPUT_TOL:
         raise NotATriangleError(f"squared sides map outside the disk (r = {r})")
@@ -294,11 +293,6 @@ def svd_to_sides(s: SvdShape) -> SquaredSides:
 
 def svd_to_disk(s: SvdShape) -> DiskPoint:
     return DiskPoint((s.sigma1**2 - s.sigma2**2) / 2.0, _wrap(2.0 * s.theta, TWO_PI))
-
-
-def disk_radius_via_area(s: SvdShape) -> float:
-    """Alternative radius sqrt(1/4 - (sigma1 sigma2)^2); agrees with svd_to_disk."""
-    return math.sqrt(max(0.25 - (s.sigma1 * s.sigma2) ** 2, 0.0))
 
 
 def disk_to_svd(d: DiskPoint) -> SvdShape:

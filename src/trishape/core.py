@@ -14,9 +14,7 @@ The bridge between the 2x3 matrices and the 2x2 shape matrix is the
 
 import numpy as np
 
-from .errors import INPUT_TOL, DomainError  # noqa: F401 (INPUT_TOL re-exported)
-
-EXACT_TOL = 1e-12   # closed-form linear-algebra identities
+from .errors import INPUT_TOL, DomainError
 
 SQRT3 = float(np.sqrt(3.0))
 

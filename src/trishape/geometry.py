@@ -3,7 +3,10 @@
 Covers the angle/area formulas tied to the normalized squared sides, the
 fixed-area special-triangle families, the big/little barycentric frames
 with their parallelians, and the construction that realizes a triangle of
-the correct proportions inside the hemisphere itself.
+the correct proportions inside the hemisphere itself.  The construction is
+closed forms on floats: the foot and the parallelian endpoints are the
+disk points of their barycentric weights (conversions._plane), and the apex
+height is sqrt(12) times the area, so no BLAS kernel decides a bit of it.
 """
 
 import math
@@ -11,22 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversions import DiskPoint, SquaredSides, disk_to_sides, sides_to_disk
-from .core import INPUT_TOL
-from .errors import DomainError, NotATriangleError
+from .conversions import DiskPoint, SquaredSides, _plane, disk_to_sides
+from .core import DISK_FROM_SIDES
+from .errors import INPUT_TOL, DomainError, NotATriangleError
 
-OMEGA = math.sqrt(3.0)            # scale tying parallelian lengths to side products
 EQUILATERAL_AREA = 1.0 / math.sqrt(48.0)   # largest area at unit squared-side sum
 DEGENERATE_TOL = 1e-12
 _SIDE_OFFSETS = np.array([2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0, 0.0])   # of disk_to_sides
 
-# Vertices of the big equilateral triangle (columns, norm 1) and of the
-# inverted little triangle of its edge midpoints (norm 1/2).  The little
-# triangle is inscribed in the radius-1/2 disk and has a horizontal base.
-BARY_BIG = np.array([
-    [math.sqrt(3.0) / 2.0, -math.sqrt(3.0) / 2.0, 0.0],
-    [0.5, 0.5, -1.0],
-])
+# Vertices of the big equilateral triangle (columns, norm 1): the disk frame
+# with its axes swapped, so BARY_BIG @ u is _plane(*u) reversed.  The inverted
+# little triangle of its edge midpoints (norm 1/2) is inscribed in the
+# radius-1/2 disk and has a horizontal base.
+BARY_BIG = DISK_FROM_SIDES[::-1].copy()
 BARY_LITTLE = -0.5 * BARY_BIG
 
 
@@ -93,8 +93,8 @@ class ConstructionResult:
 
 def area(s) -> float:
     """Area K = (1/4) sqrt(1 - 2 (a^4 + b^4 + c^4)) of normalized squared sides."""
-    arr = _sides3(s)
-    radicand = 1.0 - 2.0 * float(arr @ arr)
+    a2, b2, c2 = _sides3(s)
+    radicand = 1.0 - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
     if radicand < -1e-12:
         raise NotATriangleError(f"negative area radicand {radicand}")
     return math.sqrt(max(radicand, 0.0)) / 4.0
@@ -111,7 +111,7 @@ def area_general(a: float, b: float, c: float) -> float:
     return math.sqrt(max(prod, 0.0)) / 4.0
 
 
-def angles_from_sides(s, K: float | None = None) -> TriangleAngles:
+def angles_from_sides(s) -> TriangleAngles:
     """Angles via the two-argument arctangent of (4K, 1 - 2 a^2) and cyclic.
 
     Obtuse angles land in (pi/2, pi) because the denominator goes negative
@@ -119,8 +119,7 @@ def angles_from_sides(s, K: float | None = None) -> TriangleAngles:
     (0, 0, pi) pattern, or a right angle where a squared side is exactly 1/2.
     """
     arr = _sides3(s)
-    if K is None:
-        K = area(arr)
+    K = area(arr)
     out = []
     for v in arr:
         num, den = 4.0 * K, 1.0 - 2.0 * v
@@ -201,7 +200,8 @@ def parallelian_endpoints(s) -> list:
 
     Segment i is parallel to side i of the little triangle, has total length
     sqrt(3) * (squared side i), and is split by P into pieces of length
-    omega (1/2 - s_j) for the other two squared sides s_j.
+    sqrt(3) (1/2 - s_j) for the other two squared sides s_j.  The Cartesian
+    endpoints are closed forms on floats: _plane(*u) reversed, as for BARY_BIG.
     """
     a2, b2, c2 = _sides3(s)
     table = [
@@ -214,38 +214,33 @@ def parallelian_endpoints(s) -> list:
     ]
     out = []
     for i, (big_u, big_v, lit_u, lit_v) in enumerate(table, start=1):
-        cart = (BARY_BIG @ np.asarray(big_u), BARY_BIG @ np.asarray(big_v))
         out.append(Parallelian(i, (np.asarray(big_u), np.asarray(big_v)),
-                               (np.asarray(lit_u), np.asarray(lit_v)), cart))
+                               (np.asarray(lit_u), np.asarray(lit_v)),
+                               tuple(np.array(_plane(*u)[::-1]) for u in (big_u, big_v))))
     return out
 
 
 def construct_in_hemisphere(s) -> ConstructionResult:
     """Stand the triangle up inside the hemisphere.
 
-    P, X, Y come from one matrix product with the big frame; the apex S is P
-    lifted to the sphere.  Triangle S-X-Y has sides omega*b*c, omega*a*c,
-    omega*c^2, i.e. proportions a : b : c, and the other two parallelians
-    carry the two rotated copies (the three similar triangles).
+    The foot P is the point of the big frame at barycentric weights
+    (a2, b2, c2), which is the shape's disk point with its axes swapped, and
+    the apex S is P lifted to the sphere: 1/4 - |P|^2 = 12 K^2, so its height
+    is sqrt(12) K, exactly 0 where the area is.  Over the third parallelian,
+    with endpoints X and Y, triangle S-X-Y has sides sqrt(3) b c,
+    sqrt(3) a c and sqrt(3) c^2, i.e. proportions a : b : c, and the other
+    two parallelians carry the two rotated copies (the three similar
+    triangles).  All of it is closed forms on floats.
     """
     arr = _sides3(s)
-    a2, b2, c2 = arr
-    cols = np.array([
-        [a2, 0.5, 0.5 - c2],
-        [b2, 0.5 - c2, 0.5],
-        [c2, c2, c2],
-    ])
-    pxy = BARY_BIG @ cols
-    p2 = pxy[:, 0]
-    apex = np.array([p2[0], p2[1], math.sqrt(max(0.25 - float(p2 @ p2), 0.0))])
-    foot = np.array([p2[0], p2[1], 0.0])
+    K = area(arr)
+    py, px = _plane(*arr)                       # the big-frame point of (a2, b2, c2)
+    apex = np.array([px, py, math.sqrt(12.0) * K])
     paras = parallelian_endpoints(arr)
-    triangles = []
-    for para in paras:
-        u, v = para.cartesian_endpoints
-        triangles.append(np.array([apex, [u[0], u[1], 0.0], [v[0], v[1], 0.0]]))
-    degenerate = area(arr) <= DEGENERATE_TOL
-    return ConstructionResult(apex, foot, paras, triangles, degenerate)
+    triangles = [np.array([apex, [*u, 0.0], [*v, 0.0]])
+                 for u, v in (para.cartesian_endpoints for para in paras)]
+    return ConstructionResult(apex, np.array([px, py, 0.0]), paras, triangles,
+                              K <= DEGENERATE_TOL)
 
 
 def three_similar_triangles(s) -> list:

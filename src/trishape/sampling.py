@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import specfun       # lazy: the exact probabilities, re-exported by __getattr__
-from .core import (DISK_FROM_SIDES, INPUT_TOL, SQRT3, _column_sum, _shapes_to_xy,
-                   _sides_from_xy)
-from .errors import DomainError
+from .core import SQRT3, _column_sum, _shapes_to_xy, _sides_from_xy
+from .errors import INPUT_TOL, DomainError
 
 BLOCK_SIZE = 1 << 16
 CHUNK_ROWS = 1 << 12      # rows a count kernel classifies at a time
@@ -37,13 +35,6 @@ BROKEN_STICK_FRACTION = math.pi / math.sqrt(27.0)
 ANGLE_DENSITY_NORM = 3.0 * SQRT3 * math.pi
 
 CLASS_NAMES = ("acute", "right", "obtuse")
-
-
-def __getattr__(name):
-    if name not in ("acute_probability_ndim", "obtuse_probability_ndim",
-                    "squared_side_marginal_cdf"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(specfun, name)
 
 
 @dataclass(frozen=True)
@@ -87,7 +78,7 @@ class SimplexAngles:
             raise DomainError(f"simplex angles must be nonnegative, got {vals}")
         if not abs(sum(vals) - 1.0) <= INPUT_TOL:
             raise DomainError(f"simplex angles must sum to 1, got {sum(vals)}")
-        self.alpha, self.beta, self.gamma = (max(v, 0.0) for v in vals)
+        self.alpha, self.beta, self.gamma = (max(v, 0.0) + 0.0 for v in vals)    # never -0.0
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.gamma])
@@ -501,29 +492,27 @@ def angle_bin_index(alpha: float, beta: float, bins_per_side: int = 10) -> tuple
     return (int(i[0]), int(j[0]), "up" if up[0] else "down")
 
 
-def _angle_cap(k: int, n: int, side: int):
-    """(m, d) with {A >= pi k/n} = {m . p >= d} on the upper unit shape sphere
-    p = 2 (x, y, z), A the angle opposite side `side`.  On the hemisphere
-    z = (sqrt(3)/2) tan A (1 - 2 s_A), so every level set of A is a plane
-    section; k = 0 gives the whole hemisphere."""
-    s, c = math.sin(math.pi * k / n), math.cos(math.pi * k / n)
-    norm = math.sqrt(3.0 + s * s)
-    ux, uy = DISK_FROM_SIDES[:, side]
-    return np.array([2.0 * s * ux, 2.0 * s * uy, SQRT3 * c]) / norm, s / norm
-
-
 def _angle_pair_tail(p: int, q: int, n: int) -> float:
     """P(alpha >= p/n, beta >= q/n): the area over 2 pi of the lens cut by the
     two caps, whose vertices are the angle point and the collision of the
     vertices A and B.  By Gauss-Bonnet the area is 2 (pi - phi - d1 psi1 -
     d2 psi2): pi - phi is the interior angle at both vertices, and d_i psi_i
-    the geodesic curvature of circle i along its half-arc in the other cap."""
+    the geodesic curvature of circle i along its half-arc in the other cap.
+
+    On the hemisphere z = (sqrt(3)/2) tan A (1 - 2 a^2), so {A >= t} is the
+    cap {m . x >= d} of the upper unit sphere x = 2 (x, y, z), with normal
+    m = (2 sin t u_A, sqrt(3) cos t) / N, u_A the disk direction of a^2, and
+    d = sin t / N, N = sqrt(3 + sin^2 t); t = 0 gives the whole hemisphere.
+    As u_A . u_B = -1/2, the normals meet at (3 cos1 cos2 - 2 sin1 sin2)/(N1 N2)."""
     if p + q >= n:
         return 0.0
     if p == q == 0:
         return 1.0
-    (m1, d1), (m2, d2) = _angle_cap(p, n, 0), _angle_cap(q, n, 1)
-    c = float(m1 @ m2)
+    (sin1, cos1), (sin2, cos2) = ((math.sin(math.pi * k / n), math.cos(math.pi * k / n))
+                                  for k in (p, q))
+    n1, n2 = math.sqrt(3.0 + sin1 * sin1), math.sqrt(3.0 + sin2 * sin2)
+    d1, d2 = sin1 / n1, sin2 / n2
+    c = (3.0 * cos1 * cos2 - 2.0 * sin1 * sin2) / (n1 * n2)
     s1, s2, st = math.sqrt(1.0 - d1 * d1), math.sqrt(1.0 - d2 * d2), math.sqrt(1.0 - c * c)
     acos = lambda v: math.acos(min(max(v, -1.0), 1.0))
     phi = acos((c - d1 * d2) / (s1 * s2))

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import integrate
 
 from trishape import conversions as conv
-from trishape import core, geometry
+from trishape import core, geometry, specfun
 from trishape import sampling as samp
 from trishape import uniformity as uni
 
@@ -31,7 +31,7 @@ def report(number, ok, detail):
 def test_criterion_01_roundtrip_completeness():
     n = 10_000
     m = samp.gaussian_shapes(samp.RngSeed(101).generator(), n)
-    sides = conv._sides_from_xy(*conv._shapes_to_xy(m))
+    sides = core._sides_from_xy(*core._shapes_to_xy(m))
     t0 = time.perf_counter()
     worst = 0.0
     for row in sides:
@@ -71,10 +71,10 @@ def test_criterion_03_acute_fraction():
 def test_criterion_04_hemisphere_uniformity():
     n = 100_000
     m = samp.gaussian_shapes(samp.RngSeed(104).generator(), n)
-    x, y = conv._shapes_to_xy(m)
+    x, y = core._shapes_to_xy(m)
     height = np.sqrt(np.maximum(0.25 - (x * x + y * y), 0.0))
     lon = np.mod(np.arctan2(y, x), 2.0 * math.pi)
-    s2 = conv._sides_from_xy(x, y)
+    s2 = core._sides_from_xy(x, y)
     area = np.sqrt(np.maximum(1.0 - 2.0 * (s2**2).sum(axis=1), 0.0)) / 4.0
     pvals = {
         "height": uni.ks_test(2.0 * height, lambda v: v).p_value,
@@ -105,8 +105,8 @@ def test_criterion_05_radius_shadow():
 
 
 def test_criterion_06_ndim_obtuse_probability():
-    exact2 = samp.obtuse_probability_ndim(2)
-    vals = {n: samp.obtuse_probability_ndim(n) for n in (12, 26, 40)}
+    exact2 = specfun.obtuse_probability_ndim(2)
+    vals = {n: specfun.obtuse_probability_ndim(n) for n in (12, 26, 40)}
     analytic_ok = (abs(exact2 - 0.75) < 1e-12
                    and round(vals[12], 2) == 0.10
                    and round(vals[26], 2) == 0.01
@@ -115,7 +115,7 @@ def test_criterion_06_ndim_obtuse_probability():
     mc_detail = []
     for n in (3, 12):
         est = samp.obtuse_fraction_ndim_mc(n, 1_000_000, seed=106 + n)
-        diff = abs(est.estimate - samp.obtuse_probability_ndim(n))
+        diff = abs(est.estimate - specfun.obtuse_probability_ndim(n))
         mc_ok = mc_ok and diff <= 3.0 * est.stderr
         mc_detail.append(f"n={n}: |mc-analytic|={diff:.2e} <= 3se={3 * est.stderr:.2e}")
     report(6, analytic_ok and mc_ok,

@@ -251,6 +251,32 @@ def test_construct_not_a_triangle(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,field", [
+    (["convert", "--from", "hemisphere", "--to", "svd", "-0", "1"], "sigma2"),
+    (["convert", "--from", "sides", "--to", "sides", "-0", "0.5", "0.5"], "a2"),
+    (["construct", "0.5", "-0", "0.5"], "b2"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_no_negative_zero_in_a_record(argv, field, capsys):
+    code, out, _ = run_cli(argv, capsys)
+    rec = parse_record(out)
+    assert code == 0 and rec[field] == "0"
+    assert "-0" not in (v for value in rec.values() for v in value.split())
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["test", "missing.csv"], 1),
+    (["construct", "0.3", "0.3", "0.5"], 2),
+    (["convert", "--from", "sides", "--to", "disk", "0.9", "0.05", "0.05"], 2),
+    (["prob", "1"], 1),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_a_failing_command_leaves_output_as_it_was(argv, code, tmp_path, capsys):
+    f = tmp_path / "out.txt"
+    argv = [str(tmp_path / a) if a == "missing.csv" else a for a in argv] + ["-o", str(f)]
+    assert run_cli(argv, capsys)[0] == code and not f.exists()
+    f.write_bytes(b"kept\n")
+    assert run_cli(argv, capsys)[0] == code and f.read_bytes() == b"kept\n"
+
+
 def _numpy_ratio_residual(tri, sides):
     """The ratio residual as NumPy arrays give it: norms, sorts and masks."""
     lengths = np.sort([np.linalg.norm(tri[i] - tri[j]) for i, j in ((0, 1), (0, 2), (1, 2))])

@@ -190,7 +190,9 @@ def test_svd_to_sides_closed_form_vs_diag_oracle():
 def test_svd_to_disk_two_formulas_agree():
     for _ in range(500):
         s = conv.svd2x2(random_unit_matrix())
-        assert abs(conv.svd_to_disk(s).r - conv.disk_radius_via_area(s)) < 1e-12
+        # the radius from the area: sqrt(1/4 - (sigma1 sigma2)^2)
+        r = math.sqrt(max(0.25 - (s.sigma1 * s.sigma2) ** 2, 0.0))
+        assert abs(conv.svd_to_disk(s).r - r) < 1e-12
 
 
 def test_disk_to_sides_quartic_invariant():

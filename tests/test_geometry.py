@@ -372,6 +372,27 @@ def test_degenerate_construction_flagged():
     assert abs(res.apex[2]) < 1e-9
 
 
+def test_isosceles_apex_and_foot_lie_on_the_axis():
+    # a2 = b2: P_x = (sqrt(3)/2)(a2 - b2) is 0.0 itself, not a rounding of it
+    for a2 in np.linspace(1 / 6, 0.5, 201).tolist():
+        res = geo.construct_in_hemisphere((a2, a2, 1.0 - 2.0 * a2))
+        xs = [res.apex[0], res.foot[0], *(tri[0][0] for tri in res.triangles)]
+        assert all(x == 0.0 for x in xs), a2
+
+
+def test_apex_height_is_sqrt12_times_the_area():
+    # so it is 0.0 where the area is, and a triangle flagged degenerate has its
+    # apex within sqrt(12) DEGENERATE_TOL of the rim
+    for s in ((0.5, 0.5, 0.0), (0.5, -0.0, 0.5), (-0.0, 0.5, 0.5), (0.5, 0.5, -0.0)):
+        res = geo.construct_in_hemisphere(s)
+        assert res.degenerate and res.apex[2] == 0.0, s
+    for phi in np.linspace(0.0, 2.0 * math.pi, 360, endpoint=False).tolist():
+        s = conv.disk_to_sides(conv.DiskPoint(0.5, phi))
+        res = geo.construct_in_hemisphere(s)
+        assert res.apex[2] == math.sqrt(12.0) * geo.area(s)
+        assert res.degenerate == (res.apex[2] <= math.sqrt(12.0) * geo.DEGENERATE_TOL)
+
+
 # ---------------------------------------------------------------------------
 # triangle-inequality equivalence
 

@@ -10,9 +10,15 @@ records and the hemisphere map.
 Any change to these bytes must be deliberate and named in CHANGES.md.
 """
 
+import contextlib
 import hashlib
+import io
+import json
+import os
+import platform
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,7 +175,7 @@ GOLDEN = {
     "angle-bins-gaussian": {
         "code": 0,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "out": "4bcacafc4fa64a7805e50c2d6a01e4a3e32bb89cc16c29154ef4e7b3d8e5e2e2",
+        "out": "d5ec80e4e9a4d27b60d97663037ea9d0e1211dd67e81e10f7cfa1fdb71760a7c",
     },
     "test22-all": {
         "code": 0,
@@ -233,11 +239,11 @@ GOLDEN = {
     },
     "construct-isosceles": {
         "code": 0,
-        "stdout": "9785e11551fbe4536cf8dfdebf2a9f6b77ed98630e5a0417b3428d5803a7eaf1",
+        "stdout": "13a360d2e401551d69c86e72f75f1382f072aa94c410036f28c25d447c540f9e",
     },
     "construct-generic": {
         "code": 0,
-        "stdout": "329ae95f2fbccfa3879e7f81b9eaceba5c1a5b88f9b4c1e6052f4698fd6427bf",
+        "stdout": "96301f7d6fec4d912c6a87aaf4859ea614672b5b242b7eff6b3b8dde7d90e01b",
     },
     "hemisphere-map-8": {
         "code": 0,
@@ -251,10 +257,11 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _run(argv, capsys):
-    capsys.readouterr()
-    code = cli.main(argv)
-    return code, capsys.readouterr().out.encode()
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue().encode()
 
 
 @pytest.fixture(scope="module")
@@ -262,18 +269,18 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("golden")
 
 
-def digest_case(case_id, argv, files, workdir, capsys):
+def digest_case(case_id, argv, files, workdir):
     """Run one case in workdir; return {"code", "stdout", <file>: sha256}."""
     for name, make in INPUTS.items():
-        if not (workdir / name).exists():
-            code, _ = _run(make + ["-o", str(workdir / name)], capsys)
+        if name in argv and not (workdir / name).exists():
+            code, _ = _run(make + ["-o", str(workdir / name)])
             assert code == 0, name
     argv = [str(workdir / a) if a in INPUTS else a for a in argv]
     paths = {f: workdir / f"{case_id}.{f}" for f in files}
     flags = {"out": "-o", "svg": "--svg"}
     for f, path in paths.items():
         argv = argv + [flags[f], str(path)]
-    code, stdout = _run(argv, capsys)
+    code, stdout = _run(argv)
     rec = {"code": code, "stdout": _sha(stdout)}
     for f, path in paths.items():
         rec[f] = _sha(path.read_bytes())
@@ -281,8 +288,29 @@ def digest_case(case_id, argv, files, workdir, capsys):
 
 
 @pytest.mark.parametrize("case_id,argv,files", CASES, ids=[c[0] for c in CASES])
-def test_golden_bytes(case_id, argv, files, workdir, capsys):
-    assert digest_case(case_id, argv, files, workdir, capsys) == GOLDEN[case_id]
+def test_golden_bytes(case_id, argv, files, workdir):
+    assert digest_case(case_id, argv, files, workdir) == GOLDEN[case_id]
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OpenBLAS core types are x86-64 kernels")
+def test_blas_free_goldens_under_other_openblas_kernels(tmp_path):
+    # these outputs are closed forms on floats: no OpenBLAS kernel may move a
+    # bit of them.  Each core type runs in a child, whose environment alone it sets
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    ids = [c for c, _, _ in CASES if c.startswith(("convert-", "construct-"))]
+    ids.append("angle-bins-gaussian")
+    code = ("import json, pathlib, sys\n"
+            f"sys.path[:0] = {[str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]!r}\n"
+            "from test_golden import CASES, digest_case\n"
+            f"print(json.dumps({{c: digest_case(c, a, f, pathlib.Path({str(tmp_path)!r}))\n"
+            f"                  for c, a, f in CASES if c in {ids!r}}}))\n")
+    for core in ["Prescott"] + (["Haswell"] if __cpu_features__.get("AVX2") else []):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, "OPENBLAS_CORETYPE": core})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {c: GOLDEN[c] for c in ids}, core
 
 
 def test_convert_goldens_without_numpy():

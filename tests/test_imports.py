@@ -105,8 +105,7 @@ def test_one_shot_commands_load_only_what_they_use(tmp_path):
     assert ran_after(_cli("construct", "0.3", "0.3", "0.4")) == base | {
         "trishape.core", "trishape.geometry", "numpy"}
     assert ran_after(_cli("prob", "3")) == {"trishape.cli", "trishape.errors", "trishape.specfun"}
-    # sampling re-exports the exact probabilities without running specfun,
-    # and takes its disk and sides kernels from core, not conversions
+    # sampling takes its disk and sides kernels from core, not conversions
     drawing = {"trishape.cli", "trishape.errors", "trishape.core", "trishape.sampling",
                "numpy", "numpy.random"}
     assert ran_after(_cli("sample", "angles", "-n", "100", "--summary")) == drawing
@@ -130,6 +129,14 @@ _CONVERTS = [
 def test_scalar_commands_load_no_numpy(argv):
     loaded = ran_after(_cli(*argv))
     assert not loaded & {"numpy", "trishape.core", "trishape._rows"}, loaded
+
+
+def test_prob_loads_no_dataclasses():
+    # cli names a representation's fields without the dataclasses module
+    watch = "import sys\nprint('dataclasses' in sys.modules)"
+    if fresh(watch) != "False\n":
+        pytest.skip("this interpreter loads dataclasses at startup")
+    assert fresh(_cli("prob", "12") + "\n" + watch) == "False\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -69,7 +69,8 @@ EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e-11, -1e-11, 1e4
          math.nextafter(1e43, math.inf), 5e-324, -5e-324, 2.2250738585072014e-308,
          -2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308,
          1e-14, 0.5, 1.0, 10.0, 100.0, 120.0, 1e16, 1e17, 2.0 ** 53, 2.0 ** 53 + 2,
-         123456789012345678.0, 0.1, 0.2, 0.30000000000000004, 1e-5, 1e-4, 9.5, 0.25e-4]
+         123456789012345678.0, 0.1, 0.2, 0.30000000000000004, 1e-5, 1e-4, 9.5, 0.25e-4,
+         math.nextafter(1e-4, 0), math.nextafter(1e17, 0)]
 
 
 def test_a_million_random_bit_patterns_match_cpython():
@@ -133,6 +134,10 @@ def test_edges_signs_and_specials_match_cpython():
     # a 17-digit carry to a power of ten: 1e-14 is the float just below 10**-14;
     # none lies in the kernel's range, so CPython's cell writes it
     assert "%.17g" % 1e-14 == "1e-14" and Fraction(1e-14) < Fraction(1, 10 ** 14)
+    # the kernel writes the cells that '%.17g' writes without an exponent
+    inside = [1e-4, -1e-4, 0.5, 123.25, math.nextafter(1e17, 0)]
+    outside = [math.nextafter(1e-4, 0), -1e-5, 1e17, 2.5e20, 1e-11]
+    assert kernel_cells("%.17g", inside).all() and not kernel_cells("%.17g", outside).any()
 
 
 def test_fixed_six_decimals_match_cpython():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from trishape import conversions as conv
+from trishape import core, specfun
 from trishape import sampling as samp
 from trishape.core import HELMERT3
 from trishape.errors import DomainError
@@ -139,7 +139,7 @@ def test_gaussian_det_ratio_uniform():
 
 def test_gaussian_longitude_uniform():
     m = samp.gaussian_shapes(samp.RngSeed(22).generator(), 100_000)
-    x, y = conv._shapes_to_xy(m)
+    x, y = core._shapes_to_xy(m)
     lon = np.mod(np.arctan2(y, x), 2 * np.pi)
     result = stats.kstest(lon / (2 * np.pi), "uniform")
     assert result.statistic < 0.01
@@ -148,21 +148,21 @@ def test_gaussian_longitude_uniform():
 
 def test_gaussian_squared_sides_uniform_on_two_thirds():
     m = samp.gaussian_shapes(samp.RngSeed(23).generator(), 50_000)
-    s2 = conv._sides_from_xy(*conv._shapes_to_xy(m))
+    s2 = core._sides_from_xy(*core._shapes_to_xy(m))
     for i in range(3):
         assert ks_pvalue(s2[:, i] * 1.5, "uniform") > 0.01
 
 
 def test_gaussian_area_uniform():
     m = samp.gaussian_shapes(samp.RngSeed(24).generator(), 50_000)
-    s2 = conv._sides_from_xy(*conv._shapes_to_xy(m))
+    s2 = core._sides_from_xy(*core._shapes_to_xy(m))
     k = np.sqrt(np.maximum(1.0 - 2.0 * (s2**2).sum(axis=1), 0.0)) / 4.0
     assert ks_pvalue(k * math.sqrt(48.0), "uniform") > 0.01
 
 
 def test_gaussian_height_longitude_independent():
     m = samp.gaussian_shapes(samp.RngSeed(25).generator(), 100_000)
-    x, y = conv._shapes_to_xy(m)
+    x, y = core._shapes_to_xy(m)
     height = np.sqrt(np.maximum(0.25 - (x * x + y * y), 0.0))
     lon = np.mod(np.arctan2(y, x), 2 * np.pi)
     assert distance_correlation(height, lon) < 0.02
@@ -226,27 +226,27 @@ def test_acute_probability_small_run():
 
 
 def test_obtuse_probability_values():
-    assert abs(samp.obtuse_probability_ndim(2) - 0.75) < 1e-12
-    assert round(samp.obtuse_probability_ndim(12), 2) == 0.10
-    assert round(samp.obtuse_probability_ndim(26), 2) == 0.01
-    assert round(samp.obtuse_probability_ndim(40), 3) == 0.001
+    assert abs(specfun.obtuse_probability_ndim(2) - 0.75) < 1e-12
+    assert round(specfun.obtuse_probability_ndim(12), 2) == 0.10
+    assert round(specfun.obtuse_probability_ndim(26), 2) == 0.01
+    assert round(specfun.obtuse_probability_ndim(40), 3) == 0.001
     for n in (2, 3, 7, 12, 26, 40):
         ref = 3.0 * (1.0 - special.betainc(n / 2, n / 2, 0.75))
-        assert abs(samp.obtuse_probability_ndim(n) - ref) < 1e-12
+        assert abs(specfun.obtuse_probability_ndim(n) - ref) < 1e-12
     with pytest.raises(ValueError):
-        samp.obtuse_probability_ndim(1)
+        specfun.obtuse_probability_ndim(1)
 
 
 @pytest.mark.parametrize("n", [3, 12, 50, 200, 2000])
 def test_obtuse_probability_full_relative_precision(n):
     ref = 3.0 * special.betainc(n / 2, n / 2, 0.25)
-    assert samp.obtuse_probability_ndim(n) == pytest.approx(ref, rel=1e-10, abs=0.0)
+    assert specfun.obtuse_probability_ndim(n) == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_ndim_mc_agrees_with_analytic():
     for n in (2, 3, 5, 12):
         est = samp.obtuse_fraction_ndim_mc(n, 100_000, seed=6)
-        assert abs(est.estimate - samp.obtuse_probability_ndim(n)) < 4 * est.stderr
+        assert abs(est.estimate - specfun.obtuse_probability_ndim(n)) < 4 * est.stderr
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 12, 30])
@@ -270,7 +270,7 @@ def test_gaussian_preshape_ellipticity_law(m):
 @pytest.mark.parametrize("m", [3, 5, 12])
 def test_ndim_sides_batch_squared_side_marginal(m):
     s2 = samp.sides_batch("ndim", samp.RngSeed(70 + m).generator(), 20_000, m)
-    cdf = np.vectorize(lambda x: samp.squared_side_marginal_cdf(m, float(x), clamp=True))
+    cdf = np.vectorize(lambda x: specfun.squared_side_marginal_cdf(m, float(x), clamp=True))
     for col in range(3):
         assert ks_pvalue(s2[:, col], cdf) > 0.01
 
@@ -298,19 +298,19 @@ def test_ndim_squared_side_marginal():
     assert ks_pvalue(s2[:, 2], lambda x: special.betainc(1.5, 1.5, np.clip(1.5 * x, 0, 1))) > 0.01
     # same check through the package CDF
     assert ks_pvalue(s2[:, 0],
-                     lambda x: samp.squared_side_marginal_cdf(3, float(np.clip(x, 0, 2 / 3)))
+                     lambda x: specfun.squared_side_marginal_cdf(3, float(np.clip(x, 0, 2 / 3)))
                      if np.isscalar(x) else
-                     np.array([samp.squared_side_marginal_cdf(3, float(v))
+                     np.array([specfun.squared_side_marginal_cdf(3, float(v))
                                for v in np.clip(x, 0, 2 / 3)])) > 0.01
 
 
 def test_squared_side_marginal_cdf_values():
-    assert abs(samp.squared_side_marginal_cdf(2, 0.4) - 0.6) < 1e-12
-    assert samp.squared_side_marginal_cdf(5, 2 / 3) == 1.0
-    assert abs(samp.squared_side_marginal_cdf(4, 1 / 3) - 0.5) < 1e-12
+    assert abs(specfun.squared_side_marginal_cdf(2, 0.4) - 0.6) < 1e-12
+    assert specfun.squared_side_marginal_cdf(5, 2 / 3) == 1.0
+    assert abs(specfun.squared_side_marginal_cdf(4, 1 / 3) - 0.5) < 1e-12
     with pytest.raises(DomainError):
-        samp.squared_side_marginal_cdf(4, 0.7)
-    assert samp.squared_side_marginal_cdf(4, 0.7, clamp=True) == 1.0
+        specfun.squared_side_marginal_cdf(4, 0.7)
+    assert specfun.squared_side_marginal_cdf(4, 0.7, clamp=True) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +421,33 @@ def test_angle_bin_probabilities_match_density_integral(n, label):
         lambda b, a: samp.angle_density((a, b, 1.0 - a - b), normalized=True),
         a0, a0 + h, lo, hi, epsabs=1e-12, epsrel=1e-12)
     assert abs(samp.angle_bin_probabilities(n)[label] - ref) < 1e-8
+
+
+@pytest.mark.parametrize("n", [3, 10, 25])
+def test_angle_pair_tail_against_mpmath(n):
+    # the Gauss-Bonnet lens area at 50 digits, with each cap normal built as a
+    # vector, (2 sin t u, sqrt(3) cos t) / sqrt(3 + sin^2 t) for the disk
+    # direction u of a2 or b2 (a column of core.DISK_FROM_SIDES)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r3 = mpmath.sqrt(3)
+
+        def cap(k, uy):
+            s, c = mpmath.sinpi(mpmath.mpf(k) / n), mpmath.cospi(mpmath.mpf(k) / n)
+            norm = mpmath.sqrt(3 + s * s)
+            return [s / norm, 2 * s * uy / norm, r3 * c / norm], s / norm
+
+        for p in range(n):
+            for q in range(n - p):
+                if p == q == 0:
+                    continue
+                (m1, d1), (m2, d2) = cap(p, r3 / 2), cap(q, -r3 / 2)
+                c = mpmath.fsum(x * y for x, y in zip(m1, m2))
+                s1, s2, st = (mpmath.sqrt(1 - v * v) for v in (d1, d2, c))
+                ref = (mpmath.pi - mpmath.acos((c - d1 * d2) / (s1 * s2))
+                       - d1 * mpmath.acos((d2 - c * d1) / (st * s1))
+                       - d2 * mpmath.acos((d1 - c * d2) / (st * s2))) / mpmath.pi
+                assert abs(samp._angle_pair_tail(p, q, n) - ref) < 1e-15, (p, q)
 
 
 def test_angle_bin_counts_match_index_helper():
