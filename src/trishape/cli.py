@@ -103,7 +103,7 @@ def _rep_record(value) -> dict:
     return {"representation": kind, **dict(zip(fields, values))}
 
 
-def _record_text(rec: dict, fmt: str) -> str:
+def _record_text(rec: dict, fmt: str | None) -> str:
     if fmt == "json":
         import json
 
@@ -156,6 +156,8 @@ def _cmd_sample(args):
         if args.m is None:
             raise ValueError(f"model {args.model!r} requires --m")
         _check_size("--m", args.m)
+    if args.format is not None and not args.summary:
+        raise ValueError("--format applies to --summary alone; sample rows are CSV")
     if args.summary and args.emit == "preshapes":
         raise ValueError("--summary prints class fractions; it cannot --emit preshapes")
     if args.summary and args.k not in (None, 3):
@@ -408,8 +410,9 @@ def _cmd_plot_data(args):
 _OUTPUT = argparse.ArgumentParser(prog="trishape", add_help=False)
 _OUTPUT.add_argument("--output", "-o", default=None, help="output file (default stdout)")
 _RECORD = argparse.ArgumentParser(prog="trishape", add_help=False, parents=[_OUTPUT])
+# no default: None is structured (_record_text), and sample reads --format only with --summary
 _RECORD.add_argument("--format", choices=("structured", "csv", "json"),
-                     default="structured", help="record output format")
+                     help="record output format (default structured)")
 
 
 def _draws(defaults: dict) -> argparse.ArgumentParser:
@@ -492,12 +495,13 @@ def main(argv=None) -> int:
         if args.output not in (None, "-"):
             out = open(args.output, "w", newline="\n")
         return write(out or sys.stdout)
-    except DomainError as exc:
-        print(f"trishape: domain error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ValueError, OSError, ArithmeticError) as exc:
-        print(f"trishape: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ValueError, OSError, ArithmeticError, MemoryError) as exc:
+        domain = isinstance(exc, DomainError)
+        print(f"trishape: {'domain error' if domain else 'error'}: {exc}", file=sys.stderr)
+        if out is not None:     # the writer failed: leave no partial -o file
+            out.close()
+            os.remove(out.name)
+        return EXIT_DOMAIN if domain else EXIT_USAGE
     finally:
         if out is not None:
             out.close()

@@ -49,7 +49,7 @@ def _wrap(angle: float, period: float) -> float:
     a = math.fmod(angle, period)
     if a < 0.0:
         a += period
-    return a if a < period else 0.0
+    return a + 0.0 if a < period else 0.0      # + 0.0: never -0.0
 
 
 @dataclass
@@ -142,7 +142,8 @@ class UnitQuaternion:
     delta: float
 
     def __post_init__(self):
-        n2 = self.alpha**2 + self.beta**2 + self.gamma**2 + self.delta**2
+        a, b, g, d = self.alpha, self.beta, self.gamma, self.delta
+        n2 = a * a + b * b + g * g + d * d
         if not abs(n2 - 1.0) <= INPUT_TOL:
             raise DomainError(f"quaternion must have unit norm, got |q|^2 = {n2}")
 
@@ -288,11 +289,12 @@ def sides_to_disk(s: SquaredSides) -> DiskPoint:
 
 def svd_to_sides(s: SvdShape) -> SquaredSides:
     """Closed-form squared sides (1 - (sigma1^2 - sigma2^2) cos(2 theta + offset))/3."""
-    return _sides_at(s.sigma1**2 - s.sigma2**2, 2.0 * s.theta)
+    return _sides_at(s.sigma1 * s.sigma1 - s.sigma2 * s.sigma2, 2.0 * s.theta)
 
 
 def svd_to_disk(s: SvdShape) -> DiskPoint:
-    return DiskPoint((s.sigma1**2 - s.sigma2**2) / 2.0, _wrap(2.0 * s.theta, TWO_PI))
+    return DiskPoint((s.sigma1 * s.sigma1 - s.sigma2 * s.sigma2) / 2.0,
+                     _wrap(2.0 * s.theta, TWO_PI))
 
 
 def disk_to_svd(d: DiskPoint) -> SvdShape:
@@ -320,11 +322,11 @@ def shape_to_sides(m) -> SquaredSides:
 
 
 def shape_to_disk(m) -> DiskPoint:
-    """Disk point from the Gram matrix: r cos phi = (G11 - G22)/2, r sin phi = G12,
-    with G12 summed from +0.0, so that a zero is never -0.0."""
-    (a, b), (c, d) = _unit_matrix(m)
-    x = ((a * a + c * c) - (b * b + d * d)) / 2.0
-    y = 0.0 + a * b + c * d
+    """Disk point from the Gram matrix: (r cos phi, r sin phi) = ((G11 - G22)/2, G12),
+    half the first two Hopf coordinates (exactly), the second summed from +0.0,
+    so that a zero is never -0.0."""
+    x, y, _ = _hopf(_unit_matrix(m))
+    x, y = x / 2.0, 0.0 + y / 2.0
     r = math.hypot(x, y)
     phi = math.atan2(y, x) if r > 0.0 else 0.0
     return DiskPoint(min(r, 0.5), _wrap(phi, TWO_PI))
@@ -352,8 +354,9 @@ def hemisphere_to_cartesian(h: HemispherePoint):
 
 
 def _hopf(m: tuple) -> tuple:
+    """(G11 - G22, 2 G12, 2 det M) of a 2x2 tuple M, with G = M^T M its Gram matrix."""
     (a, b), (c, d) = m
-    return (a ** 2 + c ** 2) - (b ** 2 + d ** 2), 2.0 * (a * b + c * d), 2.0 * (a * d - c * b)
+    return (a * a + c * c) - (b * b + d * d), 2.0 * (a * b + c * d), 2.0 * (a * d - c * b)
 
 
 def hopf(m):

@@ -118,17 +118,18 @@ def shape_from_edges(e) -> np.ndarray:
 
 def _column_sum(a: np.ndarray) -> np.ndarray:
     """Row sums of a 2-d array, adding its columns left to right: a fixed
-    order, which the Gram kernels' exact results rely on, and for few columns
-    several times faster than a reduction over the short axis."""
+    order, which _gram's exact results rely on, and for few columns several
+    times faster than a reduction over the short axis."""
     return sum((a[:, i] for i in range(1, a.shape[1])), a[:, 0])
 
 
-def _shapes_to_xy(m: np.ndarray):
-    """Disk Cartesian coordinates (r cos phi, r sin phi) of a (n,2,2) batch."""
-    g11 = m[:, 0, 0] ** 2 + m[:, 1, 0] ** 2
-    g22 = m[:, 0, 1] ** 2 + m[:, 1, 1] ** 2
-    g12 = m[:, 0, 0] * m[:, 0, 1] + m[:, 1, 0] * m[:, 1, 1]
-    return (g11 - g22) / 2.0, g12
+def _gram(z: np.ndarray):
+    """Iterator over the upper-triangle entries of the Gram matrices z^T z of an
+    (n, m, q) batch, row by row: (g11, g12, g22) for triangles, whose disk point
+    times g11 + g22 is ((g11 - g22)/2, g12).  Each is the _column_sum of a column
+    product: the bits of einsum "nij,nik->njk" of z with z, several times faster."""
+    q = z.shape[2]
+    return (_column_sum(z[:, :, j] * z[:, :, k]) for j in range(q) for k in range(j, q))
 
 
 def _sides_from_xy(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -30,14 +30,14 @@ BARY_BIG = DISK_FROM_SIDES[::-1].copy()
 BARY_LITTLE = -0.5 * BARY_BIG
 
 
-def _sides3(s) -> np.ndarray:
+def _sides3(s) -> SquaredSides:
+    """s as validated squared sides, which internal calls pass on: one check per call."""
     if isinstance(s, SquaredSides):
-        return s.as_array()
+        return s
     arr = np.asarray(s, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"expected three squared sides, got shape {arr.shape}")
-    SquaredSides(*arr)  # validate
-    return arr
+    return SquaredSides(*arr.tolist())
 
 
 @dataclass
@@ -93,8 +93,8 @@ class ConstructionResult:
 
 def area(s) -> float:
     """Area K = (1/4) sqrt(1 - 2 (a^4 + b^4 + c^4)) of normalized squared sides."""
-    a2, b2, c2 = _sides3(s)
-    radicand = 1.0 - 2.0 * (a2 * a2 + b2 * b2 + c2 * c2)
+    s = _sides3(s)
+    radicand = 1.0 - 2.0 * (s.a2 * s.a2 + s.b2 * s.b2 + s.c2 * s.c2)
     if radicand < -1e-12:
         raise NotATriangleError(f"negative area radicand {radicand}")
     return math.sqrt(max(radicand, 0.0)) / 4.0
@@ -118,10 +118,10 @@ def angles_from_sides(s) -> TriangleAngles:
     while 4K stays nonnegative.  Degenerate triangles give the limiting
     (0, 0, pi) pattern, or a right angle where a squared side is exactly 1/2.
     """
-    arr = _sides3(s)
-    K = area(arr)
+    s = _sides3(s)
+    K = area(s)
     out = []
-    for v in arr:
+    for v in (s.a2, s.b2, s.c2):
         num, den = 4.0 * K, 1.0 - 2.0 * v
         if abs(num) <= DEGENERATE_TOL and abs(den) <= DEGENERATE_TOL:
             out.append(math.pi / 2.0)   # collapsed pair of sides at 1/2
@@ -192,7 +192,7 @@ def barycentric_frames() -> BarycentricFrames:
 
 def little_coords(s) -> np.ndarray:
     """Coordinates (1 - 2a^2, 1 - 2b^2, 1 - 2c^2) on the inverted little triangle."""
-    return 1.0 - 2.0 * _sides3(s)
+    return 1.0 - 2.0 * _sides3(s).as_array()
 
 
 def parallelian_endpoints(s) -> list:
@@ -203,7 +203,8 @@ def parallelian_endpoints(s) -> list:
     sqrt(3) (1/2 - s_j) for the other two squared sides s_j.  The Cartesian
     endpoints are closed forms on floats: _plane(*u) reversed, as for BARY_BIG.
     """
-    a2, b2, c2 = _sides3(s)
+    s = _sides3(s)
+    a2, b2, c2 = s.a2, s.b2, s.c2
     table = [
         ((a2, 0.5, 0.5 - a2), (a2, 0.5 - a2, 0.5),
          (1.0 - 2.0 * a2, 0.0, 2.0 * a2), (1.0 - 2.0 * a2, 2.0 * a2, 0.0)),
@@ -232,11 +233,11 @@ def construct_in_hemisphere(s) -> ConstructionResult:
     two parallelians carry the two rotated copies (the three similar
     triangles).  All of it is closed forms on floats.
     """
-    arr = _sides3(s)
-    K = area(arr)
-    py, px = _plane(*arr)                       # the big-frame point of (a2, b2, c2)
+    s = _sides3(s)
+    K = area(s)
+    py, px = _plane(s.a2, s.b2, s.c2)           # the big-frame point of (a2, b2, c2)
     apex = np.array([px, py, math.sqrt(12.0) * K])
-    paras = parallelian_endpoints(arr)
+    paras = parallelian_endpoints(s)
     triangles = [np.array([apex, [*u, 0.0], [*v, 0.0]])
                  for u, v in (para.cartesian_endpoints for para in paras)]
     return ConstructionResult(apex, np.array([px, py, 0.0]), paras, triangles,

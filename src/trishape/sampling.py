@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SQRT3, _column_sum, _shapes_to_xy, _sides_from_xy
+from .core import SQRT3, _column_sum, _gram, _sides_from_xy
 from .errors import INPUT_TOL, DomainError
 
 BLOCK_SIZE = 1 << 16
@@ -181,23 +181,11 @@ def _disk_counts(x: np.ndarray, y: np.ndarray, t=1.0) -> np.ndarray:
     return _class_counts(top, 3.0 * t)
 
 
-def _preshape_gram(z: np.ndarray):
-    """(w, t) of (n, m, 2) triangle preshapes, from column products: with the
-    columns as one complex vector c = z[..., 0] + i z[..., 1], w = sum(c^2) =
-    g11 - g22 + 2i g12 and t = sum(|c|^2) = g11 + g22 for their Gram matrix g,
-    so w/2 is the disk point times t.  For m = 2 the sums pair terms as
-    np.einsum("ij,ij->i") does, so they equal its results to the bit."""
-    x, y = z[..., 0], z[..., 1]
-    xx, yy = x * x, y * y
-    w = np.empty(len(z), dtype=np.complex128)
-    w.real, w.imag = _column_sum(xx - yy), 2.0 * _column_sum(x * y)
-    return w, _column_sum(xx) + _column_sum(yy)
-
-
 def _preshape_counts(z: np.ndarray) -> np.ndarray:
-    """Class counts of (n, m, 2) triangle preshapes, from w and 2t (_preshape_gram)."""
-    w, t = _preshape_gram(z)
-    return _disk_counts(w.real, w.imag, 2.0 * t)
+    """Class counts of (n, m, 2) triangle preshapes, from their Gram entries:
+    the disk point times 2 (g11 + g22) is (g11 - g22, 2 g12)."""
+    g11, g12, g22 = _gram(z)
+    return _disk_counts(g11 - g22, 2.0 * g12, 2.0 * (g11 + g22))
 
 
 def _angle_counts(e: np.ndarray) -> np.ndarray:
@@ -251,13 +239,18 @@ def _chunked(draw, row_shape: tuple, count: int, kernel) -> list:
 
 def _gaussian_disk(rng: np.random.Generator, count: int, m: int = 2):
     # the rows of gaussian_shapes; normalising whole blocks costs 3x the draws
-    return np.concatenate(_chunked(rng.standard_normal, (2, 2), count,
-                                   lambda z: _shapes_to_xy(_unit_norm(z))), axis=1)
+    def disk(z):
+        g11, g12, g22 = _gram(_unit_norm(z))
+        return (g11 - g22) / 2.0, g12
+    return np.concatenate(_chunked(rng.standard_normal, (2, 2), count, disk), axis=1)
 
 
 def _gaussian_radius(rng: np.random.Generator, count: int, edges) -> np.ndarray:
-    hist = lambda w, t: np.histogram(np.abs(w) / (2.0 * t), bins=edges)[0]   # |w| / 2t: radius
-    return sum(_chunked(rng.standard_normal, (2, 2), count, lambda z: hist(*_preshape_gram(z))))
+    def hist(z):    # (x, y) is the disk point times 2 (g11 + g22), as in _preshape_counts
+        g11, g12, g22 = _gram(z)
+        x, y = g11 - g22, 2.0 * g12
+        return np.histogram(np.sqrt(x * x + y * y) / (2.0 * (g11 + g22)), bins=edges)[0]
+    return sum(_chunked(rng.standard_normal, (2, 2), count, hist))
 
 
 def _height_block_counts(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
@@ -399,7 +392,7 @@ def broken_stick_fraction(n_samples: int, seed=0, workers: int = 1) -> MonteCarl
     def good(e: np.ndarray) -> int:
         # the simplex point is e / sum(e): test sum(e^2) <= sum(e)^2 / 2 unscaled
         total = e[:, 0] + e[:, 1] + e[:, 2]
-        return np.count_nonzero(np.einsum("ij,ij->i", e, e) <= 0.5 * total * total)
+        return np.count_nonzero(_column_sum(e * e) <= 0.5 * total * total)
 
     block = lambda rng, count: [sum(_chunked(rng.standard_exponential, (3,), count, good))]
     return _binomial(int(_mc_sum(n_samples, block, seed, workers)[0]), n_samples)

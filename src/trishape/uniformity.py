@@ -8,19 +8,14 @@ marginals (height, longitude) get Kolmogorov-Smirnov checks.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _column_sum, _shapes_to_xy
+from .core import _gram
 from .specfun import gamma_q, gauss_2f1, kolmogorov_sf
-
-__all__ = [
-    "TestReport", "SuiteReport", "preshape", "chikuse_jupp", "chi2_upper_tail",
-    "inv_sigma_min_density", "inv_sigma_min_cdf", "gauss_2f1", "ks_test",
-    "uniformity_suite",
-]
 
 
 @dataclass
@@ -101,12 +96,9 @@ def chikuse_jupp(samples) -> TestReport:
 def _chikuse_jupp(z: np.ndarray) -> TestReport:
     """chikuse_jupp of a checked (t, m, q) sample array."""
     t, m, q = z.shape
-    # each Gram entry from column products, added over rows in order: the
-    # bits of np.einsum("tij,tik->tjk", z, z), several times faster
     w = np.empty((t, q, q))
-    for j in range(q):
-        for k in range(j, q):
-            w[:, j, k] = w[:, k, j] = _column_sum(z[:, :, j] * z[:, :, k])
+    for (j, k), g in zip(itertools.combinations_with_replacement(range(q), 2), _gram(z)):
+        w[:, j, k] = w[:, k, j] = g
     dev = w.mean(axis=0) - np.eye(q) / q
     stat = (q * (q * m + 2.0) / 2.0) * t * float(np.trace(dev @ dev))
     df = (q - 1) * (q + 2) / 2.0
@@ -229,14 +221,14 @@ def _abs_det(z: np.ndarray) -> np.ndarray:
 
 def _inv_sigma_min(z: np.ndarray) -> np.ndarray:
     """1/sigma_min of a (t, m, m) batch, inf where a matrix is singular.  For
-    m = 2 in closed form: sigma_max^2 = F/2 + hypot(x, y), with (x, y) the disk
-    point of the Gram entries and F the squared Frobenius norm (preshapes are
-    unit only to 1e-6), and sigma_min sigma_max = |det|."""
+    m = 2 in closed form from the Gram entries: sigma_max^2 = F/2 + hypot(x, y),
+    with (x, y) = ((g11 - g22)/2, g12) and F = g11 + g22 the squared Frobenius
+    norm (preshapes are unit only to 1e-6), and sigma_min sigma_max = |det|."""
     with np.errstate(divide="ignore"):
         if z.shape[1] > 2:
             return 1.0 / np.linalg.svd(z, compute_uv=False)[:, -1]
-        x, y = _shapes_to_xy(z)
-        return np.sqrt(np.einsum("tij,tij->t", z, z) / 2.0 + np.hypot(x, y)) / _abs_det(z)
+        g11, g12, g22 = _gram(z)
+        return np.sqrt((g11 + g22) / 2.0 + np.hypot((g11 - g22) / 2.0, g12)) / _abs_det(z)
 
 
 SUITE_TESTS = ("chikuse-jupp", "sigma-min", "hemisphere")
@@ -271,9 +263,9 @@ def uniformity_suite(samples, which: str = "all") -> SuiteReport:
                                      name="sigma-min-ks"))
     if runs("hemisphere", m == q == 2, "m=2, k=3"):
         # the height |det Z| and the longitude of the disk point
-        x, y = _shapes_to_xy(z)
+        g11, g12, g22 = _gram(z)
         suite.reports.append(
             ks_test(_abs_det(z), lambda v: np.clip(2.0 * v, 0.0, 1.0), name="height-ks"))
-        suite.reports.append(ks_test(np.mod(np.arctan2(y, x), 2.0 * math.pi),
+        suite.reports.append(ks_test(np.mod(np.arctan2(g12, (g11 - g22) / 2.0), 2.0 * math.pi),
                                      lambda v: v / (2.0 * math.pi), name="longitude-ks"))
     return suite

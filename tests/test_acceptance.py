@@ -31,7 +31,8 @@ def report(number, ok, detail):
 def test_criterion_01_roundtrip_completeness():
     n = 10_000
     m = samp.gaussian_shapes(samp.RngSeed(101).generator(), n)
-    sides = core._sides_from_xy(*core._shapes_to_xy(m))
+    g11, g12, g22 = core._gram(m)
+    sides = core._sides_from_xy((g11 - g22) / 2.0, g12)
     t0 = time.perf_counter()
     worst = 0.0
     for row in sides:
@@ -71,7 +72,8 @@ def test_criterion_03_acute_fraction():
 def test_criterion_04_hemisphere_uniformity():
     n = 100_000
     m = samp.gaussian_shapes(samp.RngSeed(104).generator(), n)
-    x, y = core._shapes_to_xy(m)
+    g11, g12, g22 = core._gram(m)
+    x, y = (g11 - g22) / 2.0, g12
     height = np.sqrt(np.maximum(0.25 - (x * x + y * y), 0.0))
     lon = np.mod(np.arctan2(y, x), 2.0 * math.pi)
     s2 = core._sides_from_xy(x, y)

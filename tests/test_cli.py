@@ -255,6 +255,9 @@ def test_construct_not_a_triangle(capsys):
     (["convert", "--from", "hemisphere", "--to", "svd", "-0", "1"], "sigma2"),
     (["convert", "--from", "sides", "--to", "sides", "-0", "0.5", "0.5"], "a2"),
     (["construct", "0.5", "-0", "0.5"], "b2"),
+    (["convert", "--from", "svd", "--to", "svd", "1", "0", "-0"], "theta"),
+    (["convert", "--from", "disk", "--to", "disk", "-0", "-0"], "phi"),
+    (["convert", "--from", "disk", "--to", "hemisphere", "0.2", "-0"], "longitude"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
 def test_no_negative_zero_in_a_record(argv, field, capsys):
     code, out, _ = run_cli(argv, capsys)
@@ -275,6 +278,21 @@ def test_a_failing_command_leaves_output_as_it_was(argv, code, tmp_path, capsys)
     assert run_cli(argv, capsys)[0] == code and not f.exists()
     f.write_bytes(b"kept\n")
     assert run_cli(argv, capsys)[0] == code and f.read_bytes() == b"kept\n"
+
+
+@pytest.mark.parametrize("error", [MemoryError("Unable to allocate 149. GiB"),
+                                   ValueError("bad value"), OSError("no space left")])
+def test_a_failing_writer_leaves_no_output_and_no_traceback(error, monkeypatch, tmp_path,
+                                                            capsys):
+    def plot(args, out):
+        out.write("latitude,longitude,alpha,beta,gamma\n")
+        raise error
+
+    monkeypatch.setitem(cli._PLOTS, "hemisphere-map", (plot, None, ("grid",)))
+    f = tmp_path / "map.csv"
+    code, out, err = run_cli(["plot-data", "hemisphere-map", "-o", str(f)], capsys)
+    assert code == 1 and out == "" and not f.exists()
+    assert err == f"trishape: error: {error}\n"
 
 
 def _numpy_ratio_residual(tri, sides):
@@ -580,6 +598,9 @@ def test_size_flag_below_range_is_usage_error(argv, flag, capsys):
     (["sample", "ndim", "--m", "3", "--k", "2", "--summary"], "--summary classifies triangles"),
     (["sample", "hemisphere", "--emit", "preshapes"], "--emit preshapes needs model"),
     (["sample", "ndim", "--m", "3", "--k", "4"], "per-sample rows need triangles (k = 3)"),
+    (["sample", "gaussian", "--format", "json"], "--format applies to --summary alone"),
+    (["sample", "gaussian", "--emit", "preshapes", "--format", "csv"], "--format applies"),
+    (["sample", "angles", "--format", "structured"], "--format applies"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_sample_option_its_mode_ignores_is_usage_error(argv, message, tmp_path, capsys):
     f = tmp_path / "out.csv"

@@ -421,7 +421,7 @@ def test_roundtrip_runs_each_primitive_once_per_input(monkeypatch):
     # these cycles pass through signed-zero twins, values equal as floats
     # but not in bits; each twin is converted on its own
     runs.clear()
-    conv.roundtrip_all(np.array([[0.0, -0.0], [1.0, -0.0]]))
+    conv.roundtrip_all(np.array([[0.8, -0.0], [-0.0, 0.6]]))
     assert len(runs) == len({run[:2] for run in runs})
     assert len({(step, floats) for step, _, floats in runs}) < len(runs)
 

@@ -241,6 +241,19 @@ def test_little_coords_examples():
     assert np.abs(geo.little_coords((0.5, 0.5, 0.0)) - [0.0, 0.0, 1.0]).max() < 1e-12
 
 
+def test_sides_are_validated_once_and_used_as_validated(monkeypatch):
+    # the clamp to >= +0.0 reaches the results: no -0.0, no coordinate above 1
+    u = geo.parallelian_endpoints((0.5, -0.0, 0.5))[1].big_endpoints[0]
+    assert math.copysign(1.0, u[1]) == 1.0
+    assert geo.little_coords((0.5 + 5e-10, -5e-10, 0.5))[1] == 1.0
+    checks = []
+    post_init = conv.SquaredSides.__post_init__
+    monkeypatch.setattr(conv.SquaredSides, "__post_init__",
+                        lambda self: checks.append(post_init(self)))
+    geo.construct_in_hemisphere((0.5, 0.25, 0.25))
+    assert len(checks) == 1
+
+
 def test_frame_change_identity():
     for _ in range(200):
         s = random_sides()

@@ -139,7 +139,8 @@ def test_gaussian_det_ratio_uniform():
 
 def test_gaussian_longitude_uniform():
     m = samp.gaussian_shapes(samp.RngSeed(22).generator(), 100_000)
-    x, y = core._shapes_to_xy(m)
+    g11, g12, g22 = core._gram(m)
+    x, y = (g11 - g22) / 2.0, g12
     lon = np.mod(np.arctan2(y, x), 2 * np.pi)
     result = stats.kstest(lon / (2 * np.pi), "uniform")
     assert result.statistic < 0.01
@@ -148,21 +149,24 @@ def test_gaussian_longitude_uniform():
 
 def test_gaussian_squared_sides_uniform_on_two_thirds():
     m = samp.gaussian_shapes(samp.RngSeed(23).generator(), 50_000)
-    s2 = core._sides_from_xy(*core._shapes_to_xy(m))
+    g11, g12, g22 = core._gram(m)
+    s2 = core._sides_from_xy((g11 - g22) / 2.0, g12)
     for i in range(3):
         assert ks_pvalue(s2[:, i] * 1.5, "uniform") > 0.01
 
 
 def test_gaussian_area_uniform():
     m = samp.gaussian_shapes(samp.RngSeed(24).generator(), 50_000)
-    s2 = core._sides_from_xy(*core._shapes_to_xy(m))
+    g11, g12, g22 = core._gram(m)
+    s2 = core._sides_from_xy((g11 - g22) / 2.0, g12)
     k = np.sqrt(np.maximum(1.0 - 2.0 * (s2**2).sum(axis=1), 0.0)) / 4.0
     assert ks_pvalue(k * math.sqrt(48.0), "uniform") > 0.01
 
 
 def test_gaussian_height_longitude_independent():
     m = samp.gaussian_shapes(samp.RngSeed(25).generator(), 100_000)
-    x, y = core._shapes_to_xy(m)
+    g11, g12, g22 = core._gram(m)
+    x, y = (g11 - g22) / 2.0, g12
     height = np.sqrt(np.maximum(0.25 - (x * x + y * y), 0.0))
     lon = np.mod(np.arctan2(y, x), 2 * np.pi)
     assert distance_correlation(height, lon) < 0.02
@@ -596,11 +600,16 @@ def test_preshape_codes_unchanged_by_scale(m):
 
 
 def test_preshape_gram_equals_einsum_reference():
-    z = samp.RngSeed(66).generator().standard_normal((5000, 2, 2))
-    c = z[..., 0] + 1j * z[..., 1]
-    w, t = np.einsum("ij,ij->i", c, c), np.einsum("ij,ij->i", z.reshape(-1, 4), z.reshape(-1, 4))
-    w_cols, t_cols = samp._preshape_gram(z)
-    assert np.array_equal(w_cols, w) and np.array_equal(t_cols, t)
+    # core._gram's upper-triangle entries are the einsum Gram matrices to the bit
+    for m, q in ((2, 2), (3, 2), (7, 2), (3, 3), (7, 4)):
+        z = samp.RngSeed(66).generator().standard_normal((5000, m, q))
+        g = np.einsum("nij,nik->njk", z, z)
+        j, k = np.triu_indices(q)
+        assert np.array_equal(np.stack(list(core._gram(z)), axis=1), g[:, j, k])
+    # and g11 + g22 is the einsum squared Frobenius norm of 2x2 preshapes
+    z = samp.gaussian_shapes(samp.RngSeed(67).generator(), 25000)
+    g11, _, g22 = core._gram(z)
+    assert np.array_equal(g11 + g22, np.einsum("tij,tij->t", z, z))
 
 
 def test_angle_codes_unchanged_by_scale():
