@@ -66,7 +66,9 @@ def _fmt(v) -> str:
 
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        # an option is read under its own name alone: no prefix of it, which
+        # would read plot-data angle-bins --bins as --bins-per-side
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         # a value, not an option: -1.5e-05 (which argparse's own rule misses) and -inf too
         self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
@@ -336,21 +338,22 @@ def _plot_radius_histogram(args, out):
 
 
 def _plot_angle_bins(args, out):
+    import numpy as np
     n = args.bins_per_side
     counts = sampling.angle_bin_counts(args.model, args.n, seed=(args.seed, args.stream),
                                        bins_per_side=n, workers=args.workers)
-    uniform = sampling.MODELS[args.model].disk is None  # simplex angles: mass 1/n^2, density 2
-    probs = None if uniform else sampling.angle_bin_probabilities(n)
-    h = 1.0 / n
-    rows = []
-    for (i, j, orient), c in counts.items():
-        off = h / 3.0 if orient == "up" else 2.0 * h / 3.0
+    i, j, orient = (np.array(c) for c in zip(*counts))
+    if sampling.MODELS[args.model].disk is None:    # simplex angles: mass 1/n^2, density 2
+        mass, dens = np.full(len(i), 1.0 / n ** 2), np.full(len(i), 2.0)
+    else:   # the normalized density at each bin centroid
+        probs = sampling.angle_bin_probabilities(n)
+        mass = np.array([probs[key] for key in counts])
+        h = 1.0 / n
+        off = np.where(orient == "up", h / 3.0, 2.0 * h / 3.0)
         ca, cb = i * h + off, j * h + off
-        mass = 1.0 / n ** 2 if uniform else probs[(i, j, orient)]
-        dens = 2.0 if uniform else sampling.angle_density((ca, cb, 1.0 - ca - cb), normalized=True)
-        rows.append((i, j, orient, c, args.n * mass, dens))
+        dens = sampling._angle_density_arrays(ca, cb, 1.0 - ca - cb) * sampling.ANGLE_DENSITY_NORM
     out.write("i,j,orientation,count,expected,density_centroid\n")
-    _rows._write_rows(out, zip(*rows))
+    _rows._write_rows(out, (i, j, orient, list(counts.values()), args.n * mass, dens))
 
 
 def _plot_hemisphere_map(args, out):
@@ -363,37 +366,25 @@ def _plot_hemisphere_map(args, out):
     _rows._write_rows(out, (lat, lon, *ang.T))
 
 
-# Each plot-data kind: its writer, the kernel its model needs (None: it draws
-# nothing, else it reads -n, --model and the draw options) and its own options.
-# The parser leaves options None; _cmd_plot_data rejects one given to a kind that
-# does not read it, before -o creates a file, fills in the defaults of the rest
-# and checks the sizes, -n, --seed, --stream and the model among them.
-_DRAW_DEFAULTS = {"seed": 0, "stream": 0, "workers": 1}
-_PLOT_DEFAULTS = {"n": 10000, "model": "gaussian", "svg": None, "bins": 50,
-                  "bins_per_side": 10, "grid": 24, **_DRAW_DEFAULTS}
+# Each plot-data kind: its writer and the kernel its model needs (None: it draws
+# nothing).  Each kind has its own parser, with only the options it reads.
 _PLOTS = {
-    "disk-scatter": (_plot_disk_scatter, "disk", ("svg",)),
-    "radius-histogram": (_plot_radius_histogram, "radius", ("bins",)),
-    "angle-bins": (_plot_angle_bins, "angles", ("bins_per_side",)),
-    "hemisphere-map": (_plot_hemisphere_map, None, ("grid",)),
+    "disk-scatter": (_plot_disk_scatter, "disk"),
+    "radius-histogram": (_plot_radius_histogram, "radius"),
+    "angle-bins": (_plot_angle_bins, "angles"),
+    "hemisphere-map": (_plot_hemisphere_map, None),
 }
 
 
 def _cmd_plot_data(args):
-    plot, need, reads = _PLOTS[args.kind]
-    reads = (*reads, "n", "model", *_DRAW_DEFAULTS) if need else reads
-    for name, default in _PLOT_DEFAULTS.items():
-        flag = "-n" if name == "n" else "--" + name.replace("_", "-")
-        if name not in reads and getattr(args, name) is not None:
-            raise ValueError(f"plot-data {args.kind} does not read {flag}")
-        if name in reads and getattr(args, name) is None:
-            setattr(args, name, default)
-        if name in reads and name in ("bins", "bins_per_side", "grid", "workers"):
-            _check_size(flag, getattr(args, name))
+    plot, need = _PLOTS[args.kind]
+    for name in ("bins", "bins_per_side", "grid", "workers"):
+        if name in vars(args):
+            _check_size("--" + name.replace("_", "-"), getattr(args, name))
     if need:    # plot-data has no --m, so no model that reads one
         sampling.check_model(args.model, need, m=None)
         sampling.iter_blocks(args.n, (args.seed, args.stream))  # raises on a bad -n, seed, stream
-    if args.svg:    # a --svg path that cannot be written fails here, not once -o is written
+    if getattr(args, "svg", None):  # an unwritable --svg path fails here, not once -o is written
         existed = os.path.exists(args.svg)
         open(args.svg, "a").close()
         if not existed:
@@ -413,16 +404,15 @@ _RECORD = argparse.ArgumentParser(prog="trishape", add_help=False, parents=[_OUT
 # no default: None is structured (_record_text), and sample reads --format only with --summary
 _RECORD.add_argument("--format", choices=("structured", "csv", "json"),
                      help="record output format (default structured)")
-
-
-def _draws(defaults: dict) -> argparse.ArgumentParser:
-    """--seed, --stream and --workers as a parent parser, with these defaults."""
-    p = argparse.ArgumentParser(prog="trishape", add_help=False)
-    p.add_argument("--seed", type=int, default=defaults["seed"], help="base RNG seed")
-    p.add_argument("--stream", type=int, default=defaults["stream"], help="RNG stream id")
-    p.add_argument("--workers", type=int, default=defaults["workers"],
-                   help="worker hint for Monte Carlo block streams")
-    return p
+_DRAWS = argparse.ArgumentParser(prog="trishape", add_help=False)
+_DRAWS.add_argument("--seed", type=int, default=0, help="base RNG seed")
+_DRAWS.add_argument("--stream", type=int, default=0, help="RNG stream id")
+_DRAWS.add_argument("--workers", type=int, default=1,
+                    help="worker hint for Monte Carlo block streams")
+# the options of every plot-data kind that draws, besides its own
+_PLOT_DRAWS = argparse.ArgumentParser(prog="trishape", add_help=False, parents=[_OUTPUT, _DRAWS])
+_PLOT_DRAWS.add_argument("-n", type=int, default=10000, help="number of samples")
+_PLOT_DRAWS.add_argument("--model", choices=_MODELS, default="gaussian")
 
 
 @functools.cache
@@ -440,7 +430,7 @@ def _build_parser() -> _Parser:
                    help="also report the max discrepancy over all conversion cycles")
     p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("sample", parents=[_RECORD, _draws(_DRAW_DEFAULTS)],
+    p = sub.add_parser("sample", parents=[_RECORD, _DRAWS],
                        help="draw random shapes")
     p.add_argument("model", choices=_MODELS)
     p.add_argument("-n", type=int, required=True, help="number of samples")
@@ -470,17 +460,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--which", choices=(*_SUITE_TESTS, "all"), default="all")
     p.set_defaults(func=_cmd_test)
 
-    # defaults in _PLOT_DEFAULTS, filled in by _cmd_plot_data for the kinds that read them
-    p = sub.add_parser("plot-data", parents=[_OUTPUT, _draws(dict.fromkeys(_DRAW_DEFAULTS))],
-                       help="emit figure data as CSV")
-    p.add_argument("kind", choices=tuple(_PLOTS))
-    p.add_argument("-n", type=int)
-    p.add_argument("--bins", type=int, help="radius histogram bins")
-    p.add_argument("--bins-per-side", type=int, help="angle bin subdivisions")
-    p.add_argument("--grid", type=int, help="hemisphere-map latitude grid")
-    p.add_argument("--model", choices=_MODELS)
-    p.add_argument("--svg", help="also write a minimal SVG scatter")
+    p = sub.add_parser("plot-data", help="emit figure data as CSV")
     p.set_defaults(func=_cmd_plot_data)
+    kinds = p.add_subparsers(dest="kind", required=True)
+    k = kinds.add_parser("disk-scatter", parents=[_PLOT_DRAWS], help="disk points by class")
+    k.add_argument("--svg", help="also write a minimal SVG scatter")
+    k = kinds.add_parser("radius-histogram", parents=[_PLOT_DRAWS],
+                         help="disk-radius histogram against its law")
+    k.add_argument("--bins", type=int, default=50, help="radius histogram bins")
+    k = kinds.add_parser("angle-bins", parents=[_PLOT_DRAWS],
+                         help="counts over the angle-simplex bins against their masses")
+    k.add_argument("--bins-per-side", type=int, default=10, help="angle bin subdivisions")
+    k = kinds.add_parser("hemisphere-map", parents=[_OUTPUT],
+                         help="angles over a latitude-longitude grid")
+    k.add_argument("--grid", type=int, default=24, help="hemisphere-map latitude grid")
 
     return parser
 

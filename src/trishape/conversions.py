@@ -24,7 +24,7 @@ import math
 import struct
 from dataclasses import dataclass, field, fields
 
-from .errors import INPUT_TOL, DomainError, NotATriangleError
+from .errors import INPUT_TOL, DomainError, NotATriangleError, simplex_point
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
@@ -80,17 +80,13 @@ class SquaredSides:
     c2: float
 
     def __post_init__(self):
-        vals = [float(self.a2), float(self.b2), float(self.c2)]
-        if not min(vals) >= -INPUT_TOL:
-            raise DomainError(f"squared sides must be nonnegative, got {vals}")
-        if not abs(sum(vals) - 1.0) <= INPUT_TOL:
-            raise DomainError(f"squared sides must sum to 1, got sum {sum(vals)}")
+        vals = simplex_point((self.a2, self.b2, self.c2), "squared sides")
         quartic = sum(v * v for v in vals)
         if quartic > 0.5 + INPUT_TOL:
             raise NotATriangleError(
                 f"triangle inequality fails: a^4 + b^4 + c^4 = {quartic} > 1/2"
             )
-        self.a2, self.b2, self.c2 = (max(v, 0.0) + 0.0 for v in vals)     # never -0.0
+        self.a2, self.b2, self.c2 = vals
 
     def as_array(self):
         return _array([self.a2, self.b2, self.c2])
@@ -160,7 +156,8 @@ def _unit_matrix(m) -> tuple:
         raise ValueError(f"shape matrix must be 2x2, got {m!r}")
     m = tuple(tuple(map(float, row)) for row in m)
     norm = math.hypot(*m[0], *m[1])
-    if not abs(norm - 1.0) <= INPUT_TOL:
+    # the squared norm, which the records check, within a margin they cannot undercut
+    if not abs(norm * norm - 1.0) <= INPUT_TOL / 2:
         raise DomainError(f"shape matrix must have unit Frobenius norm, got {norm}")
     return m
 
@@ -210,7 +207,7 @@ def svd2x2(m) -> SvdShape:
     """Reduced SVD of a unit-norm shape matrix; the left factor is not formed."""
     m = _unit_matrix(m)
     s1, s2, theta = _svd_parts(*m[0], *m[1])[:3]
-    return SvdShape(min(s1, 1.0), max(s2, 0.0), theta)
+    return SvdShape(min(s1, 1.0), s2, theta)
 
 
 def _svd_to_shape(s: SvdShape) -> tuple:
@@ -231,7 +228,7 @@ def svd_to_hemisphere(s: SvdShape) -> HemispherePoint:
     # lat = asin(2 sigma1 sigma2), evaluated as 2 atan2(sigma2, sigma1) so the
     # pole (sigma1 = sigma2) does not lose half the significant digits
     lat = 2.0 * math.atan2(s.sigma2, s.sigma1)
-    return HemispherePoint(lat, _wrap(2.0 * s.theta, TWO_PI))
+    return HemispherePoint(lat, 2.0 * s.theta)
 
 
 def hemisphere_to_svd(h: HemispherePoint) -> SvdShape:
@@ -247,7 +244,7 @@ def hemisphere_to_disk(h: HemispherePoint) -> DiskPoint:
 
 
 def disk_to_hemisphere(d: DiskPoint) -> HemispherePoint:
-    return HemispherePoint(math.acos(_clamp(2.0 * d.r, -1.0, 1.0)), d.phi)
+    return HemispherePoint(math.acos(2.0 * d.r), d.phi)
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +273,7 @@ def _plane(u1: float, u2: float, u3: float) -> tuple:
 def sides_to_disk(s: SquaredSides) -> DiskPoint:
     """Polar coordinates of _plane(a2, b2, c2); inverse of disk_to_sides."""
     x, y = _plane(s.a2, s.b2, s.c2)
-    r = math.hypot(x, y)
-    if r > 0.5 + INPUT_TOL:
-        raise NotATriangleError(f"squared sides map outside the disk (r = {r})")
-    phi = math.atan2(y, x) if r > 0.0 else 0.0
-    return DiskPoint(min(r, 0.5), _wrap(phi, TWO_PI))
+    return DiskPoint(min(math.hypot(x, y), 0.5), math.atan2(y, x))
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +286,11 @@ def svd_to_sides(s: SvdShape) -> SquaredSides:
 
 
 def svd_to_disk(s: SvdShape) -> DiskPoint:
-    return DiskPoint((s.sigma1 * s.sigma1 - s.sigma2 * s.sigma2) / 2.0,
-                     _wrap(2.0 * s.theta, TWO_PI))
+    return DiskPoint((s.sigma1 * s.sigma1 - s.sigma2 * s.sigma2) / 2.0, 2.0 * s.theta)
 
 
 def disk_to_svd(d: DiskPoint) -> SvdShape:
-    return SvdShape(math.sqrt(0.5 + d.r), math.sqrt(max(0.5 - d.r, 0.0)), d.phi / 2.0)
+    return SvdShape(math.sqrt(0.5 + d.r), math.sqrt(0.5 - d.r), d.phi / 2.0)
 
 
 def sides_to_svd(s: SquaredSides) -> SvdShape:
@@ -327,16 +319,12 @@ def shape_to_disk(m) -> DiskPoint:
     so that a zero is never -0.0."""
     x, y, _ = _hopf(_unit_matrix(m))
     x, y = x / 2.0, 0.0 + y / 2.0
-    r = math.hypot(x, y)
-    phi = math.atan2(y, x) if r > 0.0 else 0.0
-    return DiskPoint(min(r, 0.5), _wrap(phi, TWO_PI))
+    return DiskPoint(min(math.hypot(x, y), 0.5), math.atan2(y, x))
 
 
 def shape_to_hemisphere(m) -> HemispherePoint:
     x, y, z = _hopf(_unit_matrix(m))
-    lat = math.atan2(abs(z), math.hypot(x, y))
-    phi = math.atan2(y, x) if math.hypot(x, y) > 0.0 else 0.0
-    return HemispherePoint(lat, _wrap(phi, TWO_PI))
+    return HemispherePoint(math.atan2(abs(z), math.hypot(x, y)), math.atan2(y, x))
 
 
 def sides_to_shape(s: SquaredSides):

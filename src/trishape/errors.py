@@ -1,4 +1,4 @@
-"""Exception types, and the tolerance of input validation, shared across the package."""
+"""Exception types, the tolerance of input validation and its simplex check, for the package."""
 
 INPUT_TOL = 1e-9    # validation of user-supplied values
 
@@ -9,3 +9,14 @@ class DomainError(ValueError):
 
 class NotATriangleError(DomainError):
     """Squared side lengths violate the triangle inequality."""
+
+
+def simplex_point(values, what: str) -> tuple:
+    """Three values, each >= -INPUT_TOL and summing to 1 within INPUT_TOL, as floats
+    clamped to nonnegative (never -0.0); what names them in the error."""
+    vals = [float(v) for v in values]
+    if not min(vals) >= -INPUT_TOL:
+        raise DomainError(f"{what} must be nonnegative, got {vals}")
+    if not abs(sum(vals) - 1.0) <= INPUT_TOL:
+        raise DomainError(f"{what} must sum to 1, got sum {sum(vals)}")
+    return tuple(max(v, 0.0) + 0.0 for v in vals)

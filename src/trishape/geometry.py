@@ -95,8 +95,6 @@ def area(s) -> float:
     """Area K = (1/4) sqrt(1 - 2 (a^4 + b^4 + c^4)) of normalized squared sides."""
     s = _sides3(s)
     radicand = 1.0 - 2.0 * (s.a2 * s.a2 + s.b2 * s.b2 + s.c2 * s.c2)
-    if radicand < -1e-12:
-        raise NotATriangleError(f"negative area radicand {radicand}")
     return math.sqrt(max(radicand, 0.0)) / 4.0
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SQRT3, _column_sum, _gram, _sides_from_xy
-from .errors import INPUT_TOL, DomainError
+from .errors import simplex_point
 
 BLOCK_SIZE = 1 << 16
 CHUNK_ROWS = 1 << 12      # rows a count kernel classifies at a time
@@ -73,12 +73,8 @@ class SimplexAngles:
     gamma: float
 
     def __post_init__(self):
-        vals = [float(self.alpha), float(self.beta), float(self.gamma)]
-        if not min(vals) >= -INPUT_TOL:
-            raise DomainError(f"simplex angles must be nonnegative, got {vals}")
-        if not abs(sum(vals) - 1.0) <= INPUT_TOL:
-            raise DomainError(f"simplex angles must sum to 1, got {sum(vals)}")
-        self.alpha, self.beta, self.gamma = (max(v, 0.0) + 0.0 for v in vals)    # never -0.0
+        self.alpha, self.beta, self.gamma = simplex_point(
+            (self.alpha, self.beta, self.gamma), "simplex angles")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha, self.beta, self.gamma])

@@ -59,12 +59,16 @@ def betainc_reg(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
+def _check_dimension(n):
+    if not isinstance(n, numbers.Integral) or n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+
+
 def obtuse_probability_ndim(n: int) -> float:
     """Probability that a Gaussian triangle in R^n is obtuse: 3 I(1/4; n/2, n/2)
     with I the regularized incomplete beta, which equals 3 (1 - I(3/4; n/2, n/2))
     but keeps full relative precision at large n."""
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    _check_dimension(n)
     return 3.0 * betainc_reg(n / 2.0, n / 2.0, 0.25)
 
 
@@ -77,8 +81,7 @@ def squared_side_marginal_cdf(n: int, x: float, clamp: bool = False) -> float:
 
     The support is [0, 2/3].  Out-of-range x raises unless clamp is set.
     """
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    _check_dimension(n)
     if x < 0.0 or x > 2.0 / 3.0:
         if not clamp:
             raise DomainError(f"squared side must lie in [0, 2/3], got {x}")

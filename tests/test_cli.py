@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -246,6 +247,13 @@ def test_construct_degenerate_flagged(capsys):
     assert rec["degenerate"] == "true"
 
 
+def test_construct_accepts_the_sides_squared_sides_accepts(capsys):
+    # a^4 + b^4 + c^4 = 1/2 + 2e-10: within INPUT_TOL of the rim, so flat
+    code, out, err = run_cli(["construct", "0.50001", "0.49999", "0"], capsys)
+    assert (code, err) == (0, "")
+    assert parse_record(out)["degenerate"] == "true"
+
+
 def test_construct_not_a_triangle(capsys):
     code, _, _ = run_cli(["construct", "0.7", "0.2", "0.1"], capsys)
     assert code == 2
@@ -288,7 +296,7 @@ def test_a_failing_writer_leaves_no_output_and_no_traceback(error, monkeypatch, 
         out.write("latitude,longitude,alpha,beta,gamma\n")
         raise error
 
-    monkeypatch.setitem(cli._PLOTS, "hemisphere-map", (plot, None, ("grid",)))
+    monkeypatch.setitem(cli._PLOTS, "hemisphere-map", (plot, None))
     f = tmp_path / "map.csv"
     code, out, err = run_cli(["plot-data", "hemisphere-map", "-o", str(f)], capsys)
     assert code == 1 and out == "" and not f.exists()
@@ -635,13 +643,41 @@ _UNREAD = [
 ]
 
 
-@pytest.mark.parametrize("command,flag", _UNREAD)
-def test_unread_option_is_usage_error(command, flag, capsys):
-    value = {"--format": "json", "--alpha": "0.1"}.get(flag, "2")
-    code, out, err = run_cli([*_BASE_ARGV[command], flag, value], capsys)
+def _check_unread(argv, flag, tmp_path, capsys):
+    """argv with flag and a value: argparse rejects the pair, exit 1, and no
+    -o or --svg file is made."""
+    f, svg = tmp_path / "out.csv", tmp_path / "x.svg"
+    value = {"--format": "json", "--alpha": "0.1", "--model": "angles",
+             "--svg": str(svg)}.get(flag, "2")
+    code, out, err = run_cli([*argv, flag, value, "-o", str(f)], capsys)
     assert code == 1
     assert out == ""
     assert f"unrecognized arguments: {flag} {value}" in err
+    assert not f.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("command,flag", _UNREAD)
+def test_unread_option_is_usage_error(command, flag, tmp_path, capsys):
+    _check_unread(_BASE_ARGV[command], flag, tmp_path, capsys)
+
+
+_PLOT_OPTIONS = {
+    "disk-scatter": {"-n", "--model", "--seed", "--stream", "--workers", "--svg"},
+    "radius-histogram": {"-n", "--model", "--seed", "--stream", "--workers", "--bins"},
+    "angle-bins": {"-n", "--model", "--seed", "--stream", "--workers", "--bins-per-side"},
+    "hemisphere-map": {"--grid"},
+}
+
+
+@pytest.mark.parametrize("kind", _PLOT_OPTIONS)
+def test_plot_data_kind_help_lists_its_own_options(kind, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plot-data", kind, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: trishape plot-data {kind} ")
+    listed = set(re.findall(r"^  (-[-\w]+)", out, re.MULTILINE))
+    assert listed == {"-h", "--output", *_PLOT_OPTIONS[kind]}
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +714,8 @@ def test_plot_data_takes_no_model_that_reads_m(kind, tmp_path, capsys):
     assert not f.exists() and not svg.exists()
 
 
-# each plot-data kind with each option that it does not read
+# each plot-data kind with each option that it does not read: its own parser
+# rejects them as every subcommand's parser rejects its own
 _PLOT_IGNORED = [
     *(("disk-scatter", flag) for flag in ("--bins", "--bins-per-side", "--grid")),
     *(("radius-histogram", flag) for flag in ("--bins-per-side", "--grid", "--svg")),
@@ -690,12 +727,7 @@ _PLOT_IGNORED = [
 
 @pytest.mark.parametrize("kind,flag", _PLOT_IGNORED)
 def test_plot_data_option_its_kind_ignores_is_usage_error(kind, flag, tmp_path, capsys):
-    f, svg = tmp_path / "out.csv", tmp_path / "x.svg"
-    value = {"--model": "angles", "--svg": str(svg)}.get(flag, "2")
-    code, out, err = run_cli(["plot-data", kind, flag, value, "-o", str(f)], capsys)
-    assert code == 1
-    assert out == "" and err == f"trishape: error: plot-data {kind} does not read {flag}\n"
-    assert not f.exists() and not svg.exists()
+    _check_unread(["plot-data", kind], flag, tmp_path, capsys)
 
 
 def test_plot_disk_scatter_with_an_unwritable_path_leaves_no_file(tmp_path, capsys):

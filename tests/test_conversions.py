@@ -7,7 +7,7 @@ import pytest
 
 from trishape import conversions as conv
 from trishape import core
-from trishape.errors import DomainError, NotATriangleError
+from trishape.errors import INPUT_TOL, DomainError, NotATriangleError
 
 RNG = np.random.default_rng(77)
 
@@ -663,3 +663,45 @@ def test_height_is_inverse_condition_number_sum():
         height = 0.5 * np.sin(conv.svd_to_hemisphere(s).latitude)
         assert abs(height - 1.0 / (kappa + 1.0 / kappa)) < 1e-10
         assert abs(height - s.sigma1 * s.sigma2) < 1e-12
+
+
+def _edge_values():
+    """Values each record accepts at its tolerance edges, and matrices at
+    _unit_matrix's: squared norm 1 +- 0.49 INPUT_TOL."""
+    tol = INPUT_TOL
+    sides = [(-tol, 0.5, 0.5 + tol), (0.5 + 0.5 * tol, -tol, 0.5), (0.3 + 0.9 * tol, 0.3, 0.4),
+             (0.50001, 0.49999, 0.0), (0.50002, 0.49998, 0.0), (0.0, 0.49998, 0.50002)]
+    values = [conv.SquaredSides(*s) for s in sides]
+    values += [conv.DiskPoint(0.5 + tol, phi) for phi in (0.0, 1.0, 4.0)]
+    values += [conv.HemispherePoint(math.pi / 2.0 + tol, 2.0), conv.HemispherePoint(-tol, 5.0)]
+    values += [conv.SvdShape(1.0 + 0.49 * tol, 0.0, 1.0)]
+    for m in ([[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.8, 0.0]], np.eye(2) / math.sqrt(2.0),
+              [[0.3, -0.5], [0.7, 0.1]]):
+        m = np.asarray(m) / np.linalg.norm(m)
+        values += [m * math.sqrt(1.0 + 0.49 * tol), m * math.sqrt(1.0 - 0.49 * tol)]
+    return values
+
+
+def test_values_at_the_tolerance_edges_convert_everywhere():
+    # one owner per rule: a value a record or _unit_matrix accepts is not
+    # refused by a tighter check downstream
+    from trishape import geometry
+    for v in _edge_values():
+        for target in conv.REPRESENTATIONS:
+            conv.convert(v, target)
+        conv.roundtrip_all(v)
+        sides = conv.convert(v, "sides")
+        geometry.construct_in_hemisphere(sides)
+        geometry.angles_from_sides(sides)
+        geometry.area(sides)
+    for s in [(0.50001, 0.49999, 0.0), (-INPUT_TOL, 0.5, 0.5 + INPUT_TOL)]:
+        assert geometry.area(s) == 0.0 and geometry.construct_in_hemisphere(s).degenerate
+
+
+def test_unit_matrix_tests_the_squared_norm_the_records_check():
+    edge = [[1.0 + 9e-10, 0.0], [0.0, 0.0]]     # |M| within INPUT_TOL of 1, |M|^2 not
+    for target in ("svd", "sides", "hemisphere", "disk"):
+        with pytest.raises(DomainError, match="unit Frobenius norm"):
+            conv.convert(edge, target)
+    with pytest.raises(DomainError, match="unit Frobenius norm"):
+        conv.roundtrip_all(edge)
