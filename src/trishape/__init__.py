@@ -55,7 +55,8 @@ _EXPORTS = {
 
 __all__ = [*_EXPORTS, *_SUBMODULES]
 
-for _name in (*_SUBMODULES, "_rows"):       # _rows, the bulk row writer, is not exported
+# the bulk row writer and the sample file reader, which are not exported
+for _name in (*_SUBMODULES, "_rows", "_fields"):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     globals()[_name] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)

@@ -8,7 +8,9 @@ All floating-point output uses 17 significant digits so emitted files
 reparse losslessly, and identical command lines with identical seeds
 produce byte-identical bytes.  Bulk rows (``sample``, ``plot-data`` and the
 SVG scatter) go through an exact NumPy '%.17g' and '%.6f' kernel that writes
-the bytes of CPython's '%'; it lives in ``trishape._rows``.  NumPy is imported
+the bytes of CPython's '%'; it lives in ``trishape._rows``.  ``test`` reads the
+files ``sample --emit preshapes`` writes with the inverse kernel, which gives
+the bits of ``float()``, in ``trishape._fields``.  NumPy is imported
 only in the bodies of the commands that compute with arrays, so ``prob``,
 ``convert`` and ``--help`` run without it.
 """
@@ -23,7 +25,7 @@ import sys
 
 # lazy modules (see the package): read none of them at import or in _build_parser
 from . import conversions as conv
-from . import _rows, core, geometry, sampling, specfun, uniformity
+from . import _fields, _rows, core, geometry, sampling, specfun, uniformity
 from .errors import DomainError
 
 EXIT_OK = 0
@@ -258,6 +260,9 @@ def _cmd_construct(args):
 
 
 def _read_preshape_file(path):
+    z = _fields._read_preshapes(path)       # None unless in the form sample writes
+    if z is not None:
+        return z
     import numpy as np
     with open(path) as fh:
         # the stripped non-blank lines, read from the file as loadtxt takes them

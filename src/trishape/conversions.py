@@ -456,9 +456,10 @@ def convert(x, target: str):
     src = kind_of(x)
     if target not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {target!r}")
-    if src == target:
-        return x
-    out = _follow((src, target), x)
+    if src == target:   # a record was checked when it was made; a matrix is checked here
+        out = _unit_matrix(x) if src == "matrix" else x
+    else:
+        out = _follow((src, target), x)
     return _array(out) if target == "matrix" else out
 
 

@@ -700,8 +700,12 @@ def test_values_at_the_tolerance_edges_convert_everywhere():
 
 def test_unit_matrix_tests_the_squared_norm_the_records_check():
     edge = [[1.0 + 9e-10, 0.0], [0.0, 0.0]]     # |M| within INPUT_TOL of 1, |M|^2 not
-    for target in ("svd", "sides", "hemisphere", "disk"):
-        with pytest.raises(DomainError, match="unit Frobenius norm"):
-            conv.convert(edge, target)
+    for m in (edge, [[2.0, 0.0], [0.0, 0.0]]):
+        for target in conv.REPRESENTATIONS:     # the identity route too
+            with pytest.raises(DomainError, match="unit Frobenius norm"):
+                conv.convert(m, target)
+    unit = [[0.6, 0.0], [0.0, 0.8]]
+    out = conv.convert(unit, "matrix")          # an array, as from every other source
+    assert isinstance(out, np.ndarray) and out.tolist() == unit
     with pytest.raises(DomainError, match="unit Frobenius norm"):
         conv.roundtrip_all(edge)

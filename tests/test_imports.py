@@ -101,7 +101,8 @@ def test_one_shot_commands_load_only_what_they_use(tmp_path):
     base = {"trishape.cli", "trishape.errors", "trishape.conversions"}
     assert ran_after(_cli("convert", "--from", "disk", "--to", "sides", "0.1", "0.2")) == base
     assert ran_after(_cli("test", str(f))) == {"trishape.cli", "trishape.errors", "trishape.core",
-                                               "trishape.uniformity", "trishape.specfun", "numpy"}
+                                               "trishape.uniformity", "trishape.specfun",
+                                               "trishape._fields", "numpy"}
     assert ran_after(_cli("construct", "0.3", "0.3", "0.4")) == base | {
         "trishape.core", "trishape.geometry", "numpy"}
     assert ran_after(_cli("prob", "3")) == {"trishape.cli", "trishape.errors", "trishape.specfun"}
@@ -128,7 +129,7 @@ _CONVERTS = [
                                   *(["convert", *a] for a in _CONVERTS)], ids=" ".join)
 def test_scalar_commands_load_no_numpy(argv):
     loaded = ran_after(_cli(*argv))
-    assert not loaded & {"numpy", "trishape.core", "trishape._rows"}, loaded
+    assert not loaded & {"numpy", "trishape.core", "trishape._rows", "trishape._fields"}, loaded
 
 
 def test_prob_loads_no_dataclasses():
