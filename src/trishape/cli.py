@@ -290,6 +290,19 @@ def _cmd_test(args):
     reports = uniformity.uniformity_suite(_read_preshape_file(args.file), args.which).reports
     if args.format == "json":
         text = _record_text({"alpha": args.alpha, "tests": [vars(r) for r in reports]}, "json")
+    elif args.format == "csv":
+        import csv
+        import io
+
+        # one row per test; the reference holds commas, which csv quotes
+        buf = io.StringIO()
+        rows = csv.writer(buf, lineterminator="\n")
+        rows.writerow(("name", "statistic", "reference", "p_value", "n_samples", "alpha",
+                       "result"))
+        rows.writerows((r.name, _fmt(r.statistic), r.reference, _fmt(r.p_value),
+                        _fmt(r.n_samples), _fmt(args.alpha),
+                        "REJECT" if r.rejected(args.alpha) else "pass") for r in reports)
+        text = buf.getvalue()
     else:
         text = "".join(f"{r.name}: statistic = {_fmt(r.statistic)}  "
                        f"reference = {r.reference}  p = {_fmt(r.p_value)}  t = {r.n_samples}  "

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -198,6 +199,31 @@ def test_sample_preshape_file_feeds_test_command(tmp_path, capsys):
     code, out, _ = run_cli(["test", str(f), "--which", "all", "--alpha", "0.01"], capsys)
     assert code == 0
     assert "chikuse-jupp" in out and "sigma-min-ks" in out
+
+
+def test_test_csv_format_is_one_row_per_test(tmp_path, capsys):
+    f = tmp_path / "pre.csv"
+    run_cli(["sample", "gaussian", "-n", "300", "--seed", "21", "--emit", "preshapes",
+             "-o", str(f)], capsys)
+    _, structured, _ = run_cli(["test", str(f)], capsys)
+    _, as_json, _ = run_cli(["test", str(f), "--format", "json"], capsys)
+    code, out, err = run_cli(["test", str(f), "--format", "csv"], capsys)
+    assert code == 0 and err == ""
+    header, *rows = csv.reader(out.splitlines())
+    assert header == ["name", "statistic", "reference", "p_value", "n_samples", "alpha",
+                      "result"]
+    tests = json.loads(as_json)["tests"]
+    assert [r[0] for r in rows] == [t["name"] for t in tests] == \
+        [line.split(":")[0] for line in structured.splitlines()]
+    for row, t in zip(rows, tests):
+        # the reference keeps its comma inside quotes; floats are _fmt's
+        assert row[1:] == [cli._fmt(t["statistic"]), t["reference"], cli._fmt(t["p_value"]),
+                           str(t["n_samples"]), "0.01", "pass"]
+    assert '"kolmogorov(sqrt(t) D), t=300"' in out
+    # a rejection is REJECT, with the exit code of the other formats
+    code, out, _ = run_cli(["test", str(f), "--which", "sigma-min", "--alpha", "0.9",
+                            "--format", "csv"], capsys)
+    assert code == 3 and out.splitlines()[1].endswith(",0.90000000000000002,REJECT")
 
 
 def test_preshape_rows_are_unit_norm(tmp_path, capsys):

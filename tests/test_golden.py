@@ -78,6 +78,7 @@ CASES = [
     ("test33-hemisphere", ["test", "pre33.csv", "--which", "hemisphere"], ()),
     ("test24-all", ["test", "pre24.csv", "--which", "all", "--format", "json"], ()),
     ("test24-sigma-min", ["test", "pre24.csv", "--which", "sigma-min"], ()),
+    ("test24-csv", ["test", "pre24.csv", "--which", "all", "--format", "csv"], ()),
     ("convert-sides-disk", ["convert", "--from", "sides", "--to", "disk",
                             "0.5", "0.25", "0.25"], ()),
     ("convert-matrix-svd", ["convert", "--from", "matrix", "--to", "svd",
@@ -208,6 +209,10 @@ GOLDEN = {
     "test24-sigma-min": {
         "code": 1,
         "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "test24-csv": {
+        "code": 3,
+        "stdout": "394a5a44e151eb131463b531c72c9083318209cf118694932a081ba615cea1a0",
     },
     "convert-sides-disk": {
         "code": 0,

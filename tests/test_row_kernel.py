@@ -5,9 +5,14 @@ rounded '%.17g' (and '%.6f' for the SVG) applied row by row.  Every
 comparison is on the text, with ==.
 """
 
+import contextlib
+import hashlib
 import io
 import math
+import os
+import platform
 from fractions import Fraction
+from pathlib import Path
 import subprocess
 import sys
 
@@ -109,6 +114,28 @@ def test_the_decade_may_miss_by_one_either_way(monkeypatch):
     # and it redoes them itself, leaving CPython no more cells than before
     # (about 0.4% of them: the products that round onto a half-integer)
     assert np.array_equal(kernel_cells("%.17g", ordinary), exact) and exact.mean() > 0.99
+
+
+def written_columns(argv, monkeypatch):
+    """The columns each _write_rows call of `trishape argv` writes, in order."""
+    calls = []
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(_rows, "_write_rows", lambda out, columns: calls.append(
+            [np.asarray(c) for c in columns]))
+        assert cli.main(argv) == 0
+    return calls
+
+
+def test_the_kernel_writes_all_but_the_ties_of_sampled_columns(monkeypatch):
+    # a slower rewrite that left more cells to CPython would show here: of the
+    # cells of seeded sides, r, phi and preshape columns, CPython gets the
+    # products that land on a half-integer (about 0.4%) and little else
+    draws = [["sample", "gaussian", "-n", "50000", "--seed", "31"],
+             ["sample", "gaussian", "-n", "50000", "--seed", "32", "--emit", "preshapes"]]
+    values = np.concatenate([c for argv in draws for columns in written_columns(argv, monkeypatch)
+                             for c in columns if c.dtype.kind == "f"])
+    assert len(values) == 9 * 50000
+    assert kernel_cells("%.17g", values).mean() >= 0.995
 
 
 def test_exact_ties_match_cpython():
@@ -218,6 +245,42 @@ def test_bytes_columns_are_written_as_their_text():
     for rows in (300, 20):    # the kernel and the CPython path
         assert (written([np.arange(rows), cli._class_column(codes[:rows])])
                 == reference_rows([np.arange(rows), names[:rows]]))
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the settings are x86-64 dispatch targets and OpenBLAS kernels")
+def test_writes_the_same_bytes_under_other_simd_and_blas_settings(tmp_path, monkeypatch):
+    # the kernels are integer and long-double arithmetic: no SIMD dispatch or
+    # BLAS kernel may move a byte.  The columns are drawn once, here, so that
+    # a difference can only be the writer's, and each setting formats them in
+    # a child, whose environment alone it sets
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    calls = (written_columns(["sample", "gaussian", "-n", "20000", "--seed", "9"], monkeypatch)
+             + written_columns(["plot-data", "hemisphere-map"], monkeypatch))
+    f = tmp_path / "columns.npz"
+    np.savez(f, *(c for columns in calls for c in columns))
+    widths = [len(columns) for columns in calls]
+    code = (f"import hashlib, io, sys\nsys.path.insert(0, {str(Path(cli.__file__).parents[1])!r})\n"
+            "import numpy as np\nfrom trishape import _rows\n"
+            "assert _rows._kernel_tables() is not None\n"
+            f"z, out = np.load({str(f)!r}), io.StringIO()\ncells = iter(z[k] for k in z.files)\n"
+            f"for width in {widths!r}:\n"
+            "    _rows._write_rows(out, [next(cells) for _ in range(width)])\n"
+            "print(hashlib.sha256(out.getvalue().encode()).hexdigest())")
+    avx512 = " ".join(t for t in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if t in __cpu_dispatch__)
+    settings = [{}, {"OPENBLAS_CORETYPE": "Prescott"}]
+    if avx512:
+        settings.append({"NPY_DISABLE_CPU_FEATURES": avx512})
+    digests = set()
+    for env in settings:
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=60, env={**os.environ, **env})
+        assert proc.returncode == 0, (env, proc.stderr)
+        digests.add(proc.stdout)
+    want = "".join(reference_rows([c.astype(str) if c.dtype.kind == "S" else c for c in columns])
+                   for columns in calls)
+    assert digests == {hashlib.sha256(want.encode()).hexdigest() + "\n"}
 
 
 def test_import_builds_no_kernel_table():
