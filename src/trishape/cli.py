@@ -33,7 +33,7 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_REJECTED = 3
 
-# conv.REPRESENTATIONS, sampling.MODELS and uniformity.SUITE_TESTS, which tests pin these to
+# conv.REPRESENTATIONS, sampling.MODELS and uniformity.TESTS, which tests pin these to
 _REPRESENTATIONS = ("disk", "hemisphere", "matrix", "sides", "svd")
 _MODELS = ("gaussian", "hemisphere", "angles", "ndim")
 _SUITE_TESTS = ("chikuse-jupp", "sigma-min", "hemisphere")
@@ -288,6 +288,7 @@ def _cmd_test(args):
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha must lie strictly between 0 and 1, got {args.alpha}")
     reports = uniformity.uniformity_suite(_read_preshape_file(args.file), args.which).reports
+    results = ["REJECT" if r.rejected(args.alpha) else "pass" for r in reports]
     if args.format == "json":
         text = _record_text({"alpha": args.alpha, "tests": [vars(r) for r in reports]}, "json")
     elif args.format == "csv":
@@ -295,21 +296,18 @@ def _cmd_test(args):
         import io
 
         # one row per test; the reference holds commas, which csv quotes
+        recs = [{**vars(r), "alpha": args.alpha, "result": res}
+                for r, res in zip(reports, results)]
         buf = io.StringIO()
         rows = csv.writer(buf, lineterminator="\n")
-        rows.writerow(("name", "statistic", "reference", "p_value", "n_samples", "alpha",
-                       "result"))
-        rows.writerows((r.name, _fmt(r.statistic), r.reference, _fmt(r.p_value),
-                        _fmt(r.n_samples), _fmt(args.alpha),
-                        "REJECT" if r.rejected(args.alpha) else "pass") for r in reports)
+        rows.writerow(recs[0])
+        rows.writerows(map(_fmt, rec.values()) for rec in recs)
         text = buf.getvalue()
     else:
         text = "".join(f"{r.name}: statistic = {_fmt(r.statistic)}  "
                        f"reference = {r.reference}  p = {_fmt(r.p_value)}  t = {r.n_samples}  "
-                       f"[{'REJECT' if r.rejected(args.alpha) else 'pass'} at "
-                       f"alpha={args.alpha:g}]\n" for r in reports)
-    return _writes(text, EXIT_REJECTED if any(r.rejected(args.alpha) for r in reports)
-                   else EXIT_OK)
+                       f"[{res} at alpha={args.alpha:g}]\n" for r, res in zip(reports, results))
+    return _writes(text, EXIT_REJECTED if "REJECT" in results else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,9 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 def betainc_reg(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0.0 or b <= 0.0:
+    if not (a > 0.0 and b > 0.0):
         raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
+    if not 0.0 <= x <= 1.0:
         raise ValueError(f"beta argument must lie in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
         return x
@@ -82,7 +82,7 @@ def squared_side_marginal_cdf(n: int, x: float, clamp: bool = False) -> float:
     The support is [0, 2/3].  Out-of-range x raises unless clamp is set.
     """
     _check_dimension(n)
-    if x < 0.0 or x > 2.0 / 3.0:
+    if not 0.0 <= x <= 2.0 / 3.0:
         if not clamp:
             raise DomainError(f"squared side must lie in [0, 2/3], got {x}")
         x = min(max(x, 0.0), 2.0 / 3.0)
@@ -120,9 +120,9 @@ def _gamma_q_cf(s: float, x: float) -> float:
 
 def gamma_q(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s)."""
-    if s <= 0.0:
+    if not s > 0.0:
         raise ValueError(f"shape parameter must be positive, got {s}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
     if x == 0.0:
         return 1.0
@@ -180,7 +180,8 @@ def _hyp2f1_at_infinity(a: float, b: float, c: float, z: float):
     apply (z > -2, or b - a an integer) or, while Pfaff is affordable, would
     lose digits: its two terms are large and of opposite sign unless |z| is
     at least a quarter of the first coefficients of its series (for the
-    sigma-min density family, m <= 18, that keeps it within 1e-13 of mpmath).
+    sigma-min density family, m up to uniformity.SIGMA_MIN_MAX_SIZE, that
+    keeps it within 1e-13 of mpmath).
     """
     if z > -2.0 or abs((b - a) - round(b - a)) < 1e-9:
         return None

@@ -1,15 +1,15 @@
 """Statistical tests for uniformity of empirical shape distributions.
 
 A sample is a set of preshapes: m x (k-1) matrices of unit Frobenius norm.
-The second-moment (Chikuse-Jupp) statistic tests whether the mean of
-Z^T Z is balanced; the smallest-singular-value test compares 1/sigma_min
-against its exact density; and for planar triangles the hemisphere
-marginals (height, longitude) get Kolmogorov-Smirnov checks.
+The tests are the rows of TESTS: the second-moment (Chikuse-Jupp) balance of
+Z^T Z, a KS test of 1/sigma_min against its exact law, and for planar
+triangles KS tests of the hemisphere marginals (height, longitude).
 """
 
 import functools
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,9 +72,9 @@ def _as_sample_array(samples) -> np.ndarray:
 
 def chi2_upper_tail(x: float, df: float) -> float:
     """Upper tail of the chi-square distribution, Q(df/2, x/2)."""
-    if df <= 0.0:
+    if not df > 0.0:
         raise ValueError(f"degrees of freedom must be positive, got {df}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x}")
     return gamma_q(df / 2.0, x / 2.0)
 
@@ -88,7 +88,7 @@ def chikuse_jupp(samples) -> TestReport:
 
     Under uniformity S is asymptotically chi-square with (q - 1)(q + 2) / 2
     degrees of freedom, which is also the exact scaling of its mean.  For
-    k = 2 the statistic is identically zero (Z^T Z is the scalar 1).
+    k = 2 Z^T Z is the scalar 1: the statistic is 0 and p is 1, exactly.
     """
     return _chikuse_jupp(_as_sample_array(samples))
 
@@ -96,24 +96,26 @@ def chikuse_jupp(samples) -> TestReport:
 def _chikuse_jupp(z: np.ndarray) -> TestReport:
     """chikuse_jupp of a checked (t, m, q) sample array."""
     t, m, q = z.shape
+    df = (q - 1) * (q + 2) / 2.0
+    if q == 1:      # unit norms leave nothing to test; their 1e-6 rounding is no evidence
+        return TestReport("chikuse-jupp", 0.0, f"chi2(df={df:g})", 1.0, t)
     w = np.empty((t, q, q))
     for (j, k), g in zip(itertools.combinations_with_replacement(range(q), 2), _gram(z)):
         w[:, j, k] = w[:, k, j] = g
     dev = w.mean(axis=0) - np.eye(q) / q
     stat = (q * (q * m + 2.0) / 2.0) * t * float(np.trace(dev @ dev))
-    df = (q - 1) * (q + 2) / 2.0
-    if df == 0:
-        p = 1.0 if stat < 1e-12 else 0.0
-    else:
-        p = chi2_upper_tail(stat, df)
-    return TestReport("chikuse-jupp", stat, f"chi2(df={df:g})", p, t)
+    return TestReport("chikuse-jupp", stat, f"chi2(df={df:g})", chi2_upper_tail(stat, df), t)
+
+
+SIGMA_MIN_MAX_SIZE = 18      # the largest m whose density's Gamma factors stay finite
+_SIGMA_MIN_MAX = f"{SIGMA_MIN_MAX_SIZE}x{SIGMA_MIN_MAX_SIZE}"
 
 
 def _check_matrix_size(m):
     if not isinstance(m, (int, np.integer)) or m < 2:
         raise ValueError(f"matrix size must be an integer >= 2, got {m!r}")
     if m > SIGMA_MIN_MAX_SIZE:
-        raise ValueError(f"the sigma-min law is implemented up to 18x18, got {m}x{m}")
+        raise ValueError(f"the sigma-min law is implemented up to {_SIGMA_MIN_MAX}, got {m}x{m}")
 
 
 def _t2_density(t: float, m: int) -> float:
@@ -171,16 +173,15 @@ def _cdf_series(m: int):
 
 
 def inv_sigma_min_cdf(t, m: int):
-    """CDF of 1/sigma_min at t, a float or an array of any shape.
+    """CDF of 1/sigma_min at t, a float or an array of any shape (a scalar
+    returns a float).
 
     Zero at and below sqrt(m), negative t included; one at t = inf; NaN
-    stays NaN.  Both forms take x = sqrt(m)/t, which maps the support onto
-    [0, 1]: the closed form 1 - x sqrt(2 - x^2) for m = 2, and otherwise one
-    Chebyshev series per m (_cdf_series, built on the first call for that m),
-    which gives the whole array at once as P(1) - P(2x - 1): no special
-    function is evaluated per value.  Accurate to about 1e-15 absolute, not
-    relative, in the far lower tail.  A scalar is a batch of one and returns
-    a float.
+    stays NaN.  In x = sqrt(m)/t, which maps the support onto [0, 1], it is
+    1 - x sqrt(2 - x^2) for m = 2 and P(1) - P(2x - 1) above, with P the
+    Chebyshev series _cdf_series builds on the first call for that m: no
+    special function is evaluated per value.  Accurate to about 1e-15
+    absolute, not relative, in the far lower tail.
     """
     _check_matrix_size(m)
     t = np.asarray(t, dtype=float)
@@ -203,16 +204,17 @@ def ks_test(samples, cdf, name: str = "ks") -> TestReport:
     array of the same shape.  The p-value uses the asymptotic Kolmogorov
     series at sqrt(t) * D.
     """
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(np.asarray(samples, dtype=float))      # NaN last; +inf is a valid sample
     t = x.size
-    if t == 0:
-        raise ValueError("empty sample set")
+    if t == 0 or np.isnan(x[-1]):
+        raise ValueError("KS sample holds NaN" if t else "empty sample set")
     f = np.asarray(cdf(x), dtype=float)
+    if np.isnan(f).any():
+        raise ValueError("KS reference CDF returned NaN")
     hi = np.arange(1, t + 1) / t - f
     lo = f - np.arange(0, t) / t
     d = float(max(hi.max(), lo.max(), 0.0))
-    p = kolmogorov_sf(math.sqrt(t) * d)
-    return TestReport(name, d, f"kolmogorov(sqrt(t) D), t={t}", p, t)
+    return TestReport(name, d, f"kolmogorov(sqrt(t) D), t={t}", kolmogorov_sf(math.sqrt(t) * d), t)
 
 
 def _abs_det(z: np.ndarray) -> np.ndarray:
@@ -220,10 +222,9 @@ def _abs_det(z: np.ndarray) -> np.ndarray:
 
 
 def _inv_sigma_min(z: np.ndarray) -> np.ndarray:
-    """1/sigma_min of a (t, m, m) batch, inf where a matrix is singular.  For
-    m = 2 in closed form from the Gram entries: sigma_max^2 = F/2 + hypot(x, y),
-    with (x, y) = ((g11 - g22)/2, g12) and F = g11 + g22 the squared Frobenius
-    norm (preshapes are unit only to 1e-6), and sigma_min sigma_max = |det|."""
+    """1/sigma_min of a (t, m, m) batch, inf where a matrix is singular.  For m = 2
+    from the Gram entries: sigma_max^2 = F/2 + hypot((g11 - g22)/2, g12), with F =
+    g11 + g22 (unit only to 1e-6), and sigma_min sigma_max = |det|."""
     with np.errstate(divide="ignore"):
         if z.shape[1] > 2:
             return 1.0 / np.linalg.svd(z, compute_uv=False)[:, -1]
@@ -231,41 +232,40 @@ def _inv_sigma_min(z: np.ndarray) -> np.ndarray:
         return np.sqrt((g11 + g22) / 2.0 + np.hypot((g11 - g22) / 2.0, g12)) / _abs_det(z)
 
 
-SUITE_TESTS = ("chikuse-jupp", "sigma-min", "hemisphere")
-SIGMA_MIN_MAX_SIZE = 18      # the largest m whose density's Gamma factors stay finite
+def _sigma_min(z: np.ndarray) -> list:
+    return [ks_test(_inv_sigma_min(z), lambda v: inv_sigma_min_cdf(v, z.shape[1]),
+                    name="sigma-min-ks")]
+
+
+def _hemisphere(z: np.ndarray) -> list:
+    g11, g12, g22 = _gram(z)        # the height is |det Z|, the longitude the disk point's
+    return [ks_test(_abs_det(z), lambda v: np.clip(2.0 * v, 0.0, 1.0), name="height-ks"),
+            ks_test(np.mod(np.arctan2(g12, (g11 - g22) / 2.0), 2.0 * math.pi),
+                    lambda v: v / (2.0 * math.pi), name="longitude-ks")]
+
+
+# A row of TESTS: applies(m, q); the preshapes it needs, in words; run(z), its reports
+Test = namedtuple("Test", "applies needs run")
+
+TESTS = {
+    "chikuse-jupp": Test(lambda m, q: True, "any", lambda z: [_chikuse_jupp(z)]),
+    "sigma-min": Test(lambda m, q: m == q <= SIGMA_MIN_MAX_SIZE,
+                      f"square, at most {_SIGMA_MIN_MAX}", _sigma_min),
+    "hemisphere": Test(lambda m, q: m == q == 2, "m=2, k=3", _hemisphere),
+}
 
 
 def uniformity_suite(samples, which: str = "all") -> SuiteReport:
-    """Run one of SUITE_TESTS, or with which='all' every one that applies.
-
-    'chikuse-jupp' applies to any preshapes, 'sigma-min' to square ones up to
-    18x18 and 'hemisphere' to planar triangles (m = 2, k = 3); naming a test
-    that does not apply raises ValueError.  The sigma-min test takes 1/sigma_min in
-    closed form for 2x2 preshapes (the SVD for larger m) and compares it with
-    inv_sigma_min_cdf, which is closed form for m = 2 and one cached Chebyshev
-    series per m above: no special function is evaluated per sample.
-    """
-    if which not in (*SUITE_TESTS, "all"):
+    """Run TESTS[which], or with which='all' every test that applies, in table
+    order.  Naming a test that does not apply raises ValueError."""
+    if which not in (*TESTS, "all"):
         raise ValueError(f"unknown uniformity test {which!r}")
     z = _as_sample_array(samples)
     _, m, q = z.shape
-
-    def runs(name: str, applies: bool, needs: str) -> bool:
-        if which == name and not applies:
-            raise ValueError(f"{name} test needs {needs} preshapes, got {m}x{q}")
-        return applies and which in (name, "all")
-
     suite = SuiteReport()
-    if which in ("chikuse-jupp", "all"):
-        suite.reports.append(_chikuse_jupp(z))
-    if runs("sigma-min", m == q <= SIGMA_MIN_MAX_SIZE, "square, at most 18x18"):
-        suite.reports.append(ks_test(_inv_sigma_min(z), lambda v: inv_sigma_min_cdf(v, m),
-                                     name="sigma-min-ks"))
-    if runs("hemisphere", m == q == 2, "m=2, k=3"):
-        # the height |det Z| and the longitude of the disk point
-        g11, g12, g22 = _gram(z)
-        suite.reports.append(
-            ks_test(_abs_det(z), lambda v: np.clip(2.0 * v, 0.0, 1.0), name="height-ks"))
-        suite.reports.append(ks_test(np.mod(np.arctan2(g12, (g11 - g22) / 2.0), 2.0 * math.pi),
-                                     lambda v: v / (2.0 * math.pi), name="longitude-ks"))
+    for name, test in TESTS.items() if which == "all" else [(which, TESTS[which])]:
+        if test.applies(m, q):
+            suite.reports += test.run(z)
+        elif which != "all":
+            raise ValueError(f"{name} test needs {test.needs} preshapes, got {m}x{q}")
     return suite

@@ -513,7 +513,7 @@ def test_parser_choices_match_their_modules():
 
     assert cli._REPRESENTATIONS == tuple(sorted(conversions.REPRESENTATIONS))
     assert cli._MODELS == tuple(sampling.MODELS)
-    assert cli._SUITE_TESTS == uniformity.SUITE_TESTS
+    assert cli._SUITE_TESTS == tuple(uniformity.TESTS)
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "-0.5"])

@@ -312,8 +312,9 @@ def test_squared_side_marginal_cdf_values():
     assert abs(specfun.squared_side_marginal_cdf(2, 0.4) - 0.6) < 1e-12
     assert specfun.squared_side_marginal_cdf(5, 2 / 3) == 1.0
     assert abs(specfun.squared_side_marginal_cdf(4, 1 / 3) - 0.5) < 1e-12
-    with pytest.raises(DomainError):
-        specfun.squared_side_marginal_cdf(4, 0.7)
+    for bad in (0.7, math.nan):
+        with pytest.raises(DomainError):
+            specfun.squared_side_marginal_cdf(4, bad)
     assert specfun.squared_side_marginal_cdf(4, 0.7, clamp=True) == 1.0
 
 

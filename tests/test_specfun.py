@@ -43,6 +43,10 @@ def test_betainc_rejects_bad_args():
         specfun.betainc_reg(-1.0, 2.0, 0.5)
     with pytest.raises(ValueError):
         specfun.betainc_reg(1.0, 2.0, 1.5)
+    # NaN fails each range check, not the continued fraction after it
+    for args in ((math.nan, 2.0, 0.5), (1.0, math.nan, 0.5), (1.0, 2.0, math.nan)):
+        with pytest.raises(ValueError, match="must"):
+            specfun.betainc_reg(*args)
 
 
 def test_exact_probabilities_accept_numpy_integers():
@@ -64,6 +68,9 @@ def test_gamma_q_basics():
     assert specfun.gamma_q(2.5, 0.0) == 1.0
     # chi-square df=2 tail is exp(-x/2)
     assert abs(specfun.gamma_q(1.0, math.log(2.0)) - 0.5) < 1e-14
+    for args in ((math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -1.0)):
+        with pytest.raises(ValueError, match="must"):
+            specfun.gamma_q(*args)
 
 
 def test_gamma_q_against_scipy():

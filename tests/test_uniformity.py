@@ -46,6 +46,10 @@ def test_chikuse_jupp_k2_always_zero():
     report = uni.chikuse_jupp(z)
     assert report.statistic < 1e-12
     assert report.p_value == 1.0
+    # norms off by 1e-7, inside the 1e-6 the check allows, are no evidence either
+    z = uniform_preshapes(2000, m=3, q=1, seed=2) * (1.0 + 1e-7)
+    report = uni.chikuse_jupp(z)
+    assert (report.statistic, report.p_value) == (0.0, 1.0)
 
 
 def test_chikuse_jupp_null_mean_matches_df():
@@ -114,6 +118,9 @@ def test_chi2_upper_tail_values():
         uni.chi2_upper_tail(1.0, 0.0)
     with pytest.raises(ValueError):
         uni.chi2_upper_tail(-1.0, 2.0)
+    for args in ((math.nan, 2.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must"):
+            uni.chi2_upper_tail(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +407,12 @@ def test_ks_array_cdf_matches_scalar_loop():
 def test_ks_empty_rejected():
     with pytest.raises(ValueError):
         uni.ks_test([], lambda x: x)
+    with pytest.raises(ValueError, match="sample holds NaN"):
+        uni.ks_test([0.1, math.nan, 0.5], lambda v: v)
+    with pytest.raises(ValueError, match="CDF returned NaN"):
+        uni.ks_test([0.1, 0.5], lambda v: np.where(v > 0.2, math.nan, v))
+    # +inf stays a sample: a singular matrix has 1/sigma_min = inf, where the CDF is 1
+    assert uni.ks_test([0.5, math.inf], lambda v: np.minimum(v, 1.0)).statistic == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -438,15 +451,23 @@ def test_suite_nonsquare_skips_sigma_min():
 
 
 def test_suite_which_runs_one_test():
-    z = uniform_preshapes(500, seed=13)
-    full = uni.uniformity_suite(z)
-    for which, names in (("chikuse-jupp", ["chikuse-jupp"]),
-                         ("sigma-min", ["sigma-min-ks"]),
-                         ("hemisphere", ["height-ks", "longitude-ks"])):
-        suite = uni.uniformity_suite(z, which=which)
-        assert [r.name for r in suite.reports] == names
-        for r in suite.reports:
-            assert vars(r) == vars(next(f for f in full.reports if f.name == r.name))
+    names = {"chikuse-jupp": ["chikuse-jupp"], "sigma-min": ["sigma-min-ks"],
+             "hemisphere": ["height-ks", "longitude-ks"]}
+    needs = {"sigma-min": "square, at most 18x18", "hemisphere": "m=2, k=3"}
+    for m, q, applying in ((2, 2, ["chikuse-jupp", "sigma-min", "hemisphere"]),
+                           (3, 3, ["chikuse-jupp", "sigma-min"]), (2, 4, ["chikuse-jupp"]),
+                           (5, 2, ["chikuse-jupp"]), (3, 1, ["chikuse-jupp"]),
+                           (18, 18, ["chikuse-jupp", "sigma-min"]), (19, 19, ["chikuse-jupp"])):
+        z = uniform_preshapes(500 if m * q <= 9 else 30, m, q, seed=13)
+        # 'all' is the single runs that apply, in table order, field for field
+        single = [uni.uniformity_suite(z, which=which).reports for which in applying]
+        assert [[r.name for r in reports] for reports in single] == [names[w] for w in applying]
+        full = uni.uniformity_suite(z, which="all").reports
+        assert [vars(r) for r in full] == [vars(r) for reports in single for r in reports]
+        for which in names.keys() - applying:
+            with pytest.raises(ValueError) as err:
+                uni.uniformity_suite(z, which=which)
+            assert str(err.value) == f"{which} test needs {needs[which]} preshapes, got {m}x{q}"
 
 
 def test_suite_which_rejects_inapplicable_and_unknown_tests():
@@ -474,6 +495,6 @@ def test_sigma_min_above_18x18_is_not_applicable():
 def test_suite_rejects_non_finite_preshapes(bad):
     z = uniform_preshapes(50, seed=15)
     z[7, 1, 0] = bad
-    for which in (*uni.SUITE_TESTS, "all"):
+    for which in (*uni.TESTS, "all"):
         with pytest.raises(ValueError, match="finite"):
             uni.uniformity_suite(z, which=which)
