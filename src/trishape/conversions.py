@@ -28,6 +28,7 @@ from .errors import INPUT_TOL, DomainError, NotATriangleError, simplex_point
 
 TWO_PI = 2.0 * math.pi
 SQRT3 = math.sqrt(3.0)
+_SIDE_OFFSETS = (TWO_PI / 3.0, -TWO_PI / 3.0, 0.0)   # of the squared sides a2, b2, c2
 
 # Tie-break for the SVD rotation angle when sigma1 ~ sigma2 (V is arbitrary
 # at the equilateral point; theta = 0 keeps output deterministic).
@@ -252,9 +253,8 @@ def disk_to_hemisphere(d: DiskPoint) -> HemispherePoint:
 
 
 def _sides_at(g: float, t: float) -> SquaredSides:
-    """Squared sides (1 - g cos(t + offset))/3 at offsets +2pi/3, -2pi/3, 0."""
-    return SquaredSides(*((1.0 - g * math.cos(t + offset)) / 3.0
-                          for offset in (TWO_PI / 3.0, -TWO_PI / 3.0, 0.0)))
+    """Squared sides (1 - g cos(t + offset))/3 at the _SIDE_OFFSETS +2pi/3, -2pi/3, 0."""
+    return SquaredSides(*((1.0 - g * math.cos(t + offset)) / 3.0 for offset in _SIDE_OFFSETS))
 
 
 def disk_to_sides(d: DiskPoint) -> SquaredSides:
@@ -263,10 +263,10 @@ def disk_to_sides(d: DiskPoint) -> SquaredSides:
 
 
 def _plane(u1: float, u2: float, u3: float) -> tuple:
-    """core.DISK_FROM_SIDES @ (u1, u2, u3) on floats: the Cartesian point of
-    barycentric weights u on the triangle of its columns.  Its y, (sqrt(3)/2)
-    (u1 - u2), keeps full relative precision where u1 ~ u2 and is 0.0 where
-    they are equal; its x is summed from +0.0, so neither is ever -0.0."""
+    """Point of barycentric weights u on the triangle (1/2, +-sqrt(3)/2), (-1, 0)
+    around the radius-1/2 disk: squared sides go to their disk point.  Its y,
+    (sqrt(3)/2) (u1 - u2), keeps full relative precision where u1 ~ u2 and is
+    0.0 where they are equal; its x is summed from +0.0, so neither is -0.0."""
     return 0.0 + 0.5 * u1 + 0.5 * u2 - u3, SQRT3 / 2.0 * (u1 - u2)
 
 

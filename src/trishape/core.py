@@ -18,13 +18,7 @@ from .errors import INPUT_TOL, DomainError
 
 SQRT3 = float(np.sqrt(3.0))
 
-# Projection sending squared sides to the disk: DISK_FROM_SIDES @ (a2,b2,c2)
-# equals r*(cos phi, sin phi).  Its columns are the vertices of an
-# equilateral triangle whose inscribed circle is the radius-1/2 disk.
-DISK_FROM_SIDES = np.array([
-    [0.5, 0.5, -1.0],
-    [np.sqrt(3.0) / 2.0, -np.sqrt(3.0) / 2.0, 0.0],
-])
+DEGENERATE_TOL = 1e-12
 
 # E = T @ EDGE_FROM_VERTEX maps centered vertices to edge vectors;
 # T = E @ VERTEX_FROM_EDGE inverts it on the zero-column-sum subspace
@@ -138,3 +132,19 @@ def _sides_from_xy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     b2 = (1.0 + x - SQRT3 * y) / 3.0
     c2 = (1.0 - 2.0 * x) / 3.0
     return np.stack([a2, b2, c2], axis=1)
+
+
+def _angles(four_k: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """(n, 3) angles atan2(4K, 1 - 2 s_i) in radians of an (n, 1) column of 4K and
+    (n, 3) rows of 1 - 2 s_i, and pi/2 where both are within DEGENERATE_TOL (a
+    collapsed pair of sides at 1/2): 1 - 2 s_i is tested on the flat rows only."""
+    out = np.arctan2(four_k, den)
+    flat = np.flatnonzero(np.abs(four_k[:, 0]) <= DEGENERATE_TOL)
+    out[flat] = np.where(np.abs(den[flat]) <= DEGENERATE_TOL, np.pi / 2.0, out[flat])
+    return out
+
+
+def _sides_angles(s2: np.ndarray) -> np.ndarray:
+    """_angles of an (n, 3) squared-sides array, 4K = sqrt(1 - 2 (a^4 + b^4 + c^4))."""
+    four_k = np.sqrt(np.maximum(1.0 - 2.0 * (s2 * s2).sum(axis=1), 0.0))
+    return _angles(four_k[:, None], 1.0 - 2.0 * s2)

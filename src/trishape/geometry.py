@@ -14,19 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conversions import DiskPoint, SquaredSides, _plane, disk_to_sides
-from .core import DISK_FROM_SIDES
+from .conversions import _SIDE_OFFSETS, DiskPoint, SquaredSides, _plane, disk_to_sides
+from .core import DEGENERATE_TOL, _angles, _sides_angles
 from .errors import INPUT_TOL, DomainError, NotATriangleError
 
 EQUILATERAL_AREA = 1.0 / math.sqrt(48.0)   # largest area at unit squared-side sum
-DEGENERATE_TOL = 1e-12
-_SIDE_OFFSETS = np.array([2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0, 0.0])   # of disk_to_sides
 
-# Vertices of the big equilateral triangle (columns, norm 1): the disk frame
-# with its axes swapped, so BARY_BIG @ u is _plane(*u) reversed.  The inverted
-# little triangle of its edge midpoints (norm 1/2) is inscribed in the
-# radius-1/2 disk and has a horizontal base.
-BARY_BIG = DISK_FROM_SIDES[::-1].copy()
+# Vertices of the big equilateral triangle (columns, norm 1): _plane of the
+# unit weights with its axes swapped, so BARY_BIG @ u is _plane(*u) reversed.
+# The inverted little triangle of its edge midpoints (norm 1/2) is inscribed
+# in the radius-1/2 disk and has a horizontal base.
+BARY_BIG = np.array([_plane(*u)[::-1] for u in np.eye(3).tolist()]).T.copy()
 BARY_LITTLE = -0.5 * BARY_BIG
 
 
@@ -110,32 +108,18 @@ def area_general(a: float, b: float, c: float) -> float:
 
 
 def angles_from_sides(s) -> TriangleAngles:
-    """Angles via the two-argument arctangent of (4K, 1 - 2 a^2) and cyclic.
-
-    Obtuse angles land in (pi/2, pi) because the denominator goes negative
-    while 4K stays nonnegative.  Degenerate triangles give the limiting
-    (0, 0, pi) pattern, or a right angle where a squared side is exactly 1/2.
-    """
-    s = _sides3(s)
-    K = area(s)
-    out = []
-    for v in (s.a2, s.b2, s.c2):
-        num, den = 4.0 * K, 1.0 - 2.0 * v
-        if abs(num) <= DEGENERATE_TOL and abs(den) <= DEGENERATE_TOL:
-            out.append(math.pi / 2.0)   # collapsed pair of sides at 1/2
-        else:
-            out.append(math.atan2(num, den))
-    return TriangleAngles(*out)
+    """Angles atan2(4K, 1 - 2 a^2) and cyclic, core._sides_angles on a batch of one:
+    (0, 0, pi) on the rim, or a right angle where a squared side is exactly 1/2."""
+    return TriangleAngles(*_sides_angles(_sides3(s).as_array()[None])[0].tolist())
 
 
 def _hemisphere_angles(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """(n, 3) angles in radians at hemisphere points (unchecked): the atan2 of
-    angles_from_sides on the closed forms 4K = sin(lat)/sqrt(3) and
+    """(n, 3) angles in radians at hemisphere points (unchecked): core._angles
+    of the closed forms 4K = sin(lat)/sqrt(3) and
     1 - 2 s_i = (1 + 2 cos(lat) cos(lon + o_i))/3, exactly degenerate on the rim."""
     num = np.sin(lat)[:, None] / math.sqrt(3.0)
     den = (1.0 + 2.0 * np.cos(lat)[:, None] * np.cos(lon[:, None] + _SIDE_OFFSETS)) / 3.0
-    flat = (np.abs(num) <= DEGENERATE_TOL) & (np.abs(den) <= DEGENERATE_TOL)
-    return np.where(flat, math.pi / 2.0, np.arctan2(num, den))
+    return _angles(num, den)
 
 
 def special_triangle(kind: str, K: float, phi: float | None = None):
@@ -181,7 +165,7 @@ def singular_sides(phi: float) -> np.ndarray:
     These are sqrt(2/3) |sin(x/2)| at x = phi + 2pi/3, phi - 2pi/3, phi;
     the longest equals the sum of the other two.
     """
-    return math.sqrt(2.0 / 3.0) * np.abs(np.sin((phi + _SIDE_OFFSETS) / 2.0))
+    return math.sqrt(2.0 / 3.0) * np.abs(np.sin(np.add(phi, _SIDE_OFFSETS) / 2.0))
 
 
 def barycentric_frames() -> BarycentricFrames:

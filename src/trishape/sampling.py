@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SQRT3, _column_sum, _gram, _sides_from_xy
+from .core import SQRT3, _column_sum, _gram, _sides_angles, _sides_from_xy
 from .errors import simplex_point
 
 BLOCK_SIZE = 1 << 16
@@ -199,12 +199,6 @@ def _height_counts(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
     return _class_counts(1.0 + 2.0 * np.sqrt(0.25 - height * height) * np.cos(d), 3.0)
 
 
-def _sides_to_angles(s2: np.ndarray) -> np.ndarray:
-    """Angles over pi, rows summing to 1, from an (n, 3) squared-sides array."""
-    four_area = np.sqrt(np.maximum(1.0 - 2.0 * (s2 * s2).sum(axis=1), 0.0))
-    return np.arctan2(four_area[:, None], 1.0 - 2.0 * s2) / math.pi
-
-
 # ---------------------------------------------------------------------------
 # blocks and models
 
@@ -250,7 +244,9 @@ def _gaussian_radius(rng: np.random.Generator, count: int, edges) -> np.ndarray:
 
 
 def _height_block_counts(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
-    return _height_counts(*hemisphere_heights(rng, count, m))
+    height, lon = hemisphere_heights(rng, count, m)   # classified CHUNK_ROWS at a time
+    return sum(_height_counts(height[lo:lo + CHUNK_ROWS], lon[lo:lo + CHUNK_ROWS])
+               for lo in range(0, max(count, 1), CHUNK_ROWS))     # count 0: one empty slice
 
 
 def _height_disk(rng: np.random.Generator, count: int, m: int):
@@ -276,7 +272,7 @@ MODELS = {
     "gaussian": Model(
         counts=lambda rng, n, m: sum(_chunked(rng.standard_normal, (2, 2), n, _preshape_counts)),
         disk=_gaussian_disk, radius=_gaussian_radius,
-        angles=lambda rng, n: _sides_to_angles(_sides_from_xy(*_gaussian_disk(rng, n))),
+        angles=lambda rng, n: _sides_angles(_sides_from_xy(*_gaussian_disk(rng, n))) / math.pi,
         preshapes=True),
     "hemisphere": Model(counts=_height_block_counts, disk=_height_disk, radius=_height_radius),
     "angles": Model(

@@ -14,6 +14,7 @@ from .errors import DomainError
 _EPS = 1e-15
 _TINY = 1e-300
 _MAX_ITER = 500
+_MAX_SERIES_TERMS = 200000   # of the 2F1 series
 
 
 def _lentz(an: float, bn: float, c: float, d: float):
@@ -43,8 +44,8 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 def betainc_reg(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"beta parameters must be positive, got a={a}, b={b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"beta parameters must be positive and finite, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"beta argument must lie in [0, 1], got {x}")
     if x == 0.0 or x == 1.0:
@@ -120,12 +121,14 @@ def _gamma_q_cf(s: float, x: float) -> float:
 
 def gamma_q(s: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(s, x) = Gamma(s, x) / Gamma(s)."""
-    if not s > 0.0:
-        raise ValueError(f"shape parameter must be positive, got {s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"shape parameter must be positive and finite, got {s}")
     if not x >= 0.0:
         raise ValueError(f"argument must be nonnegative, got {x}")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     if x < s + 1.0:
         return _gamma_q_series(s, x)
     return _gamma_q_cf(s, x)
@@ -146,10 +149,10 @@ def _rgamma(x: float) -> float:
     return 1.0 / math.gamma(x)
 
 
-def _hyp2f1_series(a: float, b: float, c: float, z: float, max_terms: int = 200000) -> float:
+def _hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
     term = 1.0
     total = 1.0
-    for n in range(max_terms):
+    for n in range(_MAX_SERIES_TERMS):
         ratio = (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
         term *= ratio
         total += term
@@ -206,14 +209,16 @@ def gauss_2f1(a: float, b: float, c: float, z: float, scaled: bool = False) -> f
     power folded into the expansion at infinity: for b > a it stays finite
     up to z = -inf, where the plain value underflows.
     """
+    if not all(map(math.isfinite, (a, b, c))):
+        raise ValueError(f"2F1 parameters must be finite, got a={a}, b={b}, c={c}")
     if _is_nonpositive_integer(c):
         raise ValueError(f"2F1 undefined for non-positive integer c = {c}")
     if scaled and not z < 0.0:
         raise ValueError(f"scaled 2F1 needs z < 0, got {z}")
+    if not z < 0.9:   # NaN too
+        raise ValueError(f"2F1 argument must satisfy z < 0.9, got {z}")
     if a == 0.0 or b == 0.0 or z == 0.0:
         value = 1.0
-    elif z >= 0.9:
-        raise ValueError(f"2F1 argument must satisfy z < 0.9, got {z}")
     elif z > -0.9:
         value = _hyp2f1_series(a, b, c, z)
     elif (parts := _hyp2f1_at_infinity(a, b, c, z)) is not None:
@@ -230,6 +235,8 @@ def kolmogorov_sf(x: float) -> float:
     """Upper tail of the Kolmogorov distribution: 2 sum (-1)^(k-1) exp(-2 k^2 x^2)."""
     if x <= 0.05:
         return 1.0
+    if not x > 0.05:
+        raise ValueError(f"Kolmogorov argument must be a number, got {x}")
     total = 0.0
     sign = 1.0
     for k in range(1, 10000):

@@ -6,6 +6,7 @@ import pytest
 
 from trishape import cli
 from trishape import conversions as conv
+from trishape import core
 from trishape import geometry as geo
 from trishape.errors import DomainError, NotATriangleError
 
@@ -76,6 +77,33 @@ def test_angle_sum_random():
     for _ in range(500):
         total = geo.angles_from_sides(random_sides()).as_array().sum()
         assert abs(total - math.pi) < 1e-10
+
+
+def test_scalar_angles_are_the_batch_kernel_bit_for_bit():
+    # angles_from_sides is core._sides_angles on a batch of one: seeded shapes,
+    # the collapsed pair, the right isosceles and rim points give the same bits
+    # as their rows of one batch
+    rng = np.random.default_rng(2023)
+    m = rng.normal(size=(2000, 2, 2))
+    sides = [conv.shape_to_sides(x / np.linalg.norm(x)) for x in m]
+    sides += [conv.SquaredSides(0.5, 0.5, 0.0), SIDES_RIGHT_ISO, SIDES_345, EQUILATERAL]
+    sides += [conv.disk_to_sides(conv.DiskPoint(0.5, phi))
+              for phi in np.linspace(0.0, 2.0 * math.pi, 60).tolist()]
+    batch = core._sides_angles(np.array([s.as_array() for s in sides]))
+    scalar = np.array([geo.angles_from_sides(s).as_array() for s in sides])
+    assert scalar.tobytes() == batch.tobytes()
+    assert scalar[2000].tolist() == [math.pi / 2.0, math.pi / 2.0, 0.0]
+
+
+def test_angle_kernel_flat_rule_only_where_both_arguments_vanish():
+    four_k = np.array([[0.0], [0.0], [1e-13], [2e-12], [-1e-13]])
+    den = np.array([[0.0, 1.0, -1.0], [1e-13, -1e-13, 2e-12],
+                    [-1e-13, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+    expect = np.arctan2(four_k, den)
+    flat = (np.abs(four_k) <= geo.DEGENERATE_TOL) & (np.abs(den) <= geo.DEGENERATE_TOL)
+    expect[flat] = math.pi / 2.0
+    assert core._angles(four_k, den).tobytes() == expect.tobytes()
+    assert flat.sum() == 6
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +280,16 @@ def test_sides_are_validated_once_and_used_as_validated(monkeypatch):
                         lambda self: checks.append(post_init(self)))
     geo.construct_in_hemisphere((0.5, 0.25, 0.25))
     assert len(checks) == 1
+
+
+def test_big_frame_is_the_old_literal_byte_for_byte():
+    # BARY_BIG is built from conversions._plane of the unit weights; it must
+    # keep the bytes (and the layout) of the literal disk frame, axes swapped
+    literal = np.array([[math.sqrt(3.0) / 2.0, -math.sqrt(3.0) / 2.0, 0.0],
+                        [0.5, 0.5, -1.0]])
+    assert geo.BARY_BIG.tobytes() == literal.tobytes()
+    assert geo.BARY_BIG.flags.c_contiguous
+    assert geo.BARY_LITTLE.tobytes() == (-0.5 * literal).tobytes()
 
 
 def test_frame_change_identity():

@@ -432,7 +432,7 @@ def test_angle_bin_probabilities_match_density_integral(n, label):
 def test_angle_pair_tail_against_mpmath(n):
     # the Gauss-Bonnet lens area at 50 digits, with each cap normal built as a
     # vector, (2 sin t u, sqrt(3) cos t) / sqrt(3 + sin^2 t) for the disk
-    # direction u of a2 or b2 (a column of core.DISK_FROM_SIDES)
+    # direction u of a2 or b2 (conversions._plane of its unit weight)
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         r3 = mpmath.sqrt(3)
@@ -559,6 +559,19 @@ def test_folded_height_counts_equal_disk_counts(m):
     for seed in range(30):
         height, lon = samp.hemisphere_heights(samp.RngSeed(seed, 6).generator(), _ROWS, m)
         assert list(samp._height_counts(height, lon)) == _unfolded_height_counts(height, lon)
+
+
+@pytest.mark.parametrize("m", [2, 3, 12])
+def test_height_block_counts_in_slices_equal_whole_block(m):
+    # one draw per block, classified CHUNK_ROWS rows at a time: the counts of
+    # _height_counts on the whole block, for a count that is not a multiple of
+    # CHUNK_ROWS and for count 0
+    for seed in range(4):
+        for count in (_ROWS, 0):
+            rng = lambda: samp.RngSeed(seed, 7).generator(block=count)
+            whole = samp._height_counts(*samp.hemisphere_heights(rng(), count, m))
+            assert list(samp._height_block_counts(rng(), count, m)) == list(whole)
+    assert list(samp._height_block_counts(rng(), 0, m)) == [0, 0, 0]
 
 
 def test_folded_height_counts_at_sector_edges():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from trishape import specfun
+from trishape import specfun, uniformity
 
 RNG = np.random.default_rng(5150)
 
@@ -71,6 +71,18 @@ def test_gamma_q_basics():
     for args in ((math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (1.0, -1.0)):
         with pytest.raises(ValueError, match="must"):
             specfun.gamma_q(*args)
+
+
+def test_gamma_q_at_infinity_and_non_finite_shapes():
+    # Q(s, inf) = 0 at once, where the continued fraction used to stall
+    for s in (0.5, 1.0, 2.0, 37.5):
+        assert specfun.gamma_q(s, math.inf) == 0.0
+    assert uniformity.chi2_upper_tail(math.inf, 3.0) == 0.0
+    with pytest.raises(ValueError, match="finite"):
+        specfun.gamma_q(math.inf, 1.0)
+    for args in ((math.inf, 1.0, 0.5), (1.0, math.inf, 0.5)):
+        with pytest.raises(ValueError, match="finite"):
+            specfun.betainc_reg(*args)
 
 
 def test_gamma_q_against_scipy():
@@ -175,6 +187,18 @@ def test_2f1_rejects_bad_c_and_large_z():
         specfun.gauss_2f1(1.0, 1.0, 2.0, 0.95)
 
 
+def test_2f1_rejects_nan_and_non_finite_parameters():
+    # each fails a check before any series term, also where 2F1 is the constant 1
+    for a in (1.0, 0.0):
+        with pytest.raises(ValueError, match="z < 0.9"):
+            specfun.gauss_2f1(a, 2.0, 3.0, math.nan)
+    with pytest.raises(ValueError, match="z < 0.9"):
+        specfun.gauss_2f1(0.0, 2.0, 3.0, 5.0)
+    for args in ((math.nan, 2.0, 3.0), (1.0, math.inf, 3.0), (1.0, 2.0, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            specfun.gauss_2f1(*args, -0.5)
+
+
 # ---------------------------------------------------------------------------
 # Kolmogorov tail
 
@@ -182,6 +206,12 @@ def test_2f1_rejects_bad_c_and_large_z():
 def test_kolmogorov_against_scipy():
     for x in [0.01, 0.3, 0.5, 0.8283, 1.0, 1.3581, 2.0, 3.0]:
         assert abs(specfun.kolmogorov_sf(x) - special.kolmogorov(x)) < 1e-10
+
+
+def test_kolmogorov_rejects_nan():
+    with pytest.raises(ValueError, match="must be a number"):
+        specfun.kolmogorov_sf(math.nan)
+    assert specfun.kolmogorov_sf(math.inf) == 0.0
 
 
 def test_kolmogorov_median_quantile():
