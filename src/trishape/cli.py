@@ -53,9 +53,9 @@ def _class_column(codes, names=None):
 
 
 def _fmt(v) -> str:
+    if isinstance(v, tuple):            # a vector of floats, space-separated
+        return " ".join(map("{:.17g}".format, v))
     np = sys.modules.get("numpy")       # a NumPy value means NumPy is loaded
-    if np is not None and isinstance(v, np.ndarray):
-        return " ".join(map("{:.17g}".format, np.ravel(v).astype(float).tolist()))
     v = v.item() if np is not None and isinstance(v, np.generic) else v
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -100,13 +100,6 @@ def _rep_value(rep: str, values):
     return tuple(tuple(v / norm for v in values[i:i + 2]) for i in (0, 2))
 
 
-def _rep_record(value) -> dict:
-    kind = conv.kind_of(value)
-    fields = _rep_fields(kind)
-    values = [*value[0], *value[1]] if kind == "matrix" else [getattr(value, f) for f in fields]
-    return {"representation": kind, **dict(zip(fields, values))}
-
-
 def _record_text(rec: dict, fmt: str | None) -> str:
     if fmt == "json":
         import json
@@ -141,8 +134,10 @@ def _cmd_convert(args):
     # on floats throughout: a matrix is a 2x2 tuple, and conv.convert's arrays are not made
     value = _rep_value(args.from_rep, args.values)
     route = (args.from_rep, args.to_rep)
-    target = value if route[0] == route[1] else conv._follow(route, value)
-    rec = _rep_record(target)
+    target = conv._floats(args.from_rep, value)
+    target = target if route[0] == route[1] else conv._follow(route, target)
+    flat = (*target[0], *target[1]) if args.to_rep == "matrix" else target
+    rec = {"representation": args.to_rep, **dict(zip(_rep_fields(args.to_rep), flat))}
     if args.roundtrip:
         report = conv.roundtrip_all(value)
         rec["roundtrip_cycles"] = report.n_cycles
@@ -226,7 +221,9 @@ def _cmd_prob(args):
 
 
 def _triangle_ratio_residual(tri, ref: list) -> float:
-    lengths = sorted(math.sqrt(float(d @ d)) for d in tri[[0, 0, 1]] - tri[[1, 2, 2]])
+    # each length summed in a fixed order: no BLAS kernel decides a bit
+    d = [[p - q for p, q in zip(tri[i], tri[j])] for i, j in ((0, 1), (0, 2), (1, 2))]
+    lengths = sorted(math.sqrt((dx * dx + dy * dy) + dz * dz) for dx, dy, dz in d)
     if ref[2] == 0.0:
         return 0.0
     scale = lengths[2] / ref[2]
@@ -237,20 +234,15 @@ def _triangle_ratio_residual(tri, ref: list) -> float:
 
 def _cmd_construct(args):
     sides = conv.SquaredSides(args.a2, args.b2, args.c2)
-    result = geometry.construct_in_hemisphere(sides)
-    rec = {
-        "a2": sides.a2, "b2": sides.b2, "c2": sides.c2,
-        "degenerate": result.degenerate,
-        "S": result.apex, "P": result.foot,
-    }
-    for para in result.parallelians:
-        u, v = para.cartesian_endpoints
-        rec[f"parallelian_{para.index}_endpoint_1"] = u
-        rec[f"parallelian_{para.index}_endpoint_2"] = v
+    apex, foot, paras, degenerate = geometry._construction(sides)     # floats, not arrays
+    rec = {"a2": sides.a2, "b2": sides.b2, "c2": sides.c2, "degenerate": degenerate,
+           "S": apex, "P": foot}
+    rec.update((f"parallelian_{i}_endpoint_{j}", end) for i, (_, _, ends) in
+               enumerate(paras, start=1) for j, end in enumerate(ends, start=1))
     ref = sorted(map(math.sqrt, (sides.a2, sides.b2, sides.c2)))
-    for i, tri in enumerate(result.triangles, start=1):
-        for j in range(3):
-            rec[f"triangle_{i}_vertex_{j + 1}"] = tri[j]
+    for i, (_, _, (u, v)) in enumerate(paras, start=1):
+        tri = apex, (*u, 0.0), (*v, 0.0)
+        rec.update((f"triangle_{i}_vertex_{j}", w) for j, w in enumerate(tri, start=1))
         rec[f"triangle_{i}_ratio_residual"] = _triangle_ratio_residual(tri, ref)
     return _writes(_record_text(rec, args.format))
 

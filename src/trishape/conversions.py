@@ -13,16 +13,18 @@ A shape lives in any of five equivalent forms:
 Every ordered pair of representations has a conversion here, plus the Hopf
 map and the quaternion machinery that makes it rotation-equivariant.
 
-They compute on Python floats: inside them a shape matrix is a 2x2 tuple of
-floats, and each matrix product a sum written out in a fixed order, so no BLAS
-kernel decides a bit.  NumPy is imported only at the array boundary, by the
-public functions that return an ndarray.
+The records check their values at the public boundary only.  Inside, a
+conversion is a chain of float kernels (_ROUTES), a shape matrix a 2x2 tuple,
+each applying its output record's clamp and wrap but no range check; each
+matrix product is a sum in a fixed order, so no BLAS kernel decides a bit.
+NumPy is imported only by the public functions that return an ndarray.
 """
 
 import itertools
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import INPUT_TOL, DomainError, NotATriangleError, simplex_point
 
@@ -53,6 +55,25 @@ def _wrap(angle: float, period: float) -> float:
     return a + 0.0 if a < period else 0.0      # + 0.0: never -0.0
 
 
+# The clamp and wrap of each record, which the kernels apply to what they return;
+# each is idempotent, so a record made from a kernel's floats keeps their bits.
+def _svd(s1: float, s2: float, theta: float) -> tuple:
+    s1 = _clamp(s1, 0.0, 1.0)
+    return s1, _clamp(s2, 0.0, s1), _wrap(theta, math.pi)
+
+
+def _sides(a2: float, b2: float, c2: float) -> tuple:     # simplex_point's clamp
+    return max(a2, 0.0) + 0.0, max(b2, 0.0) + 0.0, max(c2, 0.0) + 0.0
+
+
+def _hemisphere(lat: float, lon: float) -> tuple:
+    return _clamp(lat, 0.0, math.pi / 2.0), _wrap(lon, TWO_PI)
+
+
+def _disk(r: float, phi: float) -> tuple:
+    return _clamp(r, 0.0, 0.5), _wrap(phi, TWO_PI)
+
+
 @dataclass
 class SvdShape:
     """Singular values and right-rotation angle of a unit-norm shape matrix."""
@@ -67,9 +88,7 @@ class SvdShape:
             raise DomainError(f"need 1 >= sigma1 >= sigma2 >= 0, got ({s1}, {s2})")
         if not abs(s1 * s1 + s2 * s2 - 1.0) <= INPUT_TOL:
             raise DomainError(f"sigma1^2 + sigma2^2 must be 1, got {s1*s1 + s2*s2}")
-        self.sigma1 = _clamp(s1, 0.0, 1.0)
-        self.sigma2 = _clamp(s2, 0.0, self.sigma1)
-        self.theta = _wrap(float(self.theta), math.pi)
+        self.sigma1, self.sigma2, self.theta = _svd(s1, s2, float(self.theta))
 
 
 @dataclass
@@ -107,8 +126,7 @@ class HemispherePoint:
         lat = float(self.latitude)
         if not (-INPUT_TOL <= lat <= math.pi / 2.0 + INPUT_TOL):
             raise DomainError(f"latitude must lie in [0, pi/2], got {lat}")
-        self.latitude = _clamp(lat, 0.0, math.pi / 2.0)
-        self.longitude = _wrap(float(self.longitude), TWO_PI)
+        self.latitude, self.longitude = _hemisphere(lat, float(self.longitude))
 
 
 @dataclass
@@ -122,11 +140,10 @@ class DiskPoint:
         r = float(self.r)
         if not (-INPUT_TOL <= r <= 0.5 + INPUT_TOL):
             raise DomainError(f"disk radius must lie in [0, 1/2], got {r}")
-        self.r = _clamp(r, 0.0, 0.5)
-        self.phi = _wrap(float(self.phi), TWO_PI)
+        self.r, self.phi = _disk(r, float(self.phi))
 
     def xy(self):
-        return _array(_embedding(self))
+        return _array(_embedding("disk", (self.r, self.phi)))
 
 
 @dataclass
@@ -164,7 +181,7 @@ def _unit_matrix(m) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# (1) SVD of the shape matrix
+# The primitive kernels, from the floats of one representation to those of another
 
 
 def _svd_parts(m11: float, m12: float, m21: float, m22: float) -> tuple:
@@ -179,6 +196,89 @@ def _svd_parts(m11: float, m12: float, m21: float, m22: float) -> tuple:
     nu = (a1 - a2) / 2.0
     theta = 0.0 if s1 - s2 < DEGENERATE_SVD_TOL else _wrap(nu, math.pi)
     return s1, s2, theta, nu, (a1 + a2) / 2.0, q - p
+
+
+def _svd2x2(*m: tuple) -> tuple:
+    """Reduced SVD of a unit-norm shape matrix; the left factor is not formed."""
+    return _svd(*_svd_parts(*m[0], *m[1])[:3])
+
+
+def _svd_to_shape(s1: float, s2: float, theta: float) -> tuple:
+    """Canonical shape matrix Sigma @ V^T (left factor I), with its product's signed zeros."""
+    c, t = math.cos(theta), math.sin(theta)
+    return (s1 * c + 0.0, s1 * t + 0.0), (0.0 - s2 * t, s2 * c + 0.0)
+
+
+def _svd_to_hemisphere(s1: float, s2: float, theta: float) -> tuple:
+    """(2 atan2(sigma2, sigma1), 2 theta): the latitude asin(2 sigma1 sigma2), taken
+    so that the pole (sigma1 = sigma2) does not lose half the significant digits."""
+    return _hemisphere(2.0 * math.atan2(s2, s1), 2.0 * theta)
+
+
+def _hemisphere_to_svd(lat: float, lon: float) -> tuple:
+    return _svd(math.cos(lat / 2.0), math.sin(lat / 2.0), lon / 2.0)
+
+
+def _hemisphere_to_disk(lat: float, lon: float) -> tuple:
+    return _disk(math.cos(lat) / 2.0, lon)
+
+
+def _disk_to_hemisphere(r: float, phi: float) -> tuple:
+    return _hemisphere(math.acos(2.0 * r), phi)
+
+
+def _disk_to_sides(r: float, phi: float) -> tuple:
+    """Squared sides (1 - 2 r cos(phi + offset))/3 at the _SIDE_OFFSETS +2pi/3, -2pi/3, 0."""
+    return _sides(*((1.0 - 2.0 * r * math.cos(phi + offset)) / 3.0 for offset in _SIDE_OFFSETS))
+
+
+def _plane(u1: float, u2: float, u3: float) -> tuple:
+    """Point of barycentric weights u on the triangle (1/2, +-sqrt(3)/2), (-1, 0)
+    around the radius-1/2 disk: squared sides go to their disk point.  Its y,
+    (sqrt(3)/2) (u1 - u2), keeps full relative precision where u1 ~ u2 and is
+    0.0 where they are equal; its x is summed from +0.0, so neither is -0.0."""
+    return 0.0 + 0.5 * u1 + 0.5 * u2 - u3, SQRT3 / 2.0 * (u1 - u2)
+
+
+def _sides_to_disk(a2: float, b2: float, c2: float) -> tuple:
+    """Polar coordinates of _plane(a2, b2, c2); inverse of disk_to_sides."""
+    x, y = _plane(a2, b2, c2)
+    return _disk(math.hypot(x, y), math.atan2(y, x))
+
+
+def _svd_to_sides(s1: float, s2: float, theta: float) -> tuple:
+    """Closed-form squared sides (1 - (sigma1^2 - sigma2^2) cos(2 theta + offset))/3."""
+    return _disk_to_sides((s1 * s1 - s2 * s2) / 2.0, 2.0 * theta)
+
+
+def _svd_to_disk(s1: float, s2: float, theta: float) -> tuple:
+    return _disk((s1 * s1 - s2 * s2) / 2.0, 2.0 * theta)
+
+
+def _disk_to_svd(r: float, phi: float) -> tuple:
+    return _svd(math.sqrt(0.5 + r), math.sqrt(0.5 - r), phi / 2.0)
+
+
+def _shape_to_sides(*m: tuple) -> tuple:
+    """Squared sides as diag((M D)^T (M D)) for the Helmert frame D = helmert(3)."""
+    (a, b), (c, d) = m
+    r2, r6 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)      # HELMERT3's entries, summed out
+    e = [(a * u + b * v, c * u + d * v) for u, v in ((r2, r6), (-r2, r6), (0.0, -2.0 * r6))]
+    return _sides(*(p * p + q * q for p, q in e))
+
+
+def _shape_to_disk(*m: tuple) -> tuple:
+    """Disk point from the Gram matrix: (r cos phi, r sin phi) = ((G11 - G22)/2, G12),
+    half the first two Hopf coordinates (exactly), the second summed from +0.0,
+    so that a zero is never -0.0."""
+    x, y, _ = _hopf(m)
+    x, y = x / 2.0, 0.0 + y / 2.0
+    return _disk(math.hypot(x, y), math.atan2(y, x))
+
+
+def _shape_to_hemisphere(*m: tuple) -> tuple:
+    x, y, z = _hopf(m)
+    return _hemisphere(math.atan2(abs(z), math.hypot(x, y)), math.atan2(y, x))
 
 
 def svd2x2_factors(m):
@@ -204,137 +304,9 @@ def svd2x2_factors(m):
     return u, (sigma1, sigma2), theta
 
 
-def svd2x2(m) -> SvdShape:
-    """Reduced SVD of a unit-norm shape matrix; the left factor is not formed."""
-    m = _unit_matrix(m)
-    s1, s2, theta = _svd_parts(*m[0], *m[1])[:3]
-    return SvdShape(min(s1, 1.0), s2, theta)
-
-
-def _svd_to_shape(s: SvdShape) -> tuple:
-    c, t = math.cos(s.theta), math.sin(s.theta)
-    return ((s.sigma1 * c + 0.0, s.sigma1 * t + 0.0), (0.0 - s.sigma2 * t, s.sigma2 * c + 0.0))
-
-
-def svd_to_shape(s: SvdShape):
-    """Canonical shape matrix Sigma @ V^T (left factor I), with its product's signed zeros."""
-    return _array(_svd_to_shape(s))
-
-
-# ---------------------------------------------------------------------------
-# (1) <-> (3) hemisphere
-
-
-def svd_to_hemisphere(s: SvdShape) -> HemispherePoint:
-    # lat = asin(2 sigma1 sigma2), evaluated as 2 atan2(sigma2, sigma1) so the
-    # pole (sigma1 = sigma2) does not lose half the significant digits
-    lat = 2.0 * math.atan2(s.sigma2, s.sigma1)
-    return HemispherePoint(lat, 2.0 * s.theta)
-
-
-def hemisphere_to_svd(h: HemispherePoint) -> SvdShape:
-    return SvdShape(math.cos(h.latitude / 2.0), math.sin(h.latitude / 2.0), h.longitude / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# (3) <-> (4) disk
-
-
-def hemisphere_to_disk(h: HemispherePoint) -> DiskPoint:
-    return DiskPoint(math.cos(h.latitude) / 2.0, h.longitude)
-
-
-def disk_to_hemisphere(d: DiskPoint) -> HemispherePoint:
-    return HemispherePoint(math.acos(2.0 * d.r), d.phi)
-
-
-# ---------------------------------------------------------------------------
-# (2) <-> (4) squared sides and disk
-
-
-def _sides_at(g: float, t: float) -> SquaredSides:
-    """Squared sides (1 - g cos(t + offset))/3 at the _SIDE_OFFSETS +2pi/3, -2pi/3, 0."""
-    return SquaredSides(*((1.0 - g * math.cos(t + offset)) / 3.0 for offset in _SIDE_OFFSETS))
-
-
-def disk_to_sides(d: DiskPoint) -> SquaredSides:
-    """Squared sides (1 - 2 r cos(phi + offset))/3 at offsets +2pi/3, -2pi/3, 0."""
-    return _sides_at(2.0 * d.r, d.phi)
-
-
-def _plane(u1: float, u2: float, u3: float) -> tuple:
-    """Point of barycentric weights u on the triangle (1/2, +-sqrt(3)/2), (-1, 0)
-    around the radius-1/2 disk: squared sides go to their disk point.  Its y,
-    (sqrt(3)/2) (u1 - u2), keeps full relative precision where u1 ~ u2 and is
-    0.0 where they are equal; its x is summed from +0.0, so neither is -0.0."""
-    return 0.0 + 0.5 * u1 + 0.5 * u2 - u3, SQRT3 / 2.0 * (u1 - u2)
-
-
-def sides_to_disk(s: SquaredSides) -> DiskPoint:
-    """Polar coordinates of _plane(a2, b2, c2); inverse of disk_to_sides."""
-    x, y = _plane(s.a2, s.b2, s.c2)
-    return DiskPoint(min(math.hypot(x, y), 0.5), math.atan2(y, x))
-
-
-# ---------------------------------------------------------------------------
-# remaining pairs
-
-
-def svd_to_sides(s: SvdShape) -> SquaredSides:
-    """Closed-form squared sides (1 - (sigma1^2 - sigma2^2) cos(2 theta + offset))/3."""
-    return _sides_at(s.sigma1 * s.sigma1 - s.sigma2 * s.sigma2, 2.0 * s.theta)
-
-
-def svd_to_disk(s: SvdShape) -> DiskPoint:
-    return DiskPoint((s.sigma1 * s.sigma1 - s.sigma2 * s.sigma2) / 2.0, 2.0 * s.theta)
-
-
-def disk_to_svd(d: DiskPoint) -> SvdShape:
-    return SvdShape(math.sqrt(0.5 + d.r), math.sqrt(0.5 - d.r), d.phi / 2.0)
-
-
-def sides_to_svd(s: SquaredSides) -> SvdShape:
-    return _follow(("sides", "svd"), s)
-
-
-def sides_to_hemisphere(s: SquaredSides) -> HemispherePoint:
-    return _follow(("sides", "hemisphere"), s)
-
-
-def hemisphere_to_sides(h: HemispherePoint) -> SquaredSides:
-    return _follow(("hemisphere", "sides"), h)
-
-
-def shape_to_sides(m) -> SquaredSides:
-    """Squared sides as diag((M D)^T (M D)) for the Helmert frame D = helmert(3)."""
-    (a, b), (c, d) = _unit_matrix(m)
-    r2, r6 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)      # HELMERT3's entries, summed out
-    e = [(a * u + b * v, c * u + d * v) for u, v in ((r2, r6), (-r2, r6), (0.0, -2.0 * r6))]
-    return SquaredSides(*(p * p + q * q for p, q in e))
-
-
-def shape_to_disk(m) -> DiskPoint:
-    """Disk point from the Gram matrix: (r cos phi, r sin phi) = ((G11 - G22)/2, G12),
-    half the first two Hopf coordinates (exactly), the second summed from +0.0,
-    so that a zero is never -0.0."""
-    x, y, _ = _hopf(_unit_matrix(m))
-    x, y = x / 2.0, 0.0 + y / 2.0
-    return DiskPoint(min(math.hypot(x, y), 0.5), math.atan2(y, x))
-
-
-def shape_to_hemisphere(m) -> HemispherePoint:
-    x, y, z = _hopf(_unit_matrix(m))
-    return HemispherePoint(math.atan2(abs(z), math.hypot(x, y)), math.atan2(y, x))
-
-
-def sides_to_shape(s: SquaredSides):
-    """A shape matrix with the given sides (canonical representative, U = I)."""
-    return _array(_follow(("sides", "matrix"), s))
-
-
 def hemisphere_to_cartesian(h: HemispherePoint):
     """Embed (latitude, longitude) as the 3-vector (1/2)(cos lat cos lon, cos lat sin lon, sin lat)."""
-    return _array(_embedding(h))
+    return _array(_embedding("hemisphere", (h.latitude, h.longitude)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +370,7 @@ def hopf_equivariance_check(quat: UnitQuaternion, m) -> float:
 
 
 # ---------------------------------------------------------------------------
-# roundtrips
+# routes, the public conversions and roundtrips
 
 # Each representation kind and its type; a "matrix" is any 2x2 array-like, and
 # has none.  The order is the order in which roundtrip_all visits the kinds.
@@ -410,31 +382,33 @@ REPRESENTATIONS = {
     "matrix": None,
 }
 _KIND_OF_TYPE = {cls: kind for kind, cls in REPRESENTATIONS.items() if kind != "matrix"}
-_PACK = {cls: struct.Struct(f"{len(fields(cls))}d").pack for cls in _KIND_OF_TYPE}
+_FIELDS = {kind: attrgetter(*cls.__match_args__) for cls, kind in _KIND_OF_TYPE.items()}
+_PACK = {n: struct.Struct(f"{n}d").pack for n in (2, 3, 4)}
 
-# Each ordered pair of kinds and the chain of primitive conversions that runs it;
+# Each ordered pair of kinds and the chain of primitive kernels that runs it;
 # roundtrip_all memoises each primitive, not each route.
 _ROUTES = {
-    ("svd", "sides"): (svd_to_sides,), ("svd", "hemisphere"): (svd_to_hemisphere,),
-    ("svd", "disk"): (svd_to_disk,), ("svd", "matrix"): (_svd_to_shape,),
-    ("sides", "svd"): (sides_to_disk, disk_to_svd), ("sides", "disk"): (sides_to_disk,),
-    ("sides", "hemisphere"): (sides_to_disk, disk_to_hemisphere),
-    ("sides", "matrix"): (sides_to_disk, disk_to_svd, _svd_to_shape),
-    ("hemisphere", "svd"): (hemisphere_to_svd,), ("hemisphere", "disk"): (hemisphere_to_disk,),
-    ("hemisphere", "sides"): (hemisphere_to_disk, disk_to_sides),
-    ("hemisphere", "matrix"): (hemisphere_to_svd, _svd_to_shape),
-    ("disk", "svd"): (disk_to_svd,), ("disk", "sides"): (disk_to_sides,),
-    ("disk", "hemisphere"): (disk_to_hemisphere,),
-    ("disk", "matrix"): (disk_to_svd, _svd_to_shape),
-    ("matrix", "svd"): (svd2x2,), ("matrix", "sides"): (shape_to_sides,),
-    ("matrix", "hemisphere"): (shape_to_hemisphere,), ("matrix", "disk"): (shape_to_disk,),
+    ("svd", "sides"): (_svd_to_sides,), ("svd", "hemisphere"): (_svd_to_hemisphere,),
+    ("svd", "disk"): (_svd_to_disk,), ("svd", "matrix"): (_svd_to_shape,),
+    ("sides", "svd"): (_sides_to_disk, _disk_to_svd), ("sides", "disk"): (_sides_to_disk,),
+    ("sides", "hemisphere"): (_sides_to_disk, _disk_to_hemisphere),
+    ("sides", "matrix"): (_sides_to_disk, _disk_to_svd, _svd_to_shape),
+    ("hemisphere", "svd"): (_hemisphere_to_svd,), ("hemisphere", "disk"): (_hemisphere_to_disk,),
+    ("hemisphere", "sides"): (_hemisphere_to_disk, _disk_to_sides),
+    ("hemisphere", "matrix"): (_hemisphere_to_svd, _svd_to_shape),
+    ("disk", "svd"): (_disk_to_svd,), ("disk", "sides"): (_disk_to_sides,),
+    ("disk", "hemisphere"): (_disk_to_hemisphere,),
+    ("disk", "matrix"): (_disk_to_svd, _svd_to_shape),
+    ("matrix", "svd"): (_svd2x2,), ("matrix", "sides"): (_shape_to_sides,),
+    ("matrix", "hemisphere"): (_shape_to_hemisphere,), ("matrix", "disk"): (_shape_to_disk,),
 }
-_COMPARED_VIA = {"svd": svd_to_hemisphere, "matrix": shape_to_sides}
+# the kind whose embedding shape_distance compares, where it is not the value's own
+_COMPARED_AS = {"svd": "hemisphere", "matrix": "sides"}
 
 
-def _follow(route: tuple, x):
+def _follow(route: tuple, x: tuple) -> tuple:
     for step in _ROUTES[route]:
-        x = step(x)
+        x = step(*x)
     return x
 
 
@@ -451,32 +425,53 @@ def kind_of(x) -> str:
     raise ValueError(f"not a shape representation: {x!r}")
 
 
+def _floats(kind: str, x) -> tuple:
+    """A record's fields, checked when it was made, or a matrix as a 2x2 tuple, checked here."""
+    return _unit_matrix(x) if kind == "matrix" else _FIELDS[kind](x)
+
+
 def convert(x, target: str):
     """Convert a shape value to the named target representation."""
     src = kind_of(x)
     if target not in REPRESENTATIONS:
         raise ValueError(f"unknown representation {target!r}")
     if src == target:   # a record was checked when it was made; a matrix is checked here
-        out = _unit_matrix(x) if src == "matrix" else x
-    else:
-        out = _follow((src, target), x)
-    return _array(out) if target == "matrix" else out
+        return _array(_unit_matrix(x)) if src == "matrix" else x
+    return _CONVERSIONS[src, target](x)
 
 
-def _embedding(value) -> list:
+def _conversion(src: str, dst: str):
+    """The function of a route, from a value's floats through the route's kernels to a
+    record, which checks them, or an ndarray; named for its kinds but for svd2x2."""
+    def conversion(x):
+        out = _follow((src, dst), _floats(src, x))
+        return _array(out) if dst == "matrix" else REPRESENTATIONS[dst](*out)
+    conversion.__name__ = conversion.__qualname__ = "svd2x2" if (src, dst) == ("matrix", "svd") \
+        else f"{src}_to_{dst}".replace("matrix", "shape")
+    conversion.__doc__ = f"The {dst} of a {src} value, by the kernels of _ROUTES[{src!r}, {dst!r}]."
+    return conversion
+
+
+_CONVERSIONS = {route: _conversion(*route) for route in _ROUTES}
+# the public ones: all but hemisphere and disk to matrix
+globals().update((f.__name__, f) for route, f in _CONVERSIONS.items()
+                 if route not in (("hemisphere", "matrix"), ("disk", "matrix")))
+
+
+def _embedding(kind: str, value: tuple) -> list:
     """The floats shape_distance compares: smooth embeddings of the angles, so the
     wrap at 2 pi and the undefined pole or disk-center angle do not register; svd
-    values via the hemisphere, matrices via their sides (_COMPARED_VIA)."""
-    kind = _KIND_OF_TYPE.get(type(value), "matrix")
-    if kind in _COMPARED_VIA:
-        return _embedding(_COMPARED_VIA[kind](value))
+    values via the hemisphere, matrices via their sides (_COMPARED_AS)."""
+    if kind in _COMPARED_AS:
+        return _embedding(_COMPARED_AS[kind], _follow((kind, _COMPARED_AS[kind]), value))
     if kind == "sides":
-        return [value.a2, value.b2, value.c2]
+        return list(value)
     if kind == "disk":
-        return [value.r * math.cos(value.phi), value.r * math.sin(value.phi)]
-    cl = math.cos(value.latitude)
-    return [0.5 * (cl * math.cos(value.longitude)), 0.5 * (cl * math.sin(value.longitude)),
-            0.5 * math.sin(value.latitude)]
+        r, phi = value
+        return [r * math.cos(phi), r * math.sin(phi)]
+    lat, lon = value
+    cl = math.cos(lat)
+    return [0.5 * (cl * math.cos(lon)), 0.5 * (cl * math.sin(lon)), 0.5 * math.sin(lat)]
 
 
 def _discrepancy(a: list, b: list) -> float:
@@ -488,7 +483,7 @@ def shape_distance(x, y) -> float:
     src = kind_of(x)
     if kind_of(y) != src:
         raise ValueError("cannot compare different representations")
-    return _discrepancy(_embedding(x), _embedding(y))
+    return _discrepancy(_embedding(src, _floats(src, x)), _embedding(src, _floats(src, y)))
 
 
 @dataclass
@@ -508,10 +503,9 @@ class RoundtripReport:
         )
 
 
-def _bits(value) -> bytes:
-    """The bit pattern of a value's floats, in which -0.0 and 0.0 differ."""
-    pack = _PACK.get(type(value))
-    return pack(*vars(value).values()) if pack else struct.pack("4d", *value[0], *value[1])
+def _bits(value: tuple) -> bytes:
+    """The bit pattern of a float tuple (a matrix's rows in turn), in which -0.0 and 0.0 differ."""
+    return _PACK[4](*value[0], *value[1]) if type(value[0]) is tuple else _PACK[len(value)](*value)
 
 
 def roundtrip_all(x, include_matrix: bool = True) -> RoundtripReport:
@@ -522,26 +516,28 @@ def roundtrip_all(x, include_matrix: bool = True) -> RoundtripReport:
     itertools.permutations order, that reaches it.  One memoised walk of the
     cycle tree gives the report that running every cycle in full would: each
     path extends its prefix by one route, each route is a chain of primitive
-    conversions (_ROUTES), and within the call each primitive runs once on
-    each distinct input (its float bits), the _COMPARED_VIA embeddings too.
+    kernels (_ROUTES), and within the call each primitive runs once on each
+    distinct input (its float bits), the _COMPARED_AS routes too.  The walk is
+    on floats: it makes no record.
     """
     start = kind_of(x)
-    x = _unit_matrix(x) if start == "matrix" else x
+    x = _floats(start, x)
     others = [k for k in REPRESENTATIONS if k != start and (include_matrix or k != "matrix")]
-    via = (_COMPARED_VIA[start],) if start in _COMPARED_VIA else ()
+    end = _COMPARED_AS.get(start, start)        # the kind whose embeddings are compared
+    via = _ROUTES[start, end] if end != start else ()
     runs = {}                                # (primitive, input bits) -> output and its bits
 
     def follow(chain, value, bits):
         for step in chain:
             run = runs.get((step, bits))
             if run is None:
-                out = step(value)
+                out = step(*value)
                 run = runs[step, bits] = out, _bits(out)
             value, bits = run
         return value, bits
 
     nodes = {(): (x, _bits(x))}              # path -> its value and the value's bits
-    ref = _embedding(follow(via, *nodes[()])[0])
+    ref = _embedding(end, follow(via, *nodes[()])[0])
     closes = {}
     worst, worst_cycle = 0.0, (start, start)
     for size in range(1, len(others) + 1):
@@ -550,7 +546,7 @@ def roundtrip_all(x, include_matrix: bool = True) -> RoundtripReport:
             nodes[path] = value, bits = follow(_ROUTES[prev, kind], *nodes[path[:-1]])
             if (kind, bits) not in closes:
                 back, _ = follow(_ROUTES[kind, start] + via, value, bits)
-                closes[kind, bits] = _discrepancy(ref, _embedding(back))
+                closes[kind, bits] = _discrepancy(ref, _embedding(end, back))
             if closes[kind, bits] > worst:
                 worst, worst_cycle = closes[kind, bits], (start, *path, start)
     return RoundtripReport(start, len(nodes) - 1, worst, worst_cycle)

@@ -14,11 +14,9 @@ The bridge between the 2x3 matrices and the 2x2 shape matrix is the
 
 import numpy as np
 
-from .errors import INPUT_TOL, DomainError
+from .errors import DEGENERATE_TOL, INPUT_TOL, DomainError
 
 SQRT3 = float(np.sqrt(3.0))
-
-DEGENERATE_TOL = 1e-12
 
 # E = T @ EDGE_FROM_VERTEX maps centered vertices to edge vectors;
 # T = E @ VERTEX_FROM_EDGE inverts it on the zero-column-sum subspace

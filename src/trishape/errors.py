@@ -1,6 +1,7 @@
-"""Exception types, the tolerance of input validation and its simplex check, for the package."""
+"""Exception types, the validation and degeneracy tolerances, and the simplex check."""
 
 INPUT_TOL = 1e-9    # validation of user-supplied values
+DEGENERATE_TOL = 1e-12     # an area or an angle cosine this close to 0 is 0
 
 
 class DomainError(ValueError):

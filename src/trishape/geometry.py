@@ -3,35 +3,42 @@
 Covers the angle/area formulas tied to the normalized squared sides, the
 fixed-area special-triangle families, the big/little barycentric frames
 with their parallelians, and the construction that realizes a triangle of
-the correct proportions inside the hemisphere itself.  The construction is
-closed forms on floats: the foot and the parallelian endpoints are the
-disk points of their barycentric weights (conversions._plane), and the apex
-height is sqrt(12) times the area, so no BLAS kernel decides a bit of it.
+the correct proportions inside the hemisphere itself.  Records check values
+at the public boundary only: the construction is one float kernel,
+_construction, of closed forms (conversions._plane) on checked squared sides,
+so no BLAS kernel decides a bit.  NumPy is imported only where arrays are made.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .conversions import _SIDE_OFFSETS, DiskPoint, SquaredSides, _plane, disk_to_sides
-from .core import DEGENERATE_TOL, _angles, _sides_angles
-from .errors import INPUT_TOL, DomainError, NotATriangleError
+from .conversions import _SIDE_OFFSETS, DiskPoint, SquaredSides, _array, _plane, disk_to_sides
+from .errors import DEGENERATE_TOL, INPUT_TOL, DomainError, NotATriangleError
 
 EQUILATERAL_AREA = 1.0 / math.sqrt(48.0)   # largest area at unit squared-side sum
 
-# Vertices of the big equilateral triangle (columns, norm 1): _plane of the
-# unit weights with its axes swapped, so BARY_BIG @ u is _plane(*u) reversed.
-# The inverted little triangle of its edge midpoints (norm 1/2) is inscribed
-# in the radius-1/2 disk and has a horizontal base.
-BARY_BIG = np.array([_plane(*u)[::-1] for u in np.eye(3).tolist()]).T.copy()
-BARY_LITTLE = -0.5 * BARY_BIG
+
+def _frames() -> tuple:
+    """(BARY_BIG, BARY_LITTLE): the big equilateral triangle's vertices (columns, norm 1)
+    are _plane of the unit weights, axes swapped, so BARY_BIG @ u is _plane(*u) reversed; the
+    inverted little one of its edge midpoints (norm 1/2) is inscribed in the radius-1/2 disk."""
+    import numpy as np
+    big = np.array([_plane(*u)[::-1] for u in np.eye(3).tolist()]).T.copy()
+    return big, -0.5 * big
+
+
+def __getattr__(name):      # BARY_BIG and BARY_LITTLE are built on first access
+    if name in ("BARY_BIG", "BARY_LITTLE"):
+        globals().update(zip(("BARY_BIG", "BARY_LITTLE"), _frames()))
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _sides3(s) -> SquaredSides:
     """s as validated squared sides, which internal calls pass on: one check per call."""
     if isinstance(s, SquaredSides):
         return s
+    import numpy as np
     arr = np.asarray(s, dtype=float)
     if arr.shape != (3,):
         raise ValueError(f"expected three squared sides, got shape {arr.shape}")
@@ -46,16 +53,16 @@ class TriangleAngles:
     B: float
     C: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.A, self.B, self.C])
+    def as_array(self) -> "np.ndarray":
+        return _array([self.A, self.B, self.C])
 
 
 @dataclass
 class BarycentricFrames:
     """The big equilateral frame and the inverted little frame (= -big/2)."""
 
-    big: np.ndarray
-    little: np.ndarray
+    big: "np.ndarray"
+    little: "np.ndarray"
 
 
 @dataclass
@@ -82,8 +89,8 @@ class ConstructionResult:
     them, each a 3x3 array of vertex rows (S, endpoint, endpoint).
     """
 
-    apex: np.ndarray
-    foot: np.ndarray
+    apex: "np.ndarray"
+    foot: "np.ndarray"
     parallelians: list
     triangles: list
     degenerate: bool
@@ -110,13 +117,16 @@ def area_general(a: float, b: float, c: float) -> float:
 def angles_from_sides(s) -> TriangleAngles:
     """Angles atan2(4K, 1 - 2 a^2) and cyclic, core._sides_angles on a batch of one:
     (0, 0, pi) on the rim, or a right angle where a squared side is exactly 1/2."""
+    from .core import _sides_angles
     return TriangleAngles(*_sides_angles(_sides3(s).as_array()[None])[0].tolist())
 
 
-def _hemisphere_angles(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+def _hemisphere_angles(lat: "np.ndarray", lon: "np.ndarray") -> "np.ndarray":
     """(n, 3) angles in radians at hemisphere points (unchecked): core._angles
     of the closed forms 4K = sin(lat)/sqrt(3) and
     1 - 2 s_i = (1 + 2 cos(lat) cos(lon + o_i))/3, exactly degenerate on the rim."""
+    import numpy as np
+    from .core import _angles
     num = np.sin(lat)[:, None] / math.sqrt(3.0)
     den = (1.0 + 2.0 * np.cos(lat)[:, None] * np.cos(lon[:, None] + _SIDE_OFFSETS)) / 3.0
     return _angles(num, den)
@@ -159,20 +169,21 @@ def special_triangle(kind: str, K: float, phi: float | None = None):
     raise ValueError(f"unknown special-triangle kind {kind!r}")
 
 
-def singular_sides(phi: float) -> np.ndarray:
+def singular_sides(phi: float) -> "np.ndarray":
     """Actual (not squared) sides of the rim triangle at angle phi.
 
     These are sqrt(2/3) |sin(x/2)| at x = phi + 2pi/3, phi - 2pi/3, phi;
     the longest equals the sum of the other two.
     """
+    import numpy as np
     return math.sqrt(2.0 / 3.0) * np.abs(np.sin(np.add(phi, _SIDE_OFFSETS) / 2.0))
 
 
 def barycentric_frames() -> BarycentricFrames:
-    return BarycentricFrames(BARY_BIG.copy(), BARY_LITTLE.copy())
+    return BarycentricFrames(*_frames())
 
 
-def little_coords(s) -> np.ndarray:
+def little_coords(s) -> "np.ndarray":
     """Coordinates (1 - 2a^2, 1 - 2b^2, 1 - 2c^2) on the inverted little triangle."""
     return 1.0 - 2.0 * _sides3(s).as_array()
 
@@ -185,22 +196,26 @@ def parallelian_endpoints(s) -> list:
     sqrt(3) (1/2 - s_j) for the other two squared sides s_j.  The Cartesian
     endpoints are closed forms on floats: _plane(*u) reversed, as for BARY_BIG.
     """
-    s = _sides3(s)
+    return construct_in_hemisphere(s).parallelians
+
+
+def _construction(s: SquaredSides) -> tuple:
+    """(apex, foot, parallelians, degenerate) on floats: apex and foot 3-tuples, and each
+    parallelian's endpoints as weights (u, v) in the big frame, in the little frame, and
+    as Cartesian points (_plane(*u)[::-1], _plane(*v)[::-1])."""
     a2, b2, c2 = s.a2, s.b2, s.c2
-    table = [
-        ((a2, 0.5, 0.5 - a2), (a2, 0.5 - a2, 0.5),
-         (1.0 - 2.0 * a2, 0.0, 2.0 * a2), (1.0 - 2.0 * a2, 2.0 * a2, 0.0)),
-        ((0.5, b2, 0.5 - b2), (0.5 - b2, b2, 0.5),
-         (0.0, 1.0 - 2.0 * b2, 2.0 * b2), (2.0 * b2, 1.0 - 2.0 * b2, 0.0)),
-        ((0.5, 0.5 - c2, c2), (0.5 - c2, 0.5, c2),
-         (0.0, 2.0 * c2, 1.0 - 2.0 * c2), (2.0 * c2, 0.0, 1.0 - 2.0 * c2)),
+    weights = [
+        (((a2, 0.5, 0.5 - a2), (a2, 0.5 - a2, 0.5)),
+         ((1.0 - 2.0 * a2, 0.0, 2.0 * a2), (1.0 - 2.0 * a2, 2.0 * a2, 0.0))),
+        (((0.5, b2, 0.5 - b2), (0.5 - b2, b2, 0.5)),
+         ((0.0, 1.0 - 2.0 * b2, 2.0 * b2), (2.0 * b2, 1.0 - 2.0 * b2, 0.0))),
+        (((0.5, 0.5 - c2, c2), (0.5 - c2, 0.5, c2)),
+         ((0.0, 2.0 * c2, 1.0 - 2.0 * c2), (2.0 * c2, 0.0, 1.0 - 2.0 * c2))),
     ]
-    out = []
-    for i, (big_u, big_v, lit_u, lit_v) in enumerate(table, start=1):
-        out.append(Parallelian(i, (np.asarray(big_u), np.asarray(big_v)),
-                               (np.asarray(lit_u), np.asarray(lit_v)),
-                               tuple(np.array(_plane(*u)[::-1]) for u in (big_u, big_v))))
-    return out
+    paras = [(big, little, tuple(_plane(*u)[::-1] for u in big)) for big, little in weights]
+    K = area(s)
+    py, px = _plane(a2, b2, c2)                 # the big-frame point of (a2, b2, c2)
+    return (px, py, math.sqrt(12.0) * K), (px, py, 0.0), paras, K <= DEGENERATE_TOL
 
 
 def construct_in_hemisphere(s) -> ConstructionResult:
@@ -213,17 +228,14 @@ def construct_in_hemisphere(s) -> ConstructionResult:
     with endpoints X and Y, triangle S-X-Y has sides sqrt(3) b c,
     sqrt(3) a c and sqrt(3) c^2, i.e. proportions a : b : c, and the other
     two parallelians carry the two rotated copies (the three similar
-    triangles).  All of it is closed forms on floats.
+    triangles).  All of it is _construction's floats, put in arrays.
     """
-    s = _sides3(s)
-    K = area(s)
-    py, px = _plane(s.a2, s.b2, s.c2)           # the big-frame point of (a2, b2, c2)
-    apex = np.array([px, py, math.sqrt(12.0) * K])
-    paras = parallelian_endpoints(s)
-    triangles = [np.array([apex, [*u, 0.0], [*v, 0.0]])
-                 for u, v in (para.cartesian_endpoints for para in paras)]
-    return ConstructionResult(apex, np.array([px, py, 0.0]), paras, triangles,
-                              K <= DEGENERATE_TOL)
+    apex, foot, paras, degenerate = _construction(_sides3(s))
+    return ConstructionResult(
+        _array(apex), _array(foot),
+        [Parallelian(i, *(tuple(map(_array, pair)) for pair in para))
+         for i, para in enumerate(paras, start=1)],
+        [_array([apex, [*u, 0.0], [*v, 0.0]]) for _, _, (u, v) in paras], degenerate)
 
 
 def three_similar_triangles(s) -> list:

@@ -72,8 +72,8 @@ def _as_sample_array(samples) -> np.ndarray:
 
 def chi2_upper_tail(x: float, df: float) -> float:
     """Upper tail of the chi-square distribution, Q(df/2, x/2)."""
-    if not df > 0.0:
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    if not 0.0 < df < math.inf:
+        raise ValueError(f"degrees of freedom must be positive and finite, got {df}")
     if not x >= 0.0:
         raise ValueError(f"chi-square statistic must be nonnegative, got {x}")
     return gamma_q(df / 2.0, x / 2.0)

@@ -1,9 +1,12 @@
 import csv
 import json
 import math
+import os
+import platform
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,8 +333,11 @@ def test_a_failing_writer_leaves_no_output_and_no_traceback(error, monkeypatch, 
 
 
 def _numpy_ratio_residual(tri, sides):
-    """The ratio residual as NumPy arrays give it: norms, sorts and masks."""
-    lengths = np.sort([np.linalg.norm(tri[i] - tri[j]) for i, j in ((0, 1), (0, 2), (1, 2))])
+    """The ratio residual from NumPy's elementwise operations, each side length
+    sqrt((dx dx + dy dy) + dz dz) summed in that order, so that no BLAS kernel
+    decides a bit; then NumPy sorts and masks."""
+    d = tri[[0, 0, 1]] - tri[[1, 2, 2]]
+    lengths = np.sort(np.sqrt((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) + d[:, 2] * d[:, 2]))
     ref = np.sort(np.sqrt(sides))
     if ref[2] == 0.0:
         return 0.0
@@ -342,22 +348,49 @@ def _numpy_ratio_residual(tri, sides):
     return float(np.abs(ratio[ref > 0] / scale - 1.0).max())
 
 
-def test_construct_ratio_residual_keeps_the_numpy_bits():
+def _ratio_residual_bits(cases) -> list:
+    """cli's ratio residual of each triangle construct_in_hemisphere stands on each
+    case's sides, in hex, each checked bit for bit against _numpy_ratio_residual."""
     from trishape import conversions as conv
     from trishape import geometry
+
+    out = []
+    for a2, b2, c2 in cases:
+        sides = conv.SquaredSides(a2, b2, c2)
+        ref = sorted(map(math.sqrt, (sides.a2, sides.b2, sides.c2)))
+        for tri in geometry.construct_in_hemisphere(sides).triangles:
+            got = cli._triangle_ratio_residual(tuple(map(tuple, tri.tolist())), ref)
+            assert type(got) is float
+            assert got.hex() == _numpy_ratio_residual(tri, sides.as_array()).hex(), (a2, b2, c2)
+            out.append(got.hex())
+    return out
+
+
+def test_construct_ratio_residual_keeps_the_numpy_bits():
+    from trishape import conversions as conv
 
     rng = np.random.default_rng(77)
     cases = [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0), (0.25, 0.25, 0.5), (0.3, 0.3, 0.4)]
     for _ in range(2000):
         z = rng.standard_normal((2, 2))
         cases.append(tuple(conv.shape_to_sides(z / np.linalg.norm(z)).as_array().tolist()))
-    for a2, b2, c2 in cases:
-        sides = conv.SquaredSides(a2, b2, c2)
-        ref = sorted(map(math.sqrt, (sides.a2, sides.b2, sides.c2)))
-        for tri in geometry.construct_in_hemisphere(sides).triangles:
-            got = cli._triangle_ratio_residual(tri, ref)
-            assert type(got) is float
-            assert got.hex() == _numpy_ratio_residual(tri, sides.as_array()).hex(), (a2, b2, c2)
+    want = _ratio_residual_bits(cases)
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return
+    # the same cases, in a child whose environment alone sets the OpenBLAS core
+    # type: no kernel may move a bit of the residual
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    code = ("import json, sys\n"
+            f"sys.path[:0] = {[str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]!r}\n"
+            "from test_cli import _ratio_residual_bits\n"
+            "print(json.dumps(_ratio_residual_bits(json.load(sys.stdin))))\n")
+    for core in ["Prescott"] + (["Haswell"] if __cpu_features__.get("AVX2") else []):
+        proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(cases),
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "OPENBLAS_CORETYPE": core})
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == want, core
 
 
 # ---------------------------------------------------------------------------

@@ -400,19 +400,18 @@ def test_roundtrip_runs_each_primitive_once_per_input(monkeypatch):
     runs = []       # (primitive, input bits, input floats) of each primitive run
 
     def counted(step):
-        def run(value):
-            floats = np.ravel(value).tolist() if conv.kind_of(value) == "matrix" else \
-                vars(value).values()
+        def run(*value):
+            # a kernel takes the floats of one representation, a matrix's as its rows
+            floats = [*value[0], *value[1]] if type(value[0]) is tuple else value
+            assert all(type(v) is float for v in floats), value
             runs.append((step.__name__, conv._bits(value), tuple(floats)))
-            return step(value)
+            return step(*value)
         return run
 
     wrapped = {f: counted(f) for chain in conv._ROUTES.values() for f in chain}
     assert len(wrapped) == 14
     monkeypatch.setattr(conv, "_ROUTES", {route: tuple(map(wrapped.get, chain))
                                           for route, chain in conv._ROUTES.items()})
-    monkeypatch.setattr(conv, "_COMPARED_VIA", {kind: wrapped[f]
-                                                for kind, f in conv._COMPARED_VIA.items()})
     for v in (conv.SquaredSides(0.5, 0.25, 0.25), *_seeded_values()[:5],
               conv.SvdShape(0.70710678118654757, 0.70710678118654757, 0.0)):
         runs.clear()
@@ -424,6 +423,23 @@ def test_roundtrip_runs_each_primitive_once_per_input(monkeypatch):
     conv.roundtrip_all(np.array([[0.8, -0.0], [-0.0, 0.6]]))
     assert len(runs) == len({run[:2] for run in runs})
     assert len({(step, floats) for step, _, floats in runs}) < len(runs)
+
+
+@pytest.mark.parametrize("include_matrix", [True, False])
+def test_roundtrip_builds_no_record_inside_the_walk(monkeypatch, include_matrix):
+    # records check values at the public boundary: the walk runs on floats and
+    # makes only its report
+    values = _seeded_values(4, 9) + _EDGE_VALUES
+    made = []
+    for cls in (conv.SvdShape, conv.SquaredSides, conv.HemispherePoint, conv.DiskPoint):
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__",
+                            lambda self, check=check: made.append(self) or check(self))
+    for v in values:
+        conv.roundtrip_all(v, include_matrix)
+    assert made == []
+    conv.svd_to_sides(values[1])        # a public conversion makes its output record
+    assert [type(r) for r in made] == [conv.SquaredSides]
 
 
 # Frozen copies of the 20 conversion routes and of roundtrip_all's walk as they
@@ -554,7 +570,7 @@ def test_routes_keep_the_frozen_bits():
             assert _typed_bits(conv.convert(v, target)) == want, (v, target)
             if (src, target) in _COMPOSITES:
                 assert _typed_bits(_COMPOSITES[src, target](v)) == want, (v, target)
-        assert conv._embedding(v) == _frozen_embedding(src, v), v
+        assert conv._embedding(src, _as_floats(v)) == _frozen_embedding(src, v), v
 
 
 @pytest.mark.parametrize("include_matrix", [True, False])
@@ -580,9 +596,9 @@ _NAMED = {
 
 
 def _as_floats(v):
-    """v as the conversions carry it inside: a matrix as a 2x2 tuple of floats."""
+    """v as the conversions carry it inside: a tuple of floats, a matrix a 2x2 tuple."""
     return tuple(map(tuple, np.asarray(v, dtype=float).tolist())) if conv.kind_of(v) == "matrix" \
-        else v
+        else tuple(vars(v).values())
 
 
 def test_public_functions_equal_their_float_routes():
@@ -595,11 +611,10 @@ def test_public_functions_equal_their_float_routes():
                 continue
             route = conv._follow((src, target), _as_floats(v))
             public = conv.convert(v, target)
-            if target == "matrix":
-                assert type(route) is tuple and isinstance(public, np.ndarray)
-            else:
-                assert type(route) is type(public)
-            want = _frozen_bits(target, route)
+            assert type(route) is tuple
+            assert type(public) is (np.ndarray if target == "matrix" else
+                                    conv.REPRESENTATIONS[target])
+            want = np.asarray(route, dtype=float).tobytes()
             assert _frozen_bits(target, public) == want, (v, target)
             if (src, target) in _NAMED:
                 assert _frozen_bits(target, _NAMED[src, target](v)) == want, (v, target)

@@ -319,9 +319,9 @@ def test_blas_free_goldens_under_other_openblas_kernels(tmp_path):
 
 
 def test_convert_goldens_without_numpy():
-    # prob and convert compute on Python floats: with NumPy made unimportable
-    # they print the golden bytes (and prob what it prints in this process)
-    cases = [(c, argv) for c, argv, _ in CASES if c.startswith("convert-")]
+    # prob, convert and construct compute on Python floats: with NumPy made
+    # unimportable they print the golden bytes (and prob what it prints in this process)
+    cases = [(c, argv) for c, argv, _ in CASES if c.startswith(("convert-", "construct-"))]
     code = ("import contextlib, hashlib, io, sys\n"
             "sys.modules['numpy'] = None\n"
             "from trishape import cli\n"
@@ -335,7 +335,7 @@ def test_convert_goldens_without_numpy():
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     got = [line.split() for line in proc.stdout.splitlines()]
     want = [[str(GOLDEN[c]["code"]), GOLDEN[c]["stdout"]] for c, _ in cases]
-    assert len(cases) == 7 and got[:-1] == want
+    assert len(cases) == 9 and got[:-1] == want
     prob = subprocess.run([sys.executable, "-m", "trishape.cli", "prob", "3"],
                           capture_output=True, timeout=60)
     assert got[-1] == ["0", _sha(prob.stdout)]

@@ -103,8 +103,7 @@ def test_one_shot_commands_load_only_what_they_use(tmp_path):
     assert ran_after(_cli("test", str(f))) == {"trishape.cli", "trishape.errors", "trishape.core",
                                                "trishape.uniformity", "trishape.specfun",
                                                "trishape._fields", "numpy"}
-    assert ran_after(_cli("construct", "0.3", "0.3", "0.4")) == base | {
-        "trishape.core", "trishape.geometry", "numpy"}
+    assert ran_after(_cli("construct", "0.3", "0.3", "0.4")) == base | {"trishape.geometry"}
     assert ran_after(_cli("prob", "3")) == {"trishape.cli", "trishape.errors", "trishape.specfun"}
     # sampling takes its disk and sides kernels from core, not conversions
     drawing = {"trishape.cli", "trishape.errors", "trishape.core", "trishape.sampling",
@@ -126,7 +125,10 @@ _CONVERTS = [
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["convert", "--help"], ["prob", "12"],
-                                  *(["convert", *a] for a in _CONVERTS)], ids=" ".join)
+                                  *(["convert", *a] for a in _CONVERTS),
+                                  *(["construct", "0.17", "0.36", "0.47", *f] for f in
+                                    ([], ["--format", "csv"], ["--format", "json"]))],
+                         ids=" ".join)
 def test_scalar_commands_load_no_numpy(argv):
     loaded = ran_after(_cli(*argv))
     assert not loaded & {"numpy", "trishape.core", "trishape._rows", "trishape._fields"}, loaded

@@ -121,6 +121,9 @@ def test_chi2_upper_tail_values():
     for args in ((math.nan, 2.0), (1.0, math.nan)):
         with pytest.raises(ValueError, match="must"):
             uni.chi2_upper_tail(*args)
+    # in its own words, not gamma_q's about a shape parameter its caller did not pass
+    with pytest.raises(ValueError, match="^degrees of freedom must be positive and finite"):
+        uni.chi2_upper_tail(1.0, math.inf)
 
 
 # ---------------------------------------------------------------------------
