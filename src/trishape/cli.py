@@ -202,7 +202,7 @@ def _sample_rows(args, out) -> int:
             vals = sampling.sides_batch(model, rng, count, m)
             x = (vals[:, 0] + vals[:, 1]) / 2.0 - vals[:, 2]
             y = core.SQRT3 * (vals[:, 0] - vals[:, 1]) / 2.0
-            polar = (np.hypot(x, y), np.mod(np.arctan2(y, x), 2.0 * math.pi))
+            polar = (np.hypot(x, y), core._longitude(y, x))
         else:
             vals = row.angles(rng, count)
             polar = ()

@@ -124,6 +124,14 @@ def _gram(z: np.ndarray):
     return (_column_sum(z[:, :, j] * z[:, :, k]) for j in range(q) for k in range(j, q))
 
 
+def _longitude(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """arctan2(y, x) wrapped to [0, 2 pi] with the bits of np.mod(., 2 pi) at a quarter of
+    its cost: the angle plus 0.0 (so -0.0 is +0.0), and below 0 plus 2 pi, rounded once."""
+    out = np.where((a := np.arctan2(y, x)) < 0.0, 2.0 * np.pi, 0.0)
+    out += a
+    return out
+
+
 def _sides_from_xy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(n, 3) squared sides of the shapes at disk Cartesian coordinates (x, y)."""
     a2 = (1.0 + x + SQRT3 * y) / 3.0

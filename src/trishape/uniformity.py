@@ -3,7 +3,8 @@
 A sample is a set of preshapes: m x (k-1) matrices of unit Frobenius norm.
 The tests are the rows of TESTS: the second-moment (Chikuse-Jupp) balance of
 Z^T Z, a KS test of 1/sigma_min against its exact law, and for planar
-triangles KS tests of the hemisphere marginals (height, longitude).
+triangles KS tests of the hemisphere marginals (height, longitude).  The suite
+computes the sample's Gram entries once; its norm check and each row read them.
 """
 
 import functools
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _gram
+from .core import _gram, _longitude
 from .specfun import gamma_q, gauss_2f1, kolmogorov_sf
 
 
@@ -56,18 +57,20 @@ def preshape(x) -> np.ndarray:
     return x / norm
 
 
-def _as_sample_array(samples) -> np.ndarray:
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 3:
+def _checked(samples):
+    """(z, gram): the samples as a checked (t, m, q) array, and its _gram entries."""
+    z = np.asarray(samples, dtype=float)
+    if z.ndim != 3:
         raise ValueError("samples must share a common m x (k-1) matrix shape")
-    if arr.shape[0] == 0:
+    if z.shape[0] == 0:
         raise ValueError("empty sample set")
-    if not np.isfinite(arr).all():
+    if not np.isfinite(z).all():
         raise ValueError("preshapes must be finite")
-    norms = np.linalg.norm(arr.reshape(arr.shape[0], -1), axis=1)
-    if np.abs(norms - 1.0).max() > 1e-6:
+    gram, q = tuple(_gram(z)), z.shape[2]
+    trace = sum(gram[j * q - j * (j - 1) // 2] for j in range(q))      # the sum of the g_jj
+    if np.abs(np.sqrt(trace) - 1.0).max() > 1e-6:
         raise ValueError("preshapes must have unit Frobenius norm")
-    return arr
+    return z, gram
 
 
 def chi2_upper_tail(x: float, df: float) -> float:
@@ -90,19 +93,19 @@ def chikuse_jupp(samples) -> TestReport:
     degrees of freedom, which is also the exact scaling of its mean.  For
     k = 2 Z^T Z is the scalar 1: the statistic is 0 and p is 1, exactly.
     """
-    return _chikuse_jupp(_as_sample_array(samples))
+    return _chikuse_jupp(*_checked(samples))
 
 
-def _chikuse_jupp(z: np.ndarray) -> TestReport:
-    """chikuse_jupp of a checked (t, m, q) sample array."""
+def _chikuse_jupp(z: np.ndarray, gram) -> TestReport:
+    """chikuse_jupp of a checked (t, m, q) sample array and its Gram entries."""
     t, m, q = z.shape
     df = (q - 1) * (q + 2) / 2.0
     if q == 1:      # unit norms leave nothing to test; their 1e-6 rounding is no evidence
         return TestReport("chikuse-jupp", 0.0, f"chi2(df={df:g})", 1.0, t)
-    w = np.empty((t, q, q))
-    for (j, k), g in zip(itertools.combinations_with_replacement(range(q), 2), _gram(z)):
-        w[:, j, k] = w[:, k, j] = g
-    dev = w.mean(axis=0) - np.eye(q) / q
+    wbar = np.empty((q, q))
+    for (j, k), g in zip(itertools.combinations_with_replacement(range(q), 2), gram):
+        wbar[j, k] = wbar[k, j] = np.cumsum(g)[-1] / t      # in w.mean(axis=0)'s order
+    dev = wbar - np.eye(q) / q
     stat = (q * (q * m + 2.0) / 2.0) * t * float(np.trace(dev @ dev))
     return TestReport("chikuse-jupp", stat, f"chi2(df={df:g})", chi2_upper_tail(stat, df), t)
 
@@ -211,9 +214,8 @@ def ks_test(samples, cdf, name: str = "ks") -> TestReport:
     f = np.asarray(cdf(x), dtype=float)
     if np.isnan(f).any():
         raise ValueError("KS reference CDF returned NaN")
-    hi = np.arange(1, t + 1) / t - f
-    lo = f - np.arange(0, t) / t
-    d = float(max(hi.max(), lo.max(), 0.0))
+    grid = np.arange(t + 1) / t
+    d = float(max((grid[1:] - f).max(), (f - grid[:-1]).max(), 0.0))
     return TestReport(name, d, f"kolmogorov(sqrt(t) D), t={t}", kolmogorov_sf(math.sqrt(t) * d), t)
 
 
@@ -221,34 +223,34 @@ def _abs_det(z: np.ndarray) -> np.ndarray:
     return np.abs(z[:, 0, 0] * z[:, 1, 1] - z[:, 0, 1] * z[:, 1, 0])
 
 
-def _inv_sigma_min(z: np.ndarray) -> np.ndarray:
+def _inv_sigma_min(z: np.ndarray, gram) -> np.ndarray:
     """1/sigma_min of a (t, m, m) batch, inf where a matrix is singular.  For m = 2
     from the Gram entries: sigma_max^2 = F/2 + hypot((g11 - g22)/2, g12), with F =
     g11 + g22 (unit only to 1e-6), and sigma_min sigma_max = |det|."""
     with np.errstate(divide="ignore"):
         if z.shape[1] > 2:
             return 1.0 / np.linalg.svd(z, compute_uv=False)[:, -1]
-        g11, g12, g22 = _gram(z)
+        g11, g12, g22 = gram
         return np.sqrt((g11 + g22) / 2.0 + np.hypot((g11 - g22) / 2.0, g12)) / _abs_det(z)
 
 
-def _sigma_min(z: np.ndarray) -> list:
-    return [ks_test(_inv_sigma_min(z), lambda v: inv_sigma_min_cdf(v, z.shape[1]),
+def _sigma_min(z: np.ndarray, gram) -> list:
+    return [ks_test(_inv_sigma_min(z, gram), lambda v: inv_sigma_min_cdf(v, z.shape[1]),
                     name="sigma-min-ks")]
 
 
-def _hemisphere(z: np.ndarray) -> list:
-    g11, g12, g22 = _gram(z)        # the height is |det Z|, the longitude the disk point's
+def _hemisphere(z: np.ndarray, gram) -> list:
+    g11, g12, g22 = gram        # the height is |det Z|, the longitude the disk point's
     return [ks_test(_abs_det(z), lambda v: np.clip(2.0 * v, 0.0, 1.0), name="height-ks"),
-            ks_test(np.mod(np.arctan2(g12, (g11 - g22) / 2.0), 2.0 * math.pi),
+            ks_test(_longitude(g12, (g11 - g22) / 2.0),
                     lambda v: v / (2.0 * math.pi), name="longitude-ks")]
 
 
-# A row of TESTS: applies(m, q); the preshapes it needs, in words; run(z), its reports
+# A row of TESTS: applies(m, q); the preshapes it needs, in words; run(z, gram), its reports
 Test = namedtuple("Test", "applies needs run")
 
 TESTS = {
-    "chikuse-jupp": Test(lambda m, q: True, "any", lambda z: [_chikuse_jupp(z)]),
+    "chikuse-jupp": Test(lambda m, q: True, "any", lambda z, gram: [_chikuse_jupp(z, gram)]),
     "sigma-min": Test(lambda m, q: m == q <= SIGMA_MIN_MAX_SIZE,
                       f"square, at most {_SIGMA_MIN_MAX}", _sigma_min),
     "hemisphere": Test(lambda m, q: m == q == 2, "m=2, k=3", _hemisphere),
@@ -260,12 +262,12 @@ def uniformity_suite(samples, which: str = "all") -> SuiteReport:
     order.  Naming a test that does not apply raises ValueError."""
     if which not in (*TESTS, "all"):
         raise ValueError(f"unknown uniformity test {which!r}")
-    z = _as_sample_array(samples)
+    z, gram = _checked(samples)
     _, m, q = z.shape
     suite = SuiteReport()
     for name, test in TESTS.items() if which == "all" else [(which, TESTS[which])]:
         if test.applies(m, q):
-            suite.reports += test.run(z)
+            suite.reports += test.run(z, gram)
         elif which != "all":
             raise ValueError(f"{name} test needs {test.needs} preshapes, got {m}x{q}")
     return suite

@@ -407,6 +407,26 @@ def test_point_mass_file_rejected(tmp_path, capsys):
     assert "REJECT" in out
 
 
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("norm,code", [(1 + 0.9e-6, 0), (1 - 0.9e-6, 0),
+                                       (1 + 1.1e-6, 1), (1 - 1.1e-6, 1)])
+@pytest.mark.parametrize("rows", ["all", "one"])
+def test_norm_check_at_its_bound(m, norm, code, rows, tmp_path, capsys):
+    # |norm - 1| <= 1e-6 passes; beyond it the file is a usage error
+    rng = np.random.default_rng(26)
+    z = rng.standard_normal((400, m * m))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    z[slice(None) if rows == "all" else slice(7, 8)] *= norm
+    f = tmp_path / "pre.csv"
+    f.write_text(f"m,k\n{m},{m + 1}\n" + "".join(",".join(f"{v:.17g}" for v in r) + "\n"
+                                               for r in z))
+    got, out, err = run_cli(["test", str(f)], capsys)
+    assert got == code
+    message = "trishape: error: preshapes must have unit Frobenius norm\n"
+    assert err == ("" if code == 0 else message)
+    assert (out == "") == (code == 1)
+
+
 def test_empty_file_usage_error(tmp_path, capsys):
     f = tmp_path / "empty.csv"
     f.write_text("")

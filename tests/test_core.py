@@ -124,3 +124,19 @@ def test_shape_translation_invariance():
         m1 = core.shape_from_vertices(core.center_vertices(t_raw))
         m2 = core.shape_from_vertices(core.center_vertices(t_raw + shift))
         assert np.abs(m1 - m2).max() < 1e-12
+
+
+def test_longitude_has_the_bits_of_np_mod():
+    y, x = np.random.default_rng(26).standard_normal((2, 100_000))
+    # (y, x) whose arctan2 is each edge of the wrap: +-0, +-pi, the negative
+    # subnormal that 2 pi absorbs (-5e-324, which is nextafter(0, -1)), and
+    # the float just above -pi
+    edges = [(0.0, 1.0, 0.0), (-0.0, 1.0, -0.0), (0.0, -1.0, np.pi), (-0.0, -1.0, -np.pi),
+             (-5e-324, 1.0, -5e-324), (-5e-324, 1.0, np.nextafter(0.0, -1.0)),
+             (-5e-16, -1.0, np.nextafter(-np.pi, 0.0))]
+    for ey, ex, angle in edges:
+        assert np.arctan2(ey, ex).tobytes() == np.float64(angle).tobytes()
+    y = np.concatenate([y, [e[0] for e in edges]])
+    x = np.concatenate([x, [e[1] for e in edges]])
+    want = np.mod(np.arctan2(y, x), 2.0 * np.pi)
+    assert core._longitude(y, x).tobytes() == want.tobytes()

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 
 import mpmath
 import numpy as np
@@ -11,6 +12,8 @@ from scipy import integrate, stats
 
 from trishape import sampling as samp
 from trishape import uniformity as uni
+from trishape.specfun import kolmogorov_sf
+from trishape.core import _gram
 
 RNG_SEED = 4242
 
@@ -323,7 +326,7 @@ def _near_singular_2x2(seed):
 
 def test_inv_sigma_min_2x2_closed_form_against_mpmath():
     z = _near_singular_2x2(seed=17)
-    got = uni._inv_sigma_min(z)
+    got = uni._inv_sigma_min(z, tuple(_gram(z)))
     assert got[-1] == np.inf
     kappas = []
     with mpmath.workdps(40):
@@ -492,6 +495,75 @@ def test_sigma_min_above_18x18_is_not_applicable():
             law(5.0, 19)
     z18 = uniform_preshapes(30, m=18, q=18, seed=16)
     assert [r.name for r in uni.uniformity_suite(z18).reports] == ["chikuse-jupp", "sigma-min-ks"]
+
+
+@pytest.mark.parametrize("m,q", [(2, 2), (3, 3), (5, 2), (2, 4)])
+def test_suite_computes_the_gram_once(m, q, monkeypatch):
+    # the norm check and every row of TESTS read one set of Gram entries
+    calls = []
+    monkeypatch.setattr(uni, "_gram", lambda z: calls.append(z.shape) or _gram(z))
+    z = uniform_preshapes(200, m, q, seed=26)
+    uni.uniformity_suite(z, "all")
+    assert calls == [(200, m, q)]
+    uni.chikuse_jupp(z)
+    assert calls == [(200, m, q)] * 2
+
+
+def _direct_ks(name, x, cdf):
+    x = np.sort(x)
+    t = x.size
+    f = cdf(x)
+    d = float(max((np.arange(1, t + 1) / t - f).max(), (f - np.arange(0, t) / t).max(), 0.0))
+    return (name, d, f"kolmogorov(sqrt(t) D), t={t}", kolmogorov_sf(math.sqrt(t) * d), t)
+
+
+def _direct_suite(z):
+    """The suite's reports by their direct formulas: norms from np.linalg.norm, the
+    Chikuse-Jupp mean of the einsum Gram matrices, longitudes from np.mod."""
+    t, m, q = z.shape
+    assert np.abs(np.linalg.norm(z.reshape(t, -1), axis=1) - 1.0).max() <= 1e-6
+    w = np.einsum("tij,tik->tjk", z, z)
+    dev = w.mean(axis=0) - np.eye(q) / q
+    stat = (q * (q * m + 2.0) / 2.0) * t * float(np.trace(dev @ dev))
+    df = (q - 1) * (q + 2) / 2.0
+    reports = [("chikuse-jupp", stat, f"chi2(df={df:g})", uni.chi2_upper_tail(stat, df), t)]
+    if m != q:
+        return reports
+    with np.errstate(divide="ignore"):
+        if m > 2:
+            inv = 1.0 / np.linalg.svd(z, compute_uv=False)[:, -1]
+        else:
+            g11, g12, g22 = w[:, 0, 0], w[:, 0, 1], w[:, 1, 1]
+            det = np.abs(z[:, 0, 0] * z[:, 1, 1] - z[:, 0, 1] * z[:, 1, 0])
+            inv = np.sqrt((g11 + g22) / 2.0 + np.hypot((g11 - g22) / 2.0, g12)) / det
+    reports.append(_direct_ks("sigma-min-ks", inv, lambda v: uni.inv_sigma_min_cdf(v, m)))
+    if m == 2:
+        longitude = np.mod(np.arctan2(g12, (g11 - g22) / 2.0), 2.0 * math.pi)
+        reports += [_direct_ks("height-ks", det, lambda v: np.clip(2.0 * v, 0.0, 1.0)),
+                    _direct_ks("longitude-ks", longitude, lambda v: v / (2.0 * math.pi))]
+    return reports
+
+
+def _bits(report):
+    name, stat, reference, p, t = report
+    return name, float(stat).hex(), reference, float(p).hex(), t
+
+
+@pytest.mark.parametrize("m,q,t", [(2, 2, 25_000), (3, 3, 2000), (5, 2, 2000), (2, 4, 2000),
+                                   (12, 12, 300)])
+def test_suite_reports_equal_the_direct_formulas(m, q, t):
+    # field for field and bit for bit, and each single run is its slice of 'all'
+    z = uniform_preshapes(t, m, q, seed=26 + m * q)
+    full = [_bits(astuple(r)) for r in uni.uniformity_suite(z, "all").reports]
+    assert full == [_bits(r) for r in _direct_suite(z)]
+    start = 0
+    for which, test in uni.TESTS.items():
+        if test.applies(m, q):
+            single = [_bits(astuple(r)) for r in uni.uniformity_suite(z, which).reports]
+            assert single == full[start:start + len(single)]
+            start += len(single)
+    assert start == len(full)
+    assert _bits(astuple(uni.chikuse_jupp(z))) == full[0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
