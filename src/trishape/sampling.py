@@ -9,8 +9,10 @@ any worker count.
 
 Draws come from NumPy Generators on PCG64 streams keyed by (seed, stream,
 block); frozen statistics in the test-suite assume this generator.  Gaussian
-shapes and preshapes take standard_normal (ziggurat) deviates; triangles in
-R^m take two uniforms each, whatever m (hemisphere_heights).
+shapes and preshapes take standard_normal (ziggurat) deviates.  In a block of
+count triangles in R^m the heights are the first count doubles, whatever m, and
+the longitudes the next count (hemisphere_heights).  Count kernels draw
+CHUNK_ROWS rows at a time (_chunked), so none holds a block-sized array.
 """
 
 # annotations stay unevaluated, so np.random.Generator in them does not load numpy.random
@@ -113,14 +115,21 @@ def hemisphere_heights(rng: np.random.Generator, n: int, m: int = 2):
     """Heights h in [0, 1/2] and longitudes of n Gaussian triangles in R^m on
     the hemisphere.  2h = 2 sqrt(det G) / tr G, G the Gram matrix of an m x 2
     Gaussian preshape, has CDF s^(m-1) on [0, 1] and is independent of the
-    uniform longitude (Muirhead 1982, sec. 3.2), so h = (2u)^(1/(m-1)) / 2 for
-    u uniform on [0, 1/2]: u itself at m = 2, and 0 at m = 1 (collinear)."""
+    uniform longitude (Muirhead 1982, sec. 3.2), so h = u^(1/(m-1)) / 2 for
+    u uniform on [0, 1): u / 2 at m = 2, and 0 at m = 1 (collinear).  The
+    heights take the first n doubles of rng, the longitudes the next n."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    height = rng.uniform(0.0, 0.5, size=n)
-    if m != 2:
-        height = 0.5 * (2.0 * height) ** (1.0 / (m - 1)) if m > 1 else np.zeros(n)
-    return height, rng.uniform(0.0, 2.0 * math.pi, size=n)
+    return _heights(rng.random(n), m), rng.random(n) * (2.0 * math.pi)
+
+
+def _heights(u: np.ndarray, m: int) -> np.ndarray:
+    """hemisphere_heights' heights from its doubles u, in place; u / 2 has the
+    bits of uniform(0, 1/2), and 2 (u / 2) = u exactly."""
+    if m > 2:
+        u **= 1.0 / (m - 1)
+    u *= 0.5 if m > 1 else 0.0
+    return u
 
 
 def uniform_angles_batch(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -217,13 +226,15 @@ def iter_blocks(n: int, seed):
             for i in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE))
 
 
-def _chunked(draw, row_shape: tuple, count: int, kernel) -> list:
-    """kernel of each chunk of count rows that draw(out=...) writes CHUNK_ROWS
-    at a time into one reused buffer, which kernel must not return.  The draws
-    continue one stream, so the rows are those of one draw of count rows; the
-    buffer and temporaries stay in cache and below malloc's mmap threshold."""
-    buf = np.empty((min(CHUNK_ROWS, count), *row_shape))
-    return [kernel(draw(out=buf[:min(CHUNK_ROWS, count - lo)]))
+def _chunked(draw, row_shape: tuple, count: int, kernel, *cursors) -> list:
+    """kernel(*bufs) of each chunk of count rows: draw(out=...), then each draw
+    in cursors, writes CHUNK_ROWS rows at a time into its own reused buffer,
+    which kernel must not return.  Each draw goes on along its stream, so its
+    rows are those of one draw of count rows; the buffers and temporaries stay
+    in cache and below malloc's mmap threshold."""
+    draws = (draw, *cursors)
+    bufs = [np.empty((min(CHUNK_ROWS, count), *row_shape)) for _ in draws]
+    return [kernel(*(d(out=b[:min(CHUNK_ROWS, count - lo)]) for d, b in zip(draws, bufs)))
             for lo in range(0, max(count, 1), CHUNK_ROWS)]     # count 0: one empty chunk
 
 
@@ -244,9 +255,13 @@ def _gaussian_radius(rng: np.random.Generator, count: int, edges) -> np.ndarray:
 
 
 def _height_block_counts(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
-    height, lon = hemisphere_heights(rng, count, m)   # classified CHUNK_ROWS at a time
-    return sum(_height_counts(height[lo:lo + CHUNK_ROWS], lon[lo:lo + CHUNK_ROWS])
-               for lo in range(0, max(count, 1), CHUNK_ROWS))     # count 0: one empty slice
+    """Class counts of hemisphere_heights(rng, count, m), its heights drawn from a
+    cursor at rng's state and its longitudes from rng advanced past them."""
+    cursor = np.random.Generator(np.random.PCG64(0))    # a fixed seed: no OS entropy
+    cursor.bit_generator.state = rng.bit_generator.state
+    rng.bit_generator.advance(count)
+    return sum(_chunked(lambda out: _heights(cursor.random(out=out), m), (), count, _height_counts,
+                        lambda out: np.multiply(rng.random(out=out), 2.0 * math.pi, out=out)))
 
 
 def _height_disk(rng: np.random.Generator, count: int, m: int):
@@ -256,8 +271,8 @@ def _height_disk(rng: np.random.Generator, count: int, m: int):
 
 
 def _height_radius(rng: np.random.Generator, count: int, edges) -> np.ndarray:
-    height = hemisphere_heights(rng, count)[0]
-    return np.histogram(np.sqrt(0.25 - height * height), bins=edges)[0]
+    hist = lambda h: np.histogram(np.sqrt(0.25 - h * h), bins=edges)[0]
+    return sum(_chunked(lambda out: _heights(rng.random(out=out), 2), (), count, hist))
 
 
 # A row of MODELS: kernels drawing one block of count rows from rng (None where

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -572,6 +573,50 @@ def test_height_block_counts_in_slices_equal_whole_block(m):
             whole = samp._height_counts(*samp.hemisphere_heights(rng(), count, m))
             assert list(samp._height_block_counts(rng(), count, m)) == list(whole)
     assert list(samp._height_block_counts(rng(), 0, m)) == [0, 0, 0]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12])
+def test_height_cursors_follow_the_block_stream_layout(m, monkeypatch):
+    # a block's heights are its first count doubles, drawn as uniform(0, 1/2),
+    # and its longitudes the next count, as uniform(0, 2 pi); the chunks that
+    # _height_block_counts classifies, joined, have those bits, and it leaves
+    # the block generator where hemisphere_heights does
+    bits = lambda a: np.concatenate(a).view(np.uint64)
+    chunks = []
+    def collect(*bufs):
+        chunks.append(np.copy(bufs))
+        return np.zeros(3, dtype=np.int64)
+    monkeypatch.setattr(samp, "_height_counts", collect)
+    for count in (1, samp.CHUNK_ROWS - 1, samp.CHUNK_ROWS + 1, samp.BLOCK_SIZE):
+        rng = lambda: samp.RngSeed(count, 8).generator(block=m)
+        ref = rng()
+        u = ref.uniform(0.0, 0.5, size=count)
+        height = 0.5 * (2.0 * u) ** (1.0 / (m - 1)) if m > 1 else np.zeros(count)
+        lon = ref.uniform(0.0, 2.0 * math.pi, size=count)
+        whole, cursors = rng(), rng()
+        assert np.array_equal(bits(samp.hemisphere_heights(whole, count, m)), bits([height, lon]))
+        chunks.clear()
+        samp._height_block_counts(cursors, count, m)
+        assert len(chunks) == -(-count // samp.CHUNK_ROWS)
+        assert np.array_equal(bits([c[0] for c in chunks]), bits([height]))
+        assert np.array_equal(bits([c[1] for c in chunks]), bits([lon]))
+        assert ref.bit_generator.state == whole.bit_generator.state == cursors.bit_generator.state
+
+
+@pytest.mark.parametrize("kernel", [
+    lambda rng: samp._height_block_counts(rng, samp.BLOCK_SIZE, 12),
+    lambda rng: samp._height_radius(rng, samp.BLOCK_SIZE, np.linspace(0.0, 0.5, 51)),
+], ids=["counts", "radius"])
+def test_height_kernels_hold_no_block_sized_array(kernel):
+    # NumPy reports its buffers to tracemalloc; one float64 block is 512 KB
+    rng = samp.RngSeed(9).generator(block=0)
+    tracemalloc.start()
+    try:
+        kernel(rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < samp.BLOCK_SIZE * 8 // 2
 
 
 def test_folded_height_counts_at_sector_edges():
