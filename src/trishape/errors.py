@@ -13,11 +13,14 @@ class NotATriangleError(DomainError):
 
 
 def simplex_point(values, what: str) -> tuple:
-    """Three values, each >= -INPUT_TOL and summing to 1 within INPUT_TOL, as floats
-    clamped to nonnegative (never -0.0); what names them in the error."""
+    """Three values, each >= -INPUT_TOL and summing to 1 within INPUT_TOL, as floats clamped
+    to >= +0.0, the largest set to 1 minus the rest if the clamp raised one; what names them."""
     vals = [float(v) for v in values]
     if not min(vals) >= -INPUT_TOL:
         raise DomainError(f"{what} must be nonnegative, got {vals}")
     if not abs(sum(vals) - 1.0) <= INPUT_TOL:
         raise DomainError(f"{what} must sum to 1, got sum {sum(vals)}")
-    return tuple(max(v, 0.0) + 0.0 for v in vals)
+    out = [max(v, 0.0) + 0.0 for v in vals]
+    if min(vals) < 0.0:     # the largest gives back what the clamp added: sum 1
+        out[out.index(max(out))] = 1.0 - sum(sorted(out)[:2])
+    return tuple(out)

@@ -30,6 +30,7 @@ from .errors import simplex_point
 BLOCK_SIZE = 1 << 16
 CHUNK_ROWS = 1 << 12      # rows a count kernel classifies at a time
 RIGHT_ANGLE_TOL = 1e-9
+SCREEN_BAND = 1e-5        # B: _height_counts rechecks rows with |q32| <= B in float64
 
 BROKEN_STICK_FRACTION = math.pi / math.sqrt(27.0)
 # Normalizer of the angle density over the (alpha, beta) simplex; the
@@ -199,13 +200,34 @@ def _angle_counts(e: np.ndarray) -> np.ndarray:
     return _class_counts(_column_max(e), e[:, 0] + e[:, 1] + e[:, 2])
 
 
-def _height_counts(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """Class counts of shapes at these heights and longitudes on the hemisphere:
-    three times the largest squared side is 1 + 2r cos(d) (_disk_counts), with
-    r = sqrt(1/4 - h^2) and d in [-pi/3, pi/3] the offset of lon from the middle
-    of its 2pi/3 sector.  Sectors meet at cos(+-pi/3): a floor one off is harmless."""
+def _height_counts64(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Class counts by the float64 rule: three times the largest squared side is 1 + 2r cos(d),
+    r = sqrt(1/4 - h^2), d in [-pi/3, pi/3] the offset of lon from its sector's middle."""
     d = lon - (2.0 * math.pi / 3.0) * np.floor(lon * (1.5 / math.pi)) - math.pi / 3.0
     return _class_counts(1.0 + 2.0 * np.sqrt(0.25 - height * height) * np.cos(d), 3.0)
+
+
+def _height_counts(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """The class counts of _height_counts64, from a float32 screen of q = r cos(d) - 1/4 =
+    (top - 3/2)/2 (right: |q| <= 1.5e-9): rows with |q32| > B = SCREEN_BAND take its sign, the
+    rest (under 1e-4) the float64 rule.  With q, r, d exact and u = 2^-24, where r >= 1/5,
+    |q32 - q| <= E = 28u < 1.7e-6 < B/4.  The offset errs <= 18u: the cast of lon 4u, the
+    constants 2pi/3 (times k <= 3) and pi/3 7u, the arithmetic 7u.  Its floor is a sector off
+    only within 11.5u of an edge (lon (1.5/pi) errs <= 5.5u), where both offsets' cosines are
+    within 10u of cos(+-pi/3) = 1/2: 20u.  Float32 cos errs <= 1.5 ulp <= 3u: 41u in all, times
+    r32 <= 1/2.  The cast h, its square and 1/4 - h^2 err <= u, so |r32 - r| <= u/r + u/2 <=
+    5.5u; the product and difference add u.  Where r < 1/5, q < -1/20 and q32 < -0.0499997:
+    screened acute, as it is.  Elsewhere the float64 rule errs < 1e-14 in q, so agrees."""
+    lon32, r = lon.astype(np.float32), height.astype(np.float32)
+    q = np.floor(lon32 * (1.5 / math.pi)) * (2.0 * math.pi / 3.0)  # weak scalars: float32
+    np.subtract(np.subtract(lon32, q, out=q), math.pi / 3.0, out=q)
+    np.sqrt(np.subtract(0.25, np.square(r, out=r), out=r), out=r)
+    np.subtract(np.multiply(np.cos(q, out=q), r, out=q), 0.25, out=q)
+    counts = np.array([np.count_nonzero(q < -SCREEN_BAND), 0, np.count_nonzero(q > SCREEN_BAND)])
+    if counts[0] + counts[2] < q.size:      # the band is rarely occupied
+        band = np.flatnonzero(np.abs(q) <= SCREEN_BAND)
+        counts += _height_counts64(height[band], lon[band])
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -282,6 +282,23 @@ def test_sides_are_validated_once_and_used_as_validated(monkeypatch):
     assert len(checks) == 1
 
 
+def test_clamped_sides_are_renormalised_onto_the_simplex():
+    # when the clamp raises a side, the largest gives back what it added, so the
+    # sides sum to 1.  Sides at a vertex of the little triangle but for a clamped
+    # -5e-10 land on it, in the closed little triangle, where the clamp alone put
+    # them 1e-9 outside.  Sides the clamp leaves alone keep their bits
+    assert list(geo.little_coords((0.5 + 5e-10, -5e-10, 0.5))) == [0.0, 1.0, 0.0]
+    for raw, want in [((0.5 + 5e-10, -5e-10, 0.5), (0.5, 0.0, 0.5)),
+                      ((-1e-9, 0.5 + 1e-9, 0.5), (0.0, 0.5, 0.5)),
+                      ((0.5, 0.5, -3e-10), (0.5, 0.5, 0.0))]:
+        sides = conv.SquaredSides(*raw)
+        assert (sides.a2, sides.b2, sides.c2) == want, raw
+        assert geo.little_coords(raw).min() >= 0.0 and sum(want) == 1.0
+    for raw in [(0.17, 0.36, 0.47), (0.5, -0.0, 0.5), (0.3, 0.3, 0.4 + 5e-10)]:
+        vals = conv.SquaredSides(*raw).as_array()
+        assert vals.tobytes() == (np.array(raw) + 0.0).tobytes(), raw
+
+
 def test_big_frame_is_the_old_literal_byte_for_byte():
     # BARY_BIG is built from conversions._plane of the unit weights; it must
     # keep the bytes (and the layout) of the literal disk frame, axes swapped

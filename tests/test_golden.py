@@ -318,6 +318,39 @@ def test_blas_free_goldens_under_other_openblas_kernels(tmp_path):
         assert json.loads(proc.stdout) == {c: GOLDEN[c] for c in ids}, core
 
 
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the settings are x86-64 SIMD dispatch targets")
+def test_screened_summaries_under_other_simd_dispatch(tmp_path):
+    # hemisphere and ndim summaries classify through a float32 screen whose
+    # cosine moves its last bits with the SIMD target (without X86_V3 NumPy
+    # runs its baseline float32 cosine); the counts, and so the bytes, must not
+    # move.  Each setting runs in a child, whose environment alone it sets
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    ids = ["summary-hemisphere", "summary-ndim"]
+    big = ["sample", "ndim", "--m", "12", "-n", str(1 << 18), "--seed", "28", "--summary"]
+    code = ("import hashlib, json, pathlib, sys\n"
+            f"sys.path[:0] = {[str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]!r}\n"
+            "from test_golden import CASES, _run, digest_case\n"
+            f"out = {{c: digest_case(c, a, f, pathlib.Path({str(tmp_path)!r}))\n"
+            f"       for c, a, f in CASES if c in {ids!r}}}\n"
+            f"code, stdout = _run({big!r})\n"
+            "out['big'] = [code, hashlib.sha256(stdout).hexdigest()]\n"
+            "print(json.dumps(out))\n")
+    want = {**{c: GOLDEN[c] for c in ids},       # "big": the bytes of the float64 rule
+            "big": [0, "c941f11824a18686e59a218ba3f275fd15817303dd1c73f4931c94ed3bb29209"]}
+    code_big, stdout_big = _run(big)
+    assert [code_big, _sha(stdout_big)] == want["big"]
+    for targets in (["X86_V4", "AVX512_ICL", "AVX512_SPR"],
+                    ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]):
+        disabled = " ".join(t for t in targets if t in __cpu_dispatch__)
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, (disabled, proc.stderr)
+        assert json.loads(proc.stdout) == want, disabled
+
+
 def test_convert_goldens_without_numpy():
     # prob, convert and construct compute on Python floats: with NumPy made
     # unimportable they print the golden bytes (and prob what it prints in this process)

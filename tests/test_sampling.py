@@ -636,6 +636,47 @@ def test_folded_height_counts_at_sector_edges():
     assert list(total) == [33, 10, 9]
 
 
+def _rows_at_q(targets, lon):
+    """Heights at which the float64 rule's q = r cos(d) - 1/4 is each target, at
+    each longitude where that needs r <= 1/2, and those longitudes."""
+    d = lon - (2.0 * math.pi / 3.0) * np.floor(lon * (1.5 / math.pi)) - math.pi / 3.0
+    r = (0.25 + np.asarray(targets)[:, None]) / np.cos(d)
+    keep = r <= 0.5
+    return np.sqrt(0.25 - r[keep] ** 2), np.broadcast_to(lon, r.shape)[keep]
+
+
+def test_screened_height_counts_equal_float64_rule_at_the_band():
+    # the float32 screen must hand every row near the right angle to the float64
+    # rule: rows at the band's edges, at the rule's right-angle tolerance and at q
+    # = 0; at sector edges with h = 0 (right angles, as at m = 1; float32 rounds
+    # the last float below 2 pi up to 2 pi); and at h = 1/2 and just below it.
+    # Each row is classified alone, so no two errors can cancel in a total
+    band = samp.SCREEN_BAND
+    edges = [0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0, np.nextafter(2.0 * math.pi, 0.0)]
+    lon = np.concatenate([edges, np.random.default_rng(28).uniform(0.0, 2.0 * math.pi, 400)])
+    targets = [s * band * (1.0 + e) for s in (-1.0, 1.0) for e in (-1e-3, 1e-3)]
+    height, lons = _rows_at_q(targets + [-1.5e-9, 0.0, 1.5e-9], lon)
+    height = np.concatenate([height, np.repeat([0.0, 0.5, np.nextafter(0.5, 0.0)], lon.size)])
+    lons = np.concatenate([lons, np.tile(lon, 3)])
+    assert height.size > 2500
+    total = np.zeros(3, dtype=np.int64)
+    for row in zip(height[:, None], lons[:, None]):
+        counts = samp._height_counts(*row)
+        assert list(counts) == list(samp._height_counts64(*row)), row
+        total += counts
+    assert list(samp._height_counts(height, lons)) == list(total)
+    at_edges = samp._height_counts(np.zeros(4), np.array(edges))
+    assert list(at_edges) == [0, 4, 0] and total[1] >= 4
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12])
+def test_screened_height_counts_equal_float64_rule_on_seeded_rows(m):
+    height, lon = samp.hemisphere_heights(samp.RngSeed(28, m).generator(), 10**6, m)
+    for lo in range(0, height.size, samp.CHUNK_ROWS):
+        chunk = height[lo:lo + samp.CHUNK_ROWS], lon[lo:lo + samp.CHUNK_ROWS]
+        assert list(samp._height_counts(*chunk)) == list(samp._height_counts64(*chunk)), lo
+
+
 def test_broken_stick_block_equals_normalised_reference():
     for seed in range(30):
         est = samp.broken_stick_fraction(_ROWS, seed=(seed, 4))
