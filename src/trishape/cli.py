@@ -55,13 +55,11 @@ def _class_column(codes, names=None):
 def _fmt(v) -> str:
     if isinstance(v, tuple):            # a vector of floats, space-separated
         return " ".join(map("{:.17g}".format, v))
-    np = sys.modules.get("numpy")       # a NumPy value means NumPy is loaded
-    v = v.item() if np is not None and isinstance(v, np.generic) else v
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
         return str(int(v))
-    if isinstance(v, float):
+    if isinstance(v, float):            # a NumPy float64 too, a subclass of float
         return f"{float(v):.17g}"
     return str(v)
 
@@ -103,9 +101,7 @@ def _rep_value(rep: str, values):
 def _record_text(rec: dict, fmt: str | None) -> str:
     if fmt == "json":
         import json
-
-        # NumPy floats are floats to json; other NumPy scalars and arrays go through tolist
-        return json.dumps(rec, indent=2, default=lambda v: v.tolist()) + "\n"
+        return json.dumps(rec, indent=2) + "\n"
     if fmt == "csv":
         # one header row, one value row; vector cells are space-separated
         return ",".join(rec) + "\n" + ",".join(_fmt(v) for v in rec.values()) + "\n"

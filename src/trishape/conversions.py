@@ -162,12 +162,6 @@ class UnitQuaternion:
             raise DomainError(f"quaternion must have unit norm, got |q|^2 = {n2}")
 
 
-def rotation(theta: float):
-    """2x2 counterclockwise rotation by theta."""
-    c, s = math.cos(theta), math.sin(theta)
-    return _array([[c, -s], [s, c]])
-
-
 def _unit_matrix(m) -> tuple:
     """A 2x2 array-like as a 2x2 tuple of floats, checked to have unit Frobenius norm."""
     if kind_of(m) != "matrix":
@@ -184,23 +178,18 @@ def _unit_matrix(m) -> tuple:
 # The primitive kernels, from the floats of one representation to those of another
 
 
-def _svd_parts(m11: float, m12: float, m21: float, m22: float) -> tuple:
-    """(sigma1, sigma2, theta, nu, mu, q - p) from the rotation-component split of
-    M, so sigma2 has no cancellation; theta wraps nu, or is 0 where sigma1 ~ sigma2."""
+def _svd2x2(*m: tuple) -> tuple:
+    """Reduced SVD of a unit-norm shape matrix; the left factor is not formed.  The
+    rotation-component split of M gives sigma2 without cancellation; theta is the
+    half-difference of the two components' angles, or 0 where sigma1 ~ sigma2."""
+    (m11, m12), (m21, m22) = m
     e, f = (m11 + m22) / 2.0, (m11 - m22) / 2.0
     g, h = (m21 + m12) / 2.0, (m21 - m12) / 2.0
     q, p = math.hypot(e, h), math.hypot(f, g)
     s1, s2 = q + p, abs(q - p)
     a1 = math.atan2(g, f) if p > 0.0 else 0.0
     a2 = math.atan2(h, e) if q > 0.0 else 0.0
-    nu = (a1 - a2) / 2.0
-    theta = 0.0 if s1 - s2 < DEGENERATE_SVD_TOL else _wrap(nu, math.pi)
-    return s1, s2, theta, nu, (a1 + a2) / 2.0, q - p
-
-
-def _svd2x2(*m: tuple) -> tuple:
-    """Reduced SVD of a unit-norm shape matrix; the left factor is not formed."""
-    return _svd(*_svd_parts(*m[0], *m[1])[:3])
+    return _svd(s1, s2, 0.0 if s1 - s2 < DEGENERATE_SVD_TOL else (a1 - a2) / 2.0)
 
 
 def _svd_to_shape(s1: float, s2: float, theta: float) -> tuple:
@@ -285,23 +274,21 @@ def svd2x2_factors(m):
     """Closed-form SVD of a unit-norm 2x2 matrix.
 
     Returns (U, (sigma1, sigma2), theta) with M = U @ diag(sigma) @ R(theta).T,
-    sigma1 >= sigma2 >= 0 and theta in [0, pi).  U absorbs any reflection, so
-    it is orthogonal but not necessarily a rotation.
+    sigma1 >= sigma2 >= 0 and theta in [0, pi), as svd2x2 gives them.  U's first
+    column is M v1 / sigma1 for v1 = (cos theta, sin theta), its second that turned
+    a quarter turn, negated where det M < 0: U absorbs any reflection, so it is
+    orthogonal but not necessarily a rotation.
     """
     import numpy as np
-    m = _unit_matrix(m)
-    sigma1, sigma2, theta, nu, mu, gap = _svd_parts(*m[0], *m[1])
+    (a, b), (c, d) = m = _unit_matrix(m)
+    sigma1, sigma2, theta = _svd2x2(*m)
     if sigma1 - sigma2 < DEGENERATE_SVD_TOL:
         # V arbitrary at the equilateral point; theta is pinned, so refit U
         return np.array(m) @ np.diag([1.0 / sigma1, 1.0 / sigma2]), (sigma1, sigma2), theta
-
-    u = rotation(mu)
-    if gap < 0.0:
-        u = u @ np.diag([1.0, -1.0])
-    # wrapping nu by an odd multiple of pi flips R(theta); compensate in U
-    if round((theta - nu) / math.pi) % 2:
-        u = -u
-    return u, (sigma1, sigma2), theta
+    ct, st = math.cos(theta), math.sin(theta)
+    x, y = (a * ct + b * st) / sigma1, (c * ct + d * st) / sigma1
+    turn = -1.0 if a * d - b * c < 0.0 else 1.0
+    return np.array([[x, -turn * y], [y, turn * x]]), (sigma1, sigma2), theta
 
 
 def hemisphere_to_cartesian(h: HemispherePoint):

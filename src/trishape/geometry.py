@@ -18,22 +18,6 @@ from .errors import DEGENERATE_TOL, INPUT_TOL, DomainError, NotATriangleError
 EQUILATERAL_AREA = 1.0 / math.sqrt(48.0)   # largest area at unit squared-side sum
 
 
-def _frames() -> tuple:
-    """(BARY_BIG, BARY_LITTLE): the big equilateral triangle's vertices (columns, norm 1)
-    are _plane of the unit weights, axes swapped, so BARY_BIG @ u is _plane(*u) reversed; the
-    inverted little one of its edge midpoints (norm 1/2) is inscribed in the radius-1/2 disk."""
-    import numpy as np
-    big = np.array([_plane(*u)[::-1] for u in np.eye(3).tolist()]).T.copy()
-    return big, -0.5 * big
-
-
-def __getattr__(name):      # BARY_BIG and BARY_LITTLE are built on first access
-    if name in ("BARY_BIG", "BARY_LITTLE"):
-        globals().update(zip(("BARY_BIG", "BARY_LITTLE"), _frames()))
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _sides3(s) -> SquaredSides:
     """s as validated squared sides, which internal calls pass on: one check per call."""
     if isinstance(s, SquaredSides):
@@ -105,8 +89,8 @@ def area(s) -> float:
 
 def area_general(a: float, b: float, c: float) -> float:
     """Area from raw side lengths via 16 K^2 = (a+b+c)(-a+b+c)(a-b+c)(a+b-c)."""
-    if min(a, b, c) < 0.0:
-        raise ValueError("side lengths must be nonnegative")
+    if not all(0.0 <= v < math.inf for v in (a, b, c)):
+        raise ValueError(f"side lengths must be finite and nonnegative, got ({a}, {b}, {c})")
     prod = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
     scale = max(a * a + b * b + c * c, 1.0)
     if prod < -1e-12 * scale * scale:
@@ -175,12 +159,19 @@ def singular_sides(phi: float) -> "np.ndarray":
     These are sqrt(2/3) |sin(x/2)| at x = phi + 2pi/3, phi - 2pi/3, phi;
     the longest equals the sum of the other two.
     """
+    if not math.isfinite(phi):
+        raise DomainError(f"angle must be finite, got {phi}")
     import numpy as np
     return math.sqrt(2.0 / 3.0) * np.abs(np.sin(np.add(phi, _SIDE_OFFSETS) / 2.0))
 
 
 def barycentric_frames() -> BarycentricFrames:
-    return BarycentricFrames(*_frames())
+    """The big equilateral triangle's vertices (columns, norm 1) are _plane of the unit
+    weights, axes swapped, so big @ u is _plane(*u) reversed; the inverted little one
+    of its edge midpoints (norm 1/2) is inscribed in the radius-1/2 disk."""
+    import numpy as np
+    big = np.array([_plane(*u)[::-1] for u in np.eye(3).tolist()]).T.copy()
+    return BarycentricFrames(big, -0.5 * big)
 
 
 def little_coords(s) -> "np.ndarray":
@@ -194,7 +185,7 @@ def parallelian_endpoints(s) -> list:
     Segment i is parallel to side i of the little triangle, has total length
     sqrt(3) * (squared side i), and is split by P into pieces of length
     sqrt(3) (1/2 - s_j) for the other two squared sides s_j.  The Cartesian
-    endpoints are closed forms on floats: _plane(*u) reversed, as for BARY_BIG.
+    endpoints are closed forms on floats: _plane(*u) reversed, as for barycentric_frames().big.
     """
     return construct_in_hemisphere(s).parallelians
 

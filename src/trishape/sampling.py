@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SQRT3, _column_sum, _gram, _sides_angles, _sides_from_xy
-from .errors import simplex_point
+from .errors import INPUT_TOL, simplex_point
 
 BLOCK_SIZE = 1 << 16
 CHUNK_ROWS = 1 << 12      # rows a count kernel classifies at a time
@@ -119,6 +119,7 @@ def hemisphere_heights(rng: np.random.Generator, n: int, m: int = 2):
     uniform longitude (Muirhead 1982, sec. 3.2), so h = u^(1/(m-1)) / 2 for
     u uniform on [0, 1): u / 2 at m = 2, and 0 at m = 1 (collinear).  The
     heights take the first n doubles of rng, the longitudes the next n."""
+    _integer("m", m)
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
     return _heights(rng.random(n), m), rng.random(n) * (2.0 * math.pi)
@@ -141,6 +142,8 @@ def uniform_angles_batch(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def ndim_shapes(m: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n unit-Frobenius m x (k-1) matrices of iid normals (k-point shapes in R^m)."""
+    _integer("m", m)
+    _integer("k", k)
     if m < 1 or k < 2:
         raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     return _unit_norm(rng.standard_normal((n, m, k - 1)))
@@ -234,13 +237,18 @@ def _height_counts(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
 # blocks and models
 
 
+def _integer(name: str, value):
+    """ValueError unless value is an int or a NumPy integer; a bool is not one."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def iter_blocks(n: int, seed):
     """Iterator of (generator, count) for each block of an n-sample budget;
     block i draws from the generator keyed by (seed, stream, i).  An n that
     is not an integer >= 1 (a bool or a float included) raises ValueError at
     the call, before any caller writes output."""
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"the sample count must be an integer, got {n!r}")
+    _integer("the sample count", n)
     if n < 1:
         raise ValueError(f"need at least one sample, got {n}")
     seed = as_rng_seed(seed)
@@ -332,8 +340,8 @@ def check_model(model: str, need: str | None = None, label: str | None = None, m
         listed = " or ".join(map(repr, fits)) + (" only" if len(fits) == 1 else "")
         raise ValueError(f"{label or _NEEDS[need]} {listed}, got {model!r}")
     row = MODELS[model]
-    if m is not None and not (isinstance(m, (int, np.integer)) and m >= 1 if row.reads_m
-                              else m == 2):
+    integer = isinstance(m, (int, np.integer)) and not isinstance(m, bool)
+    if m is not None and not (integer and m >= 1 if row.reads_m else m == 2):
         wants = "an integer m >= 1" if row.reads_m else "m = 2 alone, as it is planar"
         raise ValueError(f"model {model!r} takes {wants}, got m={m!r}")
     return row
@@ -366,6 +374,9 @@ def _mc_sum(n_samples: int, block_fn, seed, workers: int = 1) -> np.ndarray:
     worker threads, so every trishape module it reads must already be loaded
     (see the package docstring).
     """
+    _integer("workers", workers)
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got workers={workers}")
     blocks = iter_blocks(n_samples, seed)
     run = lambda block: np.asarray(block_fn(*block), dtype=np.int64)
     if workers <= 1:
@@ -507,9 +518,10 @@ def _bin_coords(ang: np.ndarray, n: int):
 
 
 def angle_bin_index(alpha: float, beta: float, bins_per_side: int = 10) -> tuple:
-    """Label of the bin holding one point, by the rule angle_bin_counts uses."""
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ValueError(f"angles must be finite, got ({alpha}, {beta})")
+    """Label of the bin holding one point, by the rule angle_bin_counts uses; the
+    point must lie in the simplex, to within INPUT_TOL."""
+    if not (alpha >= -INPUT_TOL and beta >= -INPUT_TOL and alpha + beta <= 1.0 + INPUT_TOL):
+        raise ValueError(f"angles must be finite and in the simplex, got ({alpha}, {beta})")
     i, j, up = _bin_coords(np.array([[alpha, beta]], float), _bins_per_side(bins_per_side))
     return (int(i[0]), int(j[0]), "up" if up[0] else "down")
 

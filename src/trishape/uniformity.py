@@ -51,6 +51,8 @@ def preshape(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"preshape must be a 2-d matrix, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("preshapes must be finite")
     norm = np.linalg.norm(x)
     if norm == 0.0:
         raise ValueError("zero matrix has no preshape")
@@ -142,12 +144,12 @@ def inv_sigma_min_density(t, m: int):
 
     Supported on t >= sqrt(m) (the unit Frobenius norm forces
     sigma_min <= 1/sqrt(m)); zero below, negative t included.  Finite for
-    every t, it decays like 1/t^2.  t is a float or an array of any shape
-    (same shape back); a scalar returns a float.
+    every t, it decays like 1/t^2; NaN stays NaN.  t is a float or an array of
+    any shape (same shape back); a scalar returns a float.
     """
     _check_matrix_size(m)
     t = np.asarray(t, dtype=float)
-    dens = np.array([0.0 if v <= 0.0 else _t2_density(v, m) / v / v
+    dens = np.array([v if math.isnan(v) else 0.0 if v <= 0.0 else _t2_density(v, m) / v / v
                      for v in t.ravel().tolist()]).reshape(t.shape)
     return float(dens) if dens.ndim == 0 else dens
 

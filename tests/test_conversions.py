@@ -1,6 +1,7 @@
 import itertools
 import math
 import struct
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -19,6 +20,12 @@ def random_unit_matrix():
 
 def random_sides():
     return conv.shape_to_sides(random_unit_matrix())
+
+
+def _rotation(theta):
+    """2x2 counterclockwise rotation by theta, R(theta) of svd2x2_factors' M = U S R^T."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +102,40 @@ def test_svd2x2_reconstruction_and_invariants():
         assert 1.0 + 1e-12 >= s1 >= s2 >= 0.0
         assert abs(s1 * s1 + s2 * s2 - 1.0) < 1e-12
         assert 0.0 <= theta < np.pi
-        recon = u @ np.diag([s1, s2]) @ conv.rotation(theta).T
+        recon = u @ np.diag([s1, s2]) @ _rotation(theta).T
         assert np.abs(m - recon).max() < 1e-12
         assert np.abs(u @ u.T - np.eye(2)).max() < 1e-9
         # numpy SVD as an independent oracle for the singular values
         ref = np.linalg.svd(m, compute_uv=False)
         assert np.abs(ref - [s1, s2]).max() < 1e-12
+
+
+def test_svd2x2_factors_bounds_on_seeded_matrices():
+    # 24000 matrices: Gaussian ones, ones of sigma2 from 1e-16 down to 0, ones of
+    # sigma1 - sigma2 from 1e-2 down into the tie band, and each of them reflected
+    rng = np.random.default_rng(2029)
+    n = 4000
+    z = rng.standard_normal((n, 2, 2))
+    s2 = np.concatenate([10.0 ** rng.uniform(-300, -16, n - 400), np.zeros(400)])
+    gap = 10.0 ** rng.uniform(-12, -2, n)
+    lo = (np.sqrt(2.0 - gap * gap) - gap) / 2.0
+    sigma = np.concatenate([np.stack([np.sqrt(1.0 - s2 * s2), s2], 1), np.stack([lo + gap, lo], 1)])
+    left, right = (np.array([_rotation(t) for t in rng.uniform(0.0, 2.0 * np.pi, 2 * n)])
+                   for _ in range(2))
+    mats = np.concatenate([z, left * sigma[:, None, :] @ right.transpose(0, 2, 1)])
+    mats = np.concatenate([mats, mats * [[1.0], [-1.0]]])
+    for m in mats / np.linalg.norm(mats, axis=(1, 2))[:, None, None]:
+        u, (s1, s2), theta = conv.svd2x2_factors(m)
+        s = conv.svd2x2(m)
+        assert struct.pack("3d", s1, s2, theta) == struct.pack("3d", *astuple(s))
+        assert np.abs(m - u @ np.diag([s1, s2]) @ _rotation(theta).T).max() <= 1e-15
+        if s1 - s2 >= conv.DEGENERATE_SVD_TOL:
+            assert np.abs(u @ u.T - np.eye(2)).max() <= 1e-15
+        # the determinant of M's floats as the products' difference; at rank one the
+        # exact one is rounding noise, and this is 0 where it is below rounding
+        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+        if det != 0.0:
+            assert np.sign(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]) == np.sign(det)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +499,7 @@ def _frozen_svd2x2(m):
 
 
 def _frozen_svd_to_shape(s):
-    return np.diag([s.sigma1, s.sigma2]) @ conv.rotation(s.theta).T
+    return np.diag([s.sigma1, s.sigma2]) @ _rotation(s.theta).T
 
 
 def _then(*steps):

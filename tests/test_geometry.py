@@ -41,6 +41,19 @@ def test_area_general_345():
         geo.area_general(1.0, 1.0, 5.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+def test_area_general_refuses_non_finite_and_negative_sides(bad):
+    for sides in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+        with pytest.raises(ValueError, match="side lengths must be finite and nonnegative"):
+            geo.area_general(*sides)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_singular_sides_refuses_a_non_finite_angle(bad):
+    with pytest.raises(DomainError, match="angle must be finite"):
+        geo.singular_sides(bad)
+
+
 def test_two_hero_forms_agree():
     for _ in range(500):
         s = random_sides()
@@ -300,20 +313,22 @@ def test_clamped_sides_are_renormalised_onto_the_simplex():
 
 
 def test_big_frame_is_the_old_literal_byte_for_byte():
-    # BARY_BIG is built from conversions._plane of the unit weights; it must
+    # the big frame is built from conversions._plane of the unit weights; it must
     # keep the bytes (and the layout) of the literal disk frame, axes swapped
     literal = np.array([[math.sqrt(3.0) / 2.0, -math.sqrt(3.0) / 2.0, 0.0],
                         [0.5, 0.5, -1.0]])
-    assert geo.BARY_BIG.tobytes() == literal.tobytes()
-    assert geo.BARY_BIG.flags.c_contiguous
-    assert geo.BARY_LITTLE.tobytes() == (-0.5 * literal).tobytes()
+    frames = geo.barycentric_frames()
+    assert frames.big.tobytes() == literal.tobytes()
+    assert frames.big.flags.c_contiguous
+    assert frames.little.tobytes() == (-0.5 * literal).tobytes()
 
 
 def test_frame_change_identity():
+    frames = geo.barycentric_frames()
     for _ in range(200):
         s = random_sides()
-        lhs = geo.BARY_BIG @ s.as_array()
-        rhs = geo.BARY_LITTLE @ geo.little_coords(s)
+        lhs = frames.big @ s.as_array()
+        rhs = frames.little @ geo.little_coords(s)
         assert np.abs(lhs - rhs).max() < 1e-12
 
 
@@ -339,21 +354,21 @@ def test_parallelians_through_centroid_for_equilateral():
 
 
 def test_parallelian_frames_and_lengths():
+    frames = geo.barycentric_frames()
     for _ in range(200):
         s = random_sides()
         arr = s.as_array()
-        p = geo.BARY_BIG @ arr
+        p = frames.big @ arr
         for para in geo.parallelian_endpoints(s):
             ub, vb = para.big_endpoints
             ul, vl = para.little_endpoints
             cu, cv = para.cartesian_endpoints
             # both frames name identical Cartesian points
-            assert np.abs(geo.BARY_BIG @ ub - geo.BARY_LITTLE @ ul).max() < 1e-12
-            assert np.abs(geo.BARY_BIG @ vb - geo.BARY_LITTLE @ vl).max() < 1e-12
+            assert np.abs(frames.big @ ub - frames.little @ ul).max() < 1e-12
+            assert np.abs(frames.big @ vb - frames.little @ vl).max() < 1e-12
             # full segment length sqrt(3) * squared-side
             assert abs(np.linalg.norm(cu - cv) - math.sqrt(3) * arr[para.index - 1]) < 1e-12
             # parallel to the matching little-triangle side
-            frames = geo.barycentric_frames()
             side = np.delete(frames.little, para.index - 1, axis=1)
             side_dir = side[:, 0] - side[:, 1]
             cross = (cu - cv)[0] * side_dir[1] - (cu - cv)[1] * side_dir[0]

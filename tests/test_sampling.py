@@ -8,7 +8,7 @@ from scipy import integrate, special, stats
 from trishape import core, specfun
 from trishape import sampling as samp
 from trishape.core import HELMERT3
-from trishape.errors import DomainError
+from trishape.errors import INPUT_TOL, DomainError
 
 from helpers import distance_correlation
 
@@ -64,6 +64,29 @@ def test_sample_count_must_be_an_integer(call, n):
     # every sampled path counts its samples through iter_blocks; a bool is not a count
     with pytest.raises(ValueError, match="the sample count must be an integer"):
         call(n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: samp.class_fractions("gaussian", 10, workers=w),
+    lambda w: samp.angle_bin_counts("gaussian", 10, workers=w),
+    lambda w: samp.broken_stick_fraction(10, workers=w),
+], ids=["class_fractions", "angle_bin_counts", "broken_stick_fraction"])
+@pytest.mark.parametrize("workers", [0, -2, 2.5, True], ids=repr)
+def test_workers_must_be_an_integer_at_least_one(call, workers):
+    with pytest.raises(ValueError, match="workers must be an integer|need workers >= 1"):
+        call(workers)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: samp.hemisphere_heights(samp.RngSeed(0).generator(), 3, v),
+    lambda v: samp.ndim_shapes(v, 3, samp.RngSeed(0).generator(), 2),
+    lambda v: samp.ndim_shapes(3, v, samp.RngSeed(0).generator(), 2),
+    lambda v: samp.class_fractions("ndim", 10, m=v),    # at the call, through check_model
+], ids=["hemisphere_heights-m", "ndim_shapes-m", "ndim_shapes-k", "class_fractions-m"])
+@pytest.mark.parametrize("value", [2.5, 1.5, True, np.float64(3.0)], ids=repr)
+def test_sampler_dimensions_must_be_integers(call, value):
+    with pytest.raises(ValueError, match=r"^([mk] must be|model 'ndim' takes) an integer"):
+        call(value)
 
 
 def test_sample_count_may_be_a_numpy_integer():
@@ -468,6 +491,16 @@ def test_angle_bin_counts_match_index_helper():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             samp.angle_bin_index(bad, 0.2)
+
+
+def test_angle_bin_index_refuses_points_off_the_simplex():
+    tol = INPUT_TOL
+    for alpha, beta in [(-0.5, 0.1), (0.1, -2 * tol), (0.6, 0.6), (0.5, 0.5 + 2 * tol)]:
+        with pytest.raises(ValueError, match="in the simplex"):
+            samp.angle_bin_index(alpha, beta)
+    # within INPUT_TOL of the simplex, a point falls in an edge bin angle_bins holds
+    for alpha, beta in [(-tol, 0.1), (0.5, 0.5 + tol), (0.0, 1.0)]:
+        assert samp.angle_bin_index(alpha, beta) in samp.angle_bins()
 
 
 def test_angle_bins_uniform_model_flat():

@@ -160,6 +160,20 @@ def test_inv_sigma_min_density_and_cdf_vanish_at_negative_t(m):
     assert uni.inv_sigma_min_cdf(t, m)[0, 1] == uni.inv_sigma_min_cdf(10.0, m)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_inv_sigma_min_density_keeps_nan(m):
+    # as inv_sigma_min_cdf does, for a scalar and for each entry of an array
+    assert math.isnan(uni.inv_sigma_min_density(math.nan, m))
+    dens = uni.inv_sigma_min_density(np.array([math.nan, 10.0]), m)
+    assert math.isnan(dens[0]) and dens[1] == uni.inv_sigma_min_density(10.0, m)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_preshape_of_a_non_finite_matrix_is_refused(bad):
+    with pytest.raises(ValueError, match="^preshapes must be finite$"):
+        uni.preshape([[1.0, bad], [0.5, 0.25]])
+
+
 def test_inv_sigma_min_density_m2_closed_form():
     for t in (1.5, 1.9, 2.5, 4.0, 10.0, 40.0):
         closed = 2.0 * (t * t - 2.0) / (t**3 * math.sqrt(t * t - 1.0))
