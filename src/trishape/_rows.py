@@ -1,19 +1,10 @@
 """Row formatting: bulk output (``sample``, ``plot-data`` and the SVG scatter)
 goes through NumPy kernels that write the bytes of CPython's correctly rounded
-'%.17g' and '%.6f'.  For a finite x with 1e-4 <= |x| < 1e17, which '%.17g'
-writes without an exponent, and k = floor(log10 |x|), the 17 digits of '%.17g'
-are N = round(|x| * 10**(16 - k)).  In a long double with a 64-bit mantissa,
-10**j is exact for j <= 27 and every half-integer below 2**57 is
-representable, so the product y rounds once and monotonically: unless it
-lands on a half-integer, it lies strictly between the same two half-integers
-as the exact product, and (y + 2**63) - 2**63 is the correctly rounded N
-(Steele & White 1990; Adams, Ryu, 2018).  One subtraction, d = y - N, ends
-the long-double work: y lies in [1e15, 1e18), so its ulp is at least 2**-14,
-and d, at most 1/2 in size, is exact as a float64; the tie and range tests
-run on d and on N as an int64.  Products that land on a half-integer (about
-0.4% of cells), zeros, inf, NaN and values out of range (at most about 2e-4
-of the cells the commands write) go to CPython one at a time, as does every
-cell on a host whose long double fails the check in _kernel_tables.
+'%.17g' and '%.6f', in float64 and int64 arithmetic alone.  '%.17g' writes a
+finite x with 1e-4 <= |x| < 1e17 without an exponent, as the 17 digits of
+N = round(|x| * 10**(16 - k)), k its exact decade: Dekker's TwoProduct gives the
+product exactly as hi + lo, and rint rounds it.  A remainder that rounds to
+1/2, zeros, inf, NaN and values out of range go to CPython, a cell at a time.
 
 A cell is the bytes of its text, in order, in a 24-byte slot with NULs
 around them and a last byte for a one-byte literal after the field.  The
@@ -37,14 +28,16 @@ _ROWS_PER_WRITE = 1024      # rows formatted and written at a time
 _KERNEL_MIN_ROWS = 128      # shorter tables are cheaper through CPython's '%'
 _SPEC = re.compile(r"(%\.17g|%\.6f|%s)")
 _WORD = np.dtype("<u8")
+_SPLIT = 2.0 ** 27 + 1      # Veltkamp's split of a double into halves of 26 bits
 
 
 @functools.cache
 def _kernel_tables():
-    """The kernels' tables, built on first use; None where long double cannot
-    hold 1 + 2**-63 or round to an integer by adding 2**63, so that every cell
-    goes through CPython.  Fields:
-      pow10, big -- 10**j for j = 0..27 and 2**63, as long doubles;
+    """The kernels' tables, built on first use.  Fields:
+      decade, next_ten -- by biased exponent E (clipped to 2**-14..2**56): the decade
+                    of 2**(E - 1023), and the nearest double to the next power
+                    of ten, which lies above it from 10**-4 on;
+      scale      -- 10**(16 - k) at k + 5 for k = -4..16, and 0 either side;
       groups     -- the 4 ASCII digits of 0..9999 as words, bytes in order,
                     then again with their trailing zeros as NULs;
       high       -- byte masks: in word i, high[i][p] keeps the bytes from p on;
@@ -56,10 +49,8 @@ def _kernel_tables():
     NumPy loops met for the first time cost resident code pages, so these
     are built, and the kernels run, with few kinds of them: no comparison
     or bitwise invert of uint64s, for one."""
-    ld = np.longdouble
-    big = ld(2) ** 63
-    if ld(1) + ld(2) ** -63 == ld(1) or (ld(2.5) + big) - big != ld(2):
-        return None
+    tens = np.array([float(f"1e{j}") for j in range(-4, 18)])
+    up = np.searchsorted(tens, np.ldexp(1.0, np.clip(np.arange(2048) - 1023, -14, 56)), "right")
     q = np.arange(10000, dtype=_WORD)
     groups, zeros = np.zeros((2, len(q)), _WORD), np.ones(len(q), bool)
     for shift in (24, 16, 8, 0):                    # the last digit first
@@ -82,29 +73,45 @@ def _kernel_tables():
                         | (e < 0) & ((at == 1) | (at >= 3) & (at < 2 - e)), ord("0"), 0))
     words = lambda table: table.astype(np.uint8).view(_WORD).T.copy()
     return types.SimpleNamespace(
-        pow10=np.cumprod(np.concatenate(([ld(1)], np.full(27, ld(10))))), big=big,
+        decade=up - 5, next_ten=tens[up],
+        scale=np.array([0.0, *(float(10 ** (16 - k)) for k in range(-4, 17)), 0.0]),
         groups=groups.ravel(), high=words(np.where(at >= np.arange(25)[:, None], 255, 0)),
         keep=words(np.where(at < split, 255, 0)), shift=shift.astype(_WORD), extra=words(extra))
 
 
-def _round_scaled(a, j, tables):
-    """(N, d) for y = a * 10**j rounded once to a long double, 0 <= j <= 27
-    (j is clipped to that): N = y rounded to an integer, as int64, and
-    d = y - N as a float64.  N = round(a * 10**j) exactly unless y is a
-    half-integer, |d| = 1/2.  d is exact for y >= 1e15; below, the cast may
-    round it, which can only make more cells look like ties."""
-    y = a.astype(np.longdouble)
-    y *= tables.pow10.take(j, mode="clip")
-    n = y + tables.big
-    n -= tables.big
-    y -= n
-    return n.astype(np.int64), y.astype(np.float64)
+def _round_scaled(a, p):
+    """(N, d) for each a * p, a >= 0 and p = 10**j (j <= 22) or 0, products
+    below 2**62: N = round(a * p) as int64 unless |d| = 1/2, and d = a * p - N,
+    exact from 2**52 on and within 2**-54 below, and < 0 only if a * p < N."""
+    # Dekker's TwoProduct: a * p = hi + lo, from halves of 26 bits (Veltkamp)
+    hi = a * p
+    ah = a * _SPLIT
+    ah -= ah - a
+    al = a - ah
+    ph = p * _SPLIT
+    ph -= ph - p
+    pl = p - ph
+    lo = ah * ph
+    lo -= hi
+    lo += ah * pl
+    lo += al * ph
+    lo += al * pl
+    # hi - rint(hi) is exact, so only its sum with lo rounds, monotonically
+    n = np.rint(hi)
+    hi -= n
+    hi += lo
+    lo = np.rint(hi)
+    hi -= lo
+    return n.astype(np.int64) + lo.astype(np.int64), hi
 
 
-def _above(n, d):
-    """A float64 with the sign of y - 10**16, for y = n + d from _round_scaled:
-    n - 10**16 is 0 or at least 1 in size, and |d| <= 1/2."""
-    return (n - 10 ** 16).astype(np.float64) + d
+def _decade(a, tables):
+    """The decade k of each a in [1e-4, 1e17), 10**k <= a < 10**(k + 1): that of
+    2**e for a's binary exponent e, or one more where a reaches the next power."""
+    e = a.view(np.int64) >> 52
+    k = tables.decade.take(e)
+    k += a >= tables.next_ten.take(e)
+    return k
 
 
 def _digit_words(n, tables, strip):
@@ -149,41 +156,22 @@ def _splice(slot, digits, keep, shift, extra):
         carry = high >> back
 
 
-def _decade(a):
-    """floor(log10 a) as integers, which may miss by one near a power of ten."""
-    return np.floor(np.log10(a)).astype(np.intp)
-
-
 def _g17_kernel(v, tables, slot):
     """Write '%.17g' % x into the slot of each x of v that it can; return
     where it did."""
     a = np.abs(v)
     ok = (a >= 1e-4) & (a < 1e17)
-    a[~ok] = 2.0                                    # not a power of ten, which is redone
-    k = np.minimum(_decade(a), 16)                  # as |x| < 1e17: so 16 - k >= 0
-    n, d = _round_scaled(a, 16 - k, tables)
-    # the decade may miss by one either way, and rounding may carry to 10**17:
-    # redo those cells a decade over.  A cell is good if its product is above
-    # 10**16, or just below it after a carry; y == 10**16 leaves the side open
-    up = n >= 10 ** 17
-    redo = np.flatnonzero(up | (_above(n, d) <= 0))
-    if redo.size:
-        up = up[redo]
-        kr = k[redo] + np.where(up, 1, -1)
-        n[redo], d[redo] = nr, dr = _round_scaled(a[redo], 16 - kr, tables)
-        # '%.17g' writes an exponent outside -4 <= k <= 16: past a carry to 10**17, say
-        ok[redo] &= ((up | (_above(nr, dr) > 0)) & (nr >= 10 ** 16) & (nr < 10 ** 17)
-                     & (kr >= -4) & (kr <= 16))
-        k[redo] = np.where(ok[redo], kr, 0)
-    ok &= np.abs(d) != 0.5                          # y a half-integer: CPython knows
+    a[~ok] = 2.0
+    k = _decade(a, tables)
+    n, d = _round_scaled(a, tables.scale.take(k + 5, mode="clip"))
+    # 10**16 <= N < 10**17 (a double below 10**(k + 1) is 8 units of N below
+    # it or more) unless the decade is off; |d| = 1/2 may be a tie: CPython knows
+    ok &= (n >= 10 ** 16) & (n < 10 ** 17) & (np.abs(d) != 0.5)
     # an x the kernel writes is whole if and only if its last 16 - k digits are
     # 0: a double that is not whole lies over 10**(k - 16) / 2 from the next one
-    whole = a == np.floor(a)
-    row = k + 4
-    row += whole * 21
-    row += np.signbit(v) * 42
-    _splice(slot, _digit_words(n, tables, True), [t[row] for t in tables.keep],
-            tables.shift[row], [t[row] for t in tables.extra])
+    row = k + 4 + (a == np.floor(a)) * 21 + np.signbit(v) * 42
+    keep, extra = ([t.take(row, mode="clip") for t in w] for w in (tables.keep, tables.extra))
+    _splice(slot, _digit_words(n, tables, True), keep, tables.shift.take(row, mode="clip"), extra)
     return ok
 
 
@@ -193,7 +181,7 @@ def _f6_kernel(v, tables, slot):
     a = np.abs(v)
     ok = a < 2.0 ** 33
     a[~ok] = 0.0
-    n, d = _round_scaled(a, 6, tables)
+    n, d = _round_scaled(a, 1e6)
     ok &= np.abs(d) != 0.5
     # 11 integer digits at bytes 3..13, their leading zeros NULs, the point
     # after them and 6 digits
@@ -216,8 +204,7 @@ def _float_cells(fmt, v):
     with the last byte of each NUL."""
     v = np.asarray(v, dtype=float)
     slot = np.empty((len(v), 3), _WORD)
-    tables = _kernel_tables()
-    done = _KERNELS[fmt](v, tables, slot) if tables is not None else np.zeros(len(v), bool)
+    done = _KERNELS[fmt](v, _kernel_tables(), slot)
     slot = slot.view(np.uint8)
     rest = np.flatnonzero(~done)
     if rest.size:

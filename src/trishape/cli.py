@@ -16,11 +16,13 @@ only in the bodies of the commands that compute with arrays, so ``prob``,
 """
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
 import os
 import re
+import stat
 import sys
 
 # lazy modules (see the package): read none of them at import or in _build_parser
@@ -310,7 +312,7 @@ _SVG_COLORS = (b"#1f77b4", b"#000000", b"#d62728")     # by class code: acute, r
 
 def _plot_disk_scatter(args, out):
     """The disk points as CSV rows and, with --svg, as SVG circles, both
-    written block by block."""
+    written block by block; an SVG left unfinished is discarded."""
     svg = open(args.svg, "w", newline="\n") if args.svg else None
     try:
         out.write("x,y,class\n")
@@ -324,9 +326,11 @@ def _plot_disk_scatter(args, out):
                 _rows._write_lines(svg, _SVG_CIRCLE, (x, -y, _class_column(codes, _SVG_COLORS)))
         if svg:
             svg.write("</svg>\n")
+            svg.close()
+            svg = None
     finally:
         if svg:
-            svg.close()
+            _discard(svg)
 
 
 def _plot_radius_histogram(args, out):
@@ -389,7 +393,7 @@ def _cmd_plot_data(args):
         sampling.check_model(args.model, need, m=None)
         sampling.iter_blocks(args.n, (args.seed, args.stream))  # raises on a bad -n, seed, stream
     if getattr(args, "svg", None):  # an unwritable --svg path fails here, not once -o is written
-        existed = os.path.exists(args.svg)
+        existed = os.path.lexists(args.svg)
         open(args.svg, "a").close()
         if not existed:
             os.remove(args.svg)
@@ -482,6 +486,15 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _discard(file):
+    """Close a file its writer failed to finish; remove it if it is a regular file."""
+    with contextlib.suppress(OSError):
+        file.close()
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(file.name).st_mode):
+            os.remove(file.name)
+
+
 def main(argv=None) -> int:
     out = None
     try:
@@ -496,8 +509,7 @@ def main(argv=None) -> int:
         domain = isinstance(exc, DomainError)
         print(f"trishape: {'domain error' if domain else 'error'}: {exc}", file=sys.stderr)
         if out is not None:     # the writer failed: leave no partial -o file
-            out.close()
-            os.remove(out.name)
+            _discard(out)
         return EXIT_DOMAIN if domain else EXIT_USAGE
     finally:
         if out is not None:

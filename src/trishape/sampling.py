@@ -237,10 +237,12 @@ def _height_counts(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
 # blocks and models
 
 
-def _integer(name: str, value):
-    """ValueError unless value is an int or a NumPy integer; a bool is not one."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _integer(name: str, value, least=None):
+    """ValueError unless value is an int or a NumPy integer, not a bool, and >= least if given."""
+    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
+            or least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
 
 
 def iter_blocks(n: int, seed):
@@ -491,8 +493,7 @@ def angle_density(angles, normalized: bool = False) -> float:
 
 
 def _bins_per_side(n) -> int:    # for angle_bins (so the counts and masses) and angle_bin_index
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise ValueError(f"bins_per_side must be an integer >= 1, got {n!r}")
+    _integer("bins_per_side", n, 1)
     return int(n)
 
 

@@ -822,6 +822,44 @@ def test_plot_disk_scatter_with_an_unwritable_path_leaves_no_file(tmp_path, caps
     assert not svg.exists()
 
 
+@pytest.mark.parametrize("link", [False, True], ids=["regular", "symlink"])
+def test_a_failed_writer_removes_only_a_regular_file(link, tmp_path, monkeypatch, capsys):
+    # the writer raises once -o and --svg are open: each partial regular file
+    # goes, and a symlink (to /dev/stdout, say) stays, and so does its target
+    out, svg = tmp_path / "out.csv", tmp_path / "x.svg"
+    targets = [tmp_path / "csv-target", tmp_path / "svg-target"]
+    if link:
+        for path, target in zip((out, svg), targets):
+            target.write_text("kept\n")
+            path.symlink_to(target)
+
+    def fails(*args):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli._rows, "_write_rows", fails)
+        code, stdout, err = run_cli(["sample", "gaussian", "-n", "500", "-o", str(out)], capsys)
+    assert (code, stdout, err) == (1, "", "trishape: error: [Errno 32] Broken pipe\n")
+    assert out.is_symlink() == link and os.path.lexists(out) == link
+    # the SVG fails after its head and one block of CSV rows
+    monkeypatch.setattr(cli._rows, "_write_lines", fails)
+    code, stdout, err = run_cli(["plot-data", "disk-scatter", "-n", "500", "-o", str(out),
+                                 "--svg", str(svg)], capsys)
+    assert (code, stdout, err) == (1, "", "trishape: error: [Errno 32] Broken pipe\n")
+    for path in (out, svg):
+        assert path.is_symlink() == link and os.path.lexists(path) == link
+    assert all(t.exists() == link for t in targets)
+
+
+def test_svg_through_a_dangling_symlink_keeps_the_link(tmp_path, capsys):
+    # the --svg check must not take the link for a file it made
+    link, target = tmp_path / "link.svg", tmp_path / "target.svg"
+    link.symlink_to(target)
+    code, _, _ = run_cli(["plot-data", "disk-scatter", "-n", "10", "-o", str(tmp_path / "o.csv"),
+                          "--svg", str(link)], capsys)
+    assert code == 0 and link.is_symlink() and target.read_text().endswith("</svg>\n")
+
+
 def test_plot_disk_scatter_inside_disk(tmp_path, capsys):
     f = tmp_path / "scatter.csv"
     svg = tmp_path / "scatter.svg"

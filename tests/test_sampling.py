@@ -833,7 +833,7 @@ def test_check_model_names_the_models_that_would_do():
         samp.check_model("gaussian", "reads_m", "--m applies to model")
 
 
-@pytest.mark.parametrize("n", [0, -1, 2.5])
+@pytest.mark.parametrize("n", [0, -1, 2.5, True])
 def test_bins_per_side_below_one_is_rejected(n):
     for call in (lambda: samp.angle_bin_counts("gaussian", 100, bins_per_side=n),
                  lambda: samp.angle_bin_probabilities(n), lambda: samp.angle_bins(n),
