@@ -28,7 +28,7 @@ import sys
 # lazy modules (see the package): read none of them at import or in _build_parser
 from . import conversions as conv
 from . import _fields, _rows, core, geometry, sampling, specfun, uniformity
-from .errors import DomainError
+from .errors import DomainError, integer
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -119,11 +119,6 @@ def _writes(text: str, code: int = EXIT_OK):
     return write
 
 
-def _check_size(flag: str, value: int, least: int = 1):
-    if value < least:
-        raise ValueError(f"{flag} must be at least {least}, got {value}")
-
-
 # ---------------------------------------------------------------------------
 # convert
 
@@ -152,17 +147,17 @@ def _cmd_sample(args):
     if sampling.check_model(args.model, need, "--m and --k apply to model").reads_m:
         if args.m is None:
             raise ValueError(f"model {args.model!r} requires --m")
-        _check_size("--m", args.m)
+        integer("--m", args.m, 1)
     if args.format is not None and not args.summary:
         raise ValueError("--format applies to --summary alone; sample rows are CSV")
     if args.summary and args.emit == "preshapes":
         raise ValueError("--summary prints class fractions; it cannot --emit preshapes")
     if args.summary and args.k not in (None, 3):
         raise ValueError(f"--summary classifies triangles (k = 3), got --k {args.k}")
-    _check_size("--workers", args.workers)
+    integer("--workers", args.workers, 1)
     if args.emit == "preshapes":
         sampling.check_model(args.model, "preshapes", "--emit preshapes needs model")
-        _check_size("--k", args.k if args.k is not None else 3, 2)
+        integer("--k", args.k if args.k is not None else 3, 2)
     elif not args.summary and args.k not in (None, 3):
         raise ValueError("per-sample rows need triangles (k = 3); "
                          "use --emit preshapes for general k")
@@ -388,7 +383,7 @@ def _cmd_plot_data(args):
     plot, need = _PLOTS[args.kind]
     for name in ("bins", "bins_per_side", "grid", "workers"):
         if name in vars(args):
-            _check_size("--" + name.replace("_", "-"), getattr(args, name))
+            integer("--" + name.replace("_", "-"), getattr(args, name), 1)
     if need:    # plot-data has no --m, so no model that reads one
         sampling.check_model(args.model, need, m=None)
         sampling.iter_blocks(args.n, (args.seed, args.stream))  # raises on a bad -n, seed, stream

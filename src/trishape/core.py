@@ -14,7 +14,7 @@ The bridge between the 2x3 matrices and the 2x2 shape matrix is the
 
 import numpy as np
 
-from .errors import DEGENERATE_TOL, INPUT_TOL, DomainError
+from .errors import DEGENERATE_TOL, INPUT_TOL, DomainError, integer
 
 SQRT3 = float(np.sqrt(3.0))
 
@@ -47,8 +47,7 @@ def helmert(n: int) -> np.ndarray:
     The columns are the vertices (equivalently edges) of a regular simplex,
     so helmert(3) is the reference equilateral triangle.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"helmert frame needs an integer n >= 2, got {n!r}")
+    integer("n", n, 2)
     mat = np.zeros((n - 1, n))
     for j in range(1, n):
         mat[j - 1, :j] = 1.0

@@ -1,4 +1,7 @@
-"""Exception types, the validation and degeneracy tolerances, and the simplex check."""
+"""Exception types, the validation and degeneracy tolerances, and the integer and simplex
+checks."""
+
+import operator
 
 INPUT_TOL = 1e-9    # validation of user-supplied values
 DEGENERATE_TOL = 1e-12     # an area or an angle cosine this close to 0 is 0
@@ -10,6 +13,18 @@ class DomainError(ValueError):
 
 class NotATriangleError(DomainError):
     """Squared side lengths violate the triangle inequality."""
+
+
+def integer(name: str, value, least: int) -> int:
+    """value as an int if it is a Python or NumPy integer, not a bool, and >= least; else
+    ValueError.  The one rule for every count, size, dimension, seed and stream."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
 
 
 def simplex_point(values, what: str) -> tuple:

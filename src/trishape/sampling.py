@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SQRT3, _column_sum, _gram, _sides_angles, _sides_from_xy
-from .errors import INPUT_TOL, simplex_point
+from .errors import INPUT_TOL, integer, simplex_point
 
 BLOCK_SIZE = 1 << 16
 CHUNK_ROWS = 1 << 12      # rows a count kernel classifies at a time
@@ -48,9 +48,8 @@ class RngSeed:
     stream: int = 0
 
     def __post_init__(self):    # SeedSequence would reject them only once a block is drawn
-        for name, value in (("seed", self.seed), ("stream", self.stream)):
-            if value < 0:
-                raise ValueError(f"{name} must be at least 0, got {value}")
+        integer("seed", self.seed, 0)
+        integer("stream", self.stream, 0)
 
     def generator(self, block: int | None = None) -> np.random.Generator:
         key = (self.stream,) if block is None else (self.stream, block)
@@ -60,11 +59,7 @@ class RngSeed:
 def as_rng_seed(seed) -> RngSeed:
     if isinstance(seed, RngSeed):
         return seed
-    if isinstance(seed, (int, np.integer)):
-        return RngSeed(int(seed))
-    if isinstance(seed, (tuple, list)) and len(seed) == 2:
-        return RngSeed(int(seed[0]), int(seed[1]))
-    raise ValueError(f"cannot interpret {seed!r} as an rng seed")
+    return RngSeed(*seed) if isinstance(seed, (tuple, list)) and len(seed) == 2 else RngSeed(seed)
 
 
 @dataclass
@@ -119,9 +114,7 @@ def hemisphere_heights(rng: np.random.Generator, n: int, m: int = 2):
     uniform longitude (Muirhead 1982, sec. 3.2), so h = u^(1/(m-1)) / 2 for
     u uniform on [0, 1): u / 2 at m = 2, and 0 at m = 1 (collinear).  The
     heights take the first n doubles of rng, the longitudes the next n."""
-    _integer("m", m)
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
+    integer("m", m, 1)
     return _heights(rng.random(n), m), rng.random(n) * (2.0 * math.pi)
 
 
@@ -136,17 +129,13 @@ def _heights(u: np.ndarray, m: int) -> np.ndarray:
 
 def uniform_angles_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     e = rng.exponential(size=(n, 3))
-    # the column sum adds in the same order as e.sum(axis=1), several times faster
-    return e / (e[:, 0] + e[:, 1] + e[:, 2])[:, None]
+    return e / _column_sum(e)[:, None]
 
 
 def ndim_shapes(m: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n unit-Frobenius m x (k-1) matrices of iid normals (k-point shapes in R^m)."""
-    _integer("m", m)
-    _integer("k", k)
-    if m < 1 or k < 2:
-        raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
-    return _unit_norm(rng.standard_normal((n, m, k - 1)))
+    integer("m", m, 1)
+    return _unit_norm(rng.standard_normal((n, m, integer("k", k, 2) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +189,7 @@ def _preshape_counts(z: np.ndarray) -> np.ndarray:
 def _angle_counts(e: np.ndarray) -> np.ndarray:
     """Class counts of (n, 3) exponentials, whose rows over their sums are
     angles over pi."""
-    return _class_counts(_column_max(e), e[:, 0] + e[:, 1] + e[:, 2])
+    return _class_counts(_column_max(e), _column_sum(e))
 
 
 def _height_counts64(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
@@ -237,22 +226,12 @@ def _height_counts(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
 # blocks and models
 
 
-def _integer(name: str, value, least=None):
-    """ValueError unless value is an int or a NumPy integer, not a bool, and >= least if given."""
-    if (not isinstance(value, (int, np.integer)) or isinstance(value, bool)
-            or least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
-
-
 def iter_blocks(n: int, seed):
     """Iterator of (generator, count) for each block of an n-sample budget;
     block i draws from the generator keyed by (seed, stream, i).  An n that
     is not an integer >= 1 (a bool or a float included) raises ValueError at
     the call, before any caller writes output."""
-    _integer("the sample count", n)
-    if n < 1:
-        raise ValueError(f"need at least one sample, got {n}")
+    n = integer("the sample count", n, 1)
     seed = as_rng_seed(seed)
     return ((seed.generator(block=i), min(BLOCK_SIZE, n - i * BLOCK_SIZE))
             for i in range((n + BLOCK_SIZE - 1) // BLOCK_SIZE))
@@ -342,10 +321,10 @@ def check_model(model: str, need: str | None = None, label: str | None = None, m
         listed = " or ".join(map(repr, fits)) + (" only" if len(fits) == 1 else "")
         raise ValueError(f"{label or _NEEDS[need]} {listed}, got {model!r}")
     row = MODELS[model]
-    integer = isinstance(m, (int, np.integer)) and not isinstance(m, bool)
-    if m is not None and not (integer and m >= 1 if row.reads_m else m == 2):
-        wants = "an integer m >= 1" if row.reads_m else "m = 2 alone, as it is planar"
-        raise ValueError(f"model {model!r} takes {wants}, got m={m!r}")
+    if m is not None:
+        if not row.reads_m and m != 2:
+            raise ValueError(f"model {model!r} takes m = 2 alone, as it is planar, got m={m!r}")
+        integer("m", m, 1)
     return row
 
 
@@ -376,9 +355,7 @@ def _mc_sum(n_samples: int, block_fn, seed, workers: int = 1) -> np.ndarray:
     worker threads, so every trishape module it reads must already be loaded
     (see the package docstring).
     """
-    _integer("workers", workers)
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got workers={workers}")
+    workers = integer("workers", workers, 1)
     blocks = iter_blocks(n_samples, seed)
     run = lambda block: np.asarray(block_fn(*block), dtype=np.int64)
     if workers <= 1:
@@ -433,7 +410,7 @@ def broken_stick_fraction(n_samples: int, seed=0, workers: int = 1) -> MonteCarl
 
     def good(e: np.ndarray) -> int:
         # the simplex point is e / sum(e): test sum(e^2) <= sum(e)^2 / 2 unscaled
-        total = e[:, 0] + e[:, 1] + e[:, 2]
+        total = _column_sum(e)
         return np.count_nonzero(_column_sum(e * e) <= 0.5 * total * total)
 
     block = lambda rng, count: [sum(_chunked(rng.standard_exponential, (3,), count, good))]
@@ -492,18 +469,13 @@ def angle_density(angles, normalized: bool = False) -> float:
 # barycentric binning of the angle simplex (the "N^2 bins" picture)
 
 
-def _bins_per_side(n) -> int:    # for angle_bins (so the counts and masses) and angle_bin_index
-    _integer("bins_per_side", n, 1)
-    return int(n)
-
-
 def angle_bins(bins_per_side: int = 10) -> list:
     """Bin labels (i, j, orientation) covering the simplex with n^2 triangles.
 
     i and j index floor(alpha n) and floor(beta n); orientation is 'up' for
     the lower cell half (i + j + k = n - 1) and 'down' for the upper half.
     """
-    n = _bins_per_side(bins_per_side)
+    n = integer("bins_per_side", bins_per_side, 1)
     return ([(i, j, "up") for i in range(n) for j in range(n - i)]
             + [(i, j, "down") for i in range(n - 1) for j in range(n - 1 - i)])
 
@@ -523,7 +495,8 @@ def angle_bin_index(alpha: float, beta: float, bins_per_side: int = 10) -> tuple
     point must lie in the simplex, to within INPUT_TOL."""
     if not (alpha >= -INPUT_TOL and beta >= -INPUT_TOL and alpha + beta <= 1.0 + INPUT_TOL):
         raise ValueError(f"angles must be finite and in the simplex, got ({alpha}, {beta})")
-    i, j, up = _bin_coords(np.array([[alpha, beta]], float), _bins_per_side(bins_per_side))
+    i, j, up = _bin_coords(np.array([[alpha, beta]], float),
+                            integer("bins_per_side", bins_per_side, 1))
     return (int(i[0]), int(j[0]), "up" if up[0] else "down")
 
 

@@ -7,9 +7,8 @@ plus linear transformations for negative arguments, and the Kolmogorov tail.
 """
 
 import math
-import numbers
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 _EPS = 1e-15
 _TINY = 1e-300
@@ -60,16 +59,11 @@ def betainc_reg(a: float, b: float, x: float) -> float:
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b
 
 
-def _check_dimension(n):
-    if not isinstance(n, numbers.Integral) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-
-
 def obtuse_probability_ndim(n: int) -> float:
     """Probability that a Gaussian triangle in R^n is obtuse: 3 I(1/4; n/2, n/2)
     with I the regularized incomplete beta, which equals 3 (1 - I(3/4; n/2, n/2))
     but keeps full relative precision at large n."""
-    _check_dimension(n)
+    integer("n", n, 2)
     return 3.0 * betainc_reg(n / 2.0, n / 2.0, 0.25)
 
 
@@ -82,7 +76,7 @@ def squared_side_marginal_cdf(n: int, x: float, clamp: bool = False) -> float:
 
     The support is [0, 2/3].  Out-of-range x raises unless clamp is set.
     """
-    _check_dimension(n)
+    integer("n", n, 2)
     if not 0.0 <= x <= 2.0 / 3.0:
         if not clamp:
             raise DomainError(f"squared side must lie in [0, 2/3], got {x}")

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _gram, _longitude
+from .errors import integer
 from .specfun import gamma_q, gauss_2f1, kolmogorov_sf
 
 
@@ -117,9 +118,7 @@ _SIGMA_MIN_MAX = f"{SIGMA_MIN_MAX_SIZE}x{SIGMA_MIN_MAX_SIZE}"
 
 
 def _check_matrix_size(m):
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise ValueError(f"matrix size must be an integer >= 2, got {m!r}")
-    if m > SIGMA_MIN_MAX_SIZE:
+    if integer("m", m, 2) > SIGMA_MIN_MAX_SIZE:
         raise ValueError(f"the sigma-min law is implemented up to {_SIGMA_MIN_MAX}, got {m}x{m}")
 
 

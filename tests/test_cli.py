@@ -619,7 +619,7 @@ def test_sample_count_below_one_is_usage_error(argv, n, tmp_path, capsys):
     code, out, err = run_cli(argv + ["-n", n, "-o", str(f)], capsys)
     assert code == 1
     assert out == "" and not f.exists()
-    assert f"need at least one sample, got {n}" in err
+    assert f"the sample count must be an integer >= 1, got {n}" in err
 
 
 # every command that draws, as it would write rows
@@ -637,7 +637,7 @@ def test_negative_seed_or_stream_is_usage_error(argv, flag, value, tmp_path, cap
     code, out, err = run_cli([*argv, "-n", "3", flag, value, "-o", str(f)], capsys)
     assert code == 1
     assert out == "" and not f.exists()
-    assert err == f"trishape: error: {flag[2:]} must be at least 0, got {value}\n"
+    assert err == f"trishape: error: {flag[2:]} must be an integer >= 0, got {value}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-3"])
@@ -647,7 +647,7 @@ def test_workers_below_one_is_usage_error(argv, value, tmp_path, capsys):
     code, out, err = run_cli([*argv, "-n", "3", "--workers", value, "-o", str(f)], capsys)
     assert code == 1
     assert out == "" and not f.exists()
-    assert err == f"trishape: error: --workers must be at least 1, got {value}\n"
+    assert err == f"trishape: error: --workers must be an integer >= 1, got {value}\n"
 
 
 def test_ndim_m2_rows_are_hemisphere_rows(tmp_path, capsys):
@@ -671,7 +671,7 @@ def test_size_flag_below_range_is_usage_error(argv, flag, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith(f"trishape: error: {flag} must be at least")
+    assert err.startswith(f"trishape: error: {flag} must be an integer >= ")
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
-from trishape import core, specfun
+from trishape import core, specfun, uniformity
 from trishape import sampling as samp
 from trishape.core import HELMERT3
-from trishape.errors import INPUT_TOL, DomainError
+from trishape.errors import INPUT_TOL, DomainError, integer
 
 from helpers import distance_correlation
 
@@ -62,7 +62,7 @@ def test_iter_blocks_partition_budget_by_block_generator():
 @pytest.mark.parametrize("n", [100.5, 2.5, 7.5, math.nan, True, np.float64(3.0)], ids=repr)
 def test_sample_count_must_be_an_integer(call, n):
     # every sampled path counts its samples through iter_blocks; a bool is not a count
-    with pytest.raises(ValueError, match="the sample count must be an integer"):
+    with pytest.raises(ValueError, match="^the sample count must be an integer >= 1, got"):
         call(n)
 
 
@@ -73,7 +73,7 @@ def test_sample_count_must_be_an_integer(call, n):
 ], ids=["class_fractions", "angle_bin_counts", "broken_stick_fraction"])
 @pytest.mark.parametrize("workers", [0, -2, 2.5, True], ids=repr)
 def test_workers_must_be_an_integer_at_least_one(call, workers):
-    with pytest.raises(ValueError, match="workers must be an integer|need workers >= 1"):
+    with pytest.raises(ValueError, match="^workers must be an integer >= 1, got"):
         call(workers)
 
 
@@ -85,12 +85,82 @@ def test_workers_must_be_an_integer_at_least_one(call, workers):
 ], ids=["hemisphere_heights-m", "ndim_shapes-m", "ndim_shapes-k", "class_fractions-m"])
 @pytest.mark.parametrize("value", [2.5, 1.5, True, np.float64(3.0)], ids=repr)
 def test_sampler_dimensions_must_be_integers(call, value):
-    with pytest.raises(ValueError, match=r"^([mk] must be|model 'ndim' takes) an integer"):
+    with pytest.raises(ValueError, match="^[mk] must be an integer >= [12], got"):
         call(value)
 
 
 def test_sample_count_may_be_a_numpy_integer():
     assert samp.class_fractions("gaussian", np.int64(100), seed=1)["n_samples"] == 100
+
+
+# every site that takes a count, size, dimension, seed or stream: (name, least, call)
+_INTEGER_SITES = {
+    "iter_blocks": ("the sample count", 1, lambda v: samp.iter_blocks(v, 0)),
+    "class_fractions-n": ("the sample count", 1, lambda v: samp.class_fractions("gaussian", v)),
+    "class_fractions-workers": ("workers", 1,
+                                lambda v: samp.class_fractions("gaussian", 10, workers=v)),
+    "class_fractions-m": ("m", 1, lambda v: samp.class_fractions("ndim", 10, m=v)),
+    "angle_bin_counts-n": ("the sample count", 1, lambda v: samp.angle_bin_counts("angles", v)),
+    "angle_bin_counts-bins_per_side": (
+        "bins_per_side", 1, lambda v: samp.angle_bin_counts("angles", 10, bins_per_side=v)),
+    "broken_stick_fraction": ("the sample count", 1, lambda v: samp.broken_stick_fraction(v)),
+    "hemisphere_heights-m": ("m", 1,
+                             lambda v: samp.hemisphere_heights(samp.RngSeed(0).generator(), 3, v)),
+    "ndim_shapes-m": ("m", 1, lambda v: samp.ndim_shapes(v, 3, samp.RngSeed(0).generator(), 2)),
+    "ndim_shapes-k": ("k", 2, lambda v: samp.ndim_shapes(3, v, samp.RngSeed(0).generator(), 2)),
+    "angle_bins": ("bins_per_side", 1, samp.angle_bins),
+    "helmert": ("n", 2, core.helmert),
+    "obtuse_probability_ndim": ("n", 2, specfun.obtuse_probability_ndim),
+    "inv_sigma_min_cdf": ("m", 2, lambda v: uniformity.inv_sigma_min_cdf(2.0, v)),
+    "as_rng_seed-seed": ("seed", 0, samp.as_rng_seed),
+    "as_rng_seed-stream": ("stream", 0, lambda v: samp.as_rng_seed((0, v))),
+}
+
+
+_NOT_INTEGERS = {"True": True, "2.5": 2.5, "nan": math.nan, "float64(3.0)": np.float64(3.0),
+                 "'3'": "3"}
+
+
+@pytest.mark.parametrize("site", _INTEGER_SITES)
+@pytest.mark.parametrize("bad", [*_NOT_INTEGERS, "least-1"])
+def test_every_integer_argument_takes_the_one_rule(site, bad):
+    name, least, call = _INTEGER_SITES[site]
+    value = _NOT_INTEGERS.get(bad, least - 1)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= {least}, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("site", _INTEGER_SITES)
+def test_every_integer_argument_takes_a_numpy_integer(site):
+    _, least, call = _INTEGER_SITES[site]
+    call(np.int64(least))
+
+
+def test_the_integer_rule_returns_a_python_int():
+    n = integer("n", np.int64(5), 0)
+    assert type(n) is int and n == 5
+    with pytest.raises(ValueError, match="^n must be an integer >= 0, got np.True_$"):
+        integer("n", np.True_, 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: samp.as_rng_seed((1.5, 2.7)), lambda: samp.as_rng_seed(True),
+    lambda: samp.as_rng_seed((0, True)), lambda: samp.RngSeed(1.5),
+    lambda: samp.class_fractions("gaussian", 10, seed=(1.9, 0)),
+], ids=["as_rng_seed-floats", "as_rng_seed-bool", "as_rng_seed-bool-stream", "RngSeed-float",
+        "class_fractions-float-seed"])
+def test_a_seed_or_stream_that_is_not_an_integer_is_refused(call):
+    # no float is truncated to a seed and no bool read as 0 or 1
+    with pytest.raises(ValueError, match="^(seed|stream) must be an integer >= 0, got "):
+        call()
+
+
+def test_a_numpy_integer_seed_draws_the_python_integer_stream():
+    assert samp.RngSeed(np.int64(5)) == samp.RngSeed(5)
+    assert samp.as_rng_seed((np.int64(5), np.int32(3))) == samp.RngSeed(5, 3)
+    for block in (None, 2):
+        assert np.array_equal(samp.RngSeed(np.int64(5)).generator(block).random(8),
+                              samp.RngSeed(5).generator(block).random(8))
 
 
 def _dimensions(row, read=(3, 5, 12)):
@@ -115,7 +185,7 @@ def test_sides_batch_models():
         assert ((s2 * s2).sum(axis=1) <= 0.5 + 1e-12).all()
         assert samp.sides_batch(model, rng(), 0, m).shape == (0, 3)
     assert samp.ndim_shapes(3, 4, rng(), 0).shape == (0, 3, 3)
-    with pytest.raises(ValueError, match="m >= 1"):
+    with pytest.raises(ValueError, match="^m must be an integer >= 1, got 0$"):
         samp.sides_batch("ndim", rng(), 10, 0)
 
 
@@ -123,12 +193,12 @@ def test_sampler_guard_and_errors():
     with pytest.raises(ValueError):
         samp.acute_probability_mc(0)
     for n in (0, -5):
-        with pytest.raises(ValueError, match="at least one sample"):
+        with pytest.raises(ValueError, match="^the sample count must be an integer >= 1, got"):
             samp.iter_blocks(n, 0)   # at the call, before any block is drawn
     with pytest.raises(ValueError):
         samp.ndim_shapes(0, 3, samp.RngSeed(0).generator(), 2)
     for seed in (-1, (0, -2), (-3, 0)):
-        with pytest.raises(ValueError, match="must be at least 0"):
+        with pytest.raises(ValueError, match="^(seed|stream) must be an integer >= 0, got -"):
             samp.iter_blocks(10, seed)   # at the call, before any block is drawn
     m = samp.gaussian_shapes(samp.RngSeed(0).generator(), 1)[0]
     assert m.shape == (2, 2) and abs(np.linalg.norm(m) - 1.0) < 1e-12
@@ -781,10 +851,10 @@ def test_class_fractions_rejects_bad_model_and_m():
         samp.class_fractions("disk", 10)
     with pytest.raises(ValueError, match="need model 'gaussian' or 'hemisphere'"):
         samp.radius_counts("angles", samp.RngSeed(0).generator(), 10, np.linspace(0, 0.5, 3))
-    # at the call: n = 0 would raise "at least one sample" once blocks are drawn
+    # at the call: n = 0 would raise "the sample count must be ..." once blocks are drawn
     with pytest.raises(ValueError, match="angle bins need model 'gaussian' or 'angles'"):
         samp.angle_bin_counts("hemisphere", 0)
-    with pytest.raises(ValueError, match="m >= 1"):
+    with pytest.raises(ValueError, match="^m must be an integer >= 1, got 0$"):
         samp.class_fractions("ndim", 10, m=0)
 
 
@@ -799,7 +869,7 @@ def test_m_is_checked_against_the_model(call):
         with pytest.raises(ValueError, match=f"model '{model}' takes m = 2 alone"):
             call(model, m)
     for m in (2.5, 0, -1, np.float64(3.0)):
-        with pytest.raises(ValueError, match="model 'ndim' takes an integer m >= 1"):
+        with pytest.raises(ValueError, match="^m must be an integer >= 1, got"):
             call("ndim", m)
     for model, m in (("gaussian", 2), ("hemisphere", 2), ("ndim", 1), ("ndim", np.int64(4))):
         call(model, m)

@@ -56,7 +56,7 @@ def test_exact_probabilities_accept_numpy_integers():
         assert (specfun.squared_side_marginal_cdf(np.int16(n), 0.4)
                 == specfun.squared_side_marginal_cdf(n, 0.4))
     for bad in (1, 2.0, np.float64(3.0), "3"):
-        with pytest.raises(ValueError, match="dimension must be an integer >= 2"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 2, got"):
             specfun.obtuse_probability_ndim(bad)
 
 

@@ -456,6 +456,18 @@ def test_suite_catches_equilateral_point_mass_via_sigma_min():
     assert suite.rejected(0.01)
 
 
+@pytest.mark.parametrize("t", [5, 50, 1000])
+def test_planar_sigma_min_test_is_the_height_test(t):
+    # at unit norm sigma_min^2 = (1 - sqrt(1 - 4 det^2)) / 2 falls as the height |det Z|
+    # rises, and a KS test does not change under a monotone map: the same D and p
+    for seed in range(20):
+        suite = uni.uniformity_suite(uniform_preshapes(t, seed=seed))
+        by_name = {r.name: r for r in suite.reports}
+        sigma, height = by_name["sigma-min-ks"], by_name["height-ks"]
+        assert abs(sigma.statistic - height.statistic) <= 1e-12
+        assert abs(sigma.p_value - height.p_value) <= 1e-10
+
+
 def test_suite_single_sample():
     z = uniform_preshapes(1, seed=11)
     suite = uni.uniformity_suite(z)
