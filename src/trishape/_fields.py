@@ -7,20 +7,22 @@ The kernel takes a file in the writer's canonical form alone: the header
 row ending in a newline, with nothing else in the file (no blank line,
 space, tab, CR or comment).  A field ``0.`` with 1 to 19 digits, signed or
 not, is N / 10**19 for the integer N < 10**19 its digits make, padded with
-zeros; '%.17g' writes every x with 1e-3 <= |x| < 1 so.  In a long double
-with a 64-bit mantissa N and 10**19 are exact, so their quotient rounds
-once, and every double midpoint (54 bits) is representable: unless the
-quotient lands on one, it lies between the same two midpoints as N / 10**19
-itself, and rounding it to a double gives float()'s value (Clinger, PLDI
-1990).  A quotient lands on a midpoint where the 11 bits of its significand
-below a double's are 10000000000; that holds also just below a power of
-two, where the double spacing halves.  Such fields (about 1 in 2048), and
-fields in any other form (exponents, 0, 1, nan, inf, more digits), go to
-float() one at a time.  On any other file, on a field float() refuses or
-that holds a '_' (which float() takes and NumPy's loadtxt does not), and on
-a host whose long double fails the check in _kernel_tables, the reader
-returns None and the caller reads the file through loadtxt, whose errors
-name the row and column.
+zeros; '%.17g' writes every x with 1e-3 <= |x| < 1 so.  As 10**19 =
+5**19 * 2**19, N / 10**19 = (Q + R / 5**19) * 2**-19 for Q = N // 5**19 <
+2**19 and R = N - Q * 5**19 < 5**19 < 2**45, which are exact doubles: so
+f = R / 5**19 rounds once, to within 2**-54, and the scale by 2**-19 is
+exact (Clinger, PLDI 1990).  f - 2**-50 and f + 2**-50, rounded, still lie
+either side of R / 5**19, and rounding is monotone: where Q plus each
+rounds to the same double, that double is Q + R / 5**19 rounded, and its
+scale is float()'s value.  The two differ for fields within 2**-69 of a
+double midpoint (a share 2**-49 / ulp(Q): about 2.6e-4 of uniform 19-digit
+fields, none of the texts '%.17g' writes, which lie farther), and for
+every field below 2**-15, where Q < 16.  Those fields, and fields in any
+other form (exponents, 0, 1, nan, inf, more digits), go to float() one at
+a time.  On any other file, and on a field float() refuses or that holds a
+'_' (which float() takes and NumPy's loadtxt does not), the reader returns
+None and the caller reads the file through loadtxt, whose errors name the
+row and column.
 
 The file is read and parsed in chunks of _CHUNK bytes, each cut after its
 last newline, into one buffer, and the values go into one array grown by
@@ -33,10 +35,8 @@ digits, checked with two nibble masks and converted with three
 multiply-shifts (Lemire, "Number parsing at a gigabyte per second", Softw.
 Pract. Exp. 51(8), 2021), and N = d0 * 10**13 + d1 * 10**5 + d2."""
 
-import functools
 import os
 import re
-import types
 
 import numpy as np
 
@@ -48,32 +48,15 @@ _SCALES = (10 ** 13, 10 ** 5, 1)        # the weight of each word's 8 digits in 
 _SIZE = re.compile(rb"(\d+),(\d+)\n")
 _ZEROS = 0x3030303030303030             # '0' in every byte
 _HIGH_NIBBLES = 0xF0F0F0F0F0F0F0F0
+_FIVE = 5 ** 19                         # 10**19 = 5**19 * 2**19, and 5**19 < 2**45
 
 
-@functools.cache
-def _kernel_tables():
-    """The kernel's tables, built on first use; None where long double is not
-    the x87 format (a 64-bit significand, integer bit set, in the low 8 of
-    16 bytes) or does not divide at that precision, so that every file goes
-    through loadtxt.  Fields:
-      keep, fill -- for word i and a field of L bytes past its sign (L <= 22),
-                    keep[i][L] keeps the word's bytes that are digits of the
-                    field and fill[i][L] puts '0' in the others;
-      scale      -- 10**19 as a long double."""
-    ld = np.longdouble
-    one_and_a_half = np.array([1.5], ld)
-    if (one_and_a_half.itemsize != 16 or one_and_a_half.view(_WORD)[0] != 3 << 62
-            or ld(1) + ld(2) ** -63 == ld(1)
-            or np.array([2 ** 64 - 1], _WORD).astype(ld)[0] != ld(2) ** 64 - 1):
-        return None
-    keep, fill = [], []
-    # the bytes of each word that no earlier word holds, past "0.", hold digits
-    for at, first in zip(_OFFSETS, (2, 8, 16)):
-        masks = [sum(255 << 8 * j for j in range(8) if first <= at + j < size)
-                 for size in range(23)]
-        keep.append(np.array(masks, _WORD))
-        fill.append(np.array([_ZEROS & ~mask for mask in masks], _WORD))
-    return types.SimpleNamespace(keep=keep, fill=fill, scale=ld(10) ** 19)
+# for word i and a field of L bytes past its sign (L <= 22), _KEEP[i][L] keeps the
+# word's bytes that are digits of the field, and _FILL[i][L] puts '0' in the others;
+# the bytes of each word that no earlier word holds, past "0.", hold digits
+_KEEP = [np.array([sum(255 << 8 * j for j in range(8) if first <= at + j < size)
+                   for size in range(23)], _WORD) for at, first in zip(_OFFSETS, (2, 8, 16))]
+_FILL = [_ZEROS & ~keep for keep in _KEEP]
 
 
 def _eight_digits(w):
@@ -91,7 +74,7 @@ def _eight_digits(w):
     return w
 
 
-def _values(buf, words, sep, tables):
+def _values(buf, words, sep):
     """The float of each field of the chunk in buf, where the fields end at
     the separators sep; None if a field is not a float to loadtxt."""
     start = np.empty_like(sep)
@@ -107,8 +90,8 @@ def _values(buf, words, sep, tables):
         w = words[start + at]
         if i == 0:
             ok &= (w & 0xFFFF) == (ord("0") | ord(".") << 8)
-        w &= tables.keep[i][row]
-        w |= tables.fill[i][row]
+        w &= _KEEP[i][row]
+        w |= _FILL[i][row]
         # a byte is a digit where its high nibble is 3 and adding 6 leaves it so
         check = w + 0x0606060606060606
         check &= _HIGH_NIBBLES
@@ -120,12 +103,19 @@ def _values(buf, words, sep, tables):
         w *= _SCALES[i]
         n += w
     del row, w
-    x = n.astype(np.longdouble)
+    q = n // _FIVE              # Q < 2**19
+    n -= q * _FIVE              # R < 2**45; as int64 both cast to doubles exactly
+    values = n.view(np.int64).astype(np.float64)
     del n
-    x /= tables.scale
-    ok &= (x.view(_WORD)[::2] & 0x7FF) != 0x400        # not on a double midpoint
-    values = x.astype(np.float64)
-    del x
+    values /= _FIVE             # f = R / 5**19, within 2**-54
+    q = q.view(np.int64).astype(np.float64)
+    lo = values - 2.0 ** -50
+    lo += q
+    values += 2.0 ** -50
+    values += q
+    ok &= lo == values          # Q + (f - 2**-50) and Q + (f + 2**-50) round alike
+    del q, lo
+    values *= 2.0 ** -19
     bits = values.view(_WORD)
     bits += neg.astype(_WORD) * (1 << 63)   # the sign: x >= 0, so its sign bit is clear
     for i in np.flatnonzero(~ok).tolist():
@@ -142,9 +132,6 @@ def _values(buf, words, sep, tables):
 def _read_preshapes(path):
     """The preshapes of the file at path, as a (t, m, k - 1) array, if the file
     is in the canonical form and every field parses; else None."""
-    tables = _kernel_tables()
-    if tables is None:
-        return None
     with open(path, "rb") as fh:
         # a pipe cannot be read again by the caller
         if not fh.seekable() or fh.readline() != b"m,k\n":
@@ -183,7 +170,7 @@ def _read_preshapes(path):
             if (fields != rows * width or not (kind[width - 1:fields:width] == ord("\n")).all()
                     or np.count_nonzero(kind[:fields] == ord(",")) != rows * (width - 1)):
                 return None
-            values = _values(buf, words, sep[:fields], tables)
+            values = _values(buf, words, sep[:fields])
             if values is None:
                 return None
             cut = sep[fields - 1] + 1

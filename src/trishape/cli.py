@@ -260,8 +260,7 @@ def _read_preshape_file(path):
         try:
             m, k = (int(v) for v in head[1].split(","))
             # checked before the reshape, which would infer a -1 from the rows
-            if m < 1 or k < 2:
-                raise ValueError(f"header needs m >= 1 and k >= 2, got m={m}, k={k}")
+            m, k = integer("m", m, 1), integer("k", k, 2)
             rows = np.loadtxt(itertools.chain(head[2:], lines), delimiter=",", comments=None,
                               ndmin=2)
             return rows.reshape(len(rows), m, k - 1)

@@ -91,7 +91,7 @@ class MonteCarloEstimate:
 
 def gaussian_shapes(rng: np.random.Generator, n: int) -> np.ndarray:
     """Batch of n unit-norm Gaussian shape matrices, shape (n, 2, 2)."""
-    return _unit_norm(rng.standard_normal((n, 2, 2)))
+    return _unit_norm(rng.standard_normal((integer("n", n, 0), 2, 2)))
 
 
 def _unit_norm(z: np.ndarray) -> np.ndarray:
@@ -114,6 +114,7 @@ def hemisphere_heights(rng: np.random.Generator, n: int, m: int = 2):
     uniform longitude (Muirhead 1982, sec. 3.2), so h = u^(1/(m-1)) / 2 for
     u uniform on [0, 1): u / 2 at m = 2, and 0 at m = 1 (collinear).  The
     heights take the first n doubles of rng, the longitudes the next n."""
+    n = integer("n", n, 0)
     integer("m", m, 1)
     return _heights(rng.random(n), m), rng.random(n) * (2.0 * math.pi)
 
@@ -128,14 +129,14 @@ def _heights(u: np.ndarray, m: int) -> np.ndarray:
 
 
 def uniform_angles_batch(rng: np.random.Generator, n: int) -> np.ndarray:
-    e = rng.exponential(size=(n, 3))
+    e = rng.exponential(size=(integer("n", n, 0), 3))
     return e / _column_sum(e)[:, None]
 
 
 def ndim_shapes(m: int, k: int, rng: np.random.Generator, n: int) -> np.ndarray:
     """n unit-Frobenius m x (k-1) matrices of iid normals (k-point shapes in R^m)."""
     integer("m", m, 1)
-    return _unit_norm(rng.standard_normal((n, m, integer("k", k, 2) - 1)))
+    return _unit_norm(rng.standard_normal((integer("n", n, 0), m, integer("k", k, 2) - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +331,7 @@ def check_model(model: str, need: str | None = None, label: str | None = None, m
 
 def disk_batch(model: str, rng: np.random.Generator, count: int, m: int = 2):
     """Disk coordinates (x, y) of count shapes of a model with a disk kernel."""
-    return check_model(model, "disk", m=m).disk(rng, count, m)
+    return check_model(model, "disk", m=m).disk(rng, integer("count", count, 0), m)
 
 
 def sides_batch(model: str, rng: np.random.Generator, count: int, m: int = 2) -> np.ndarray:
@@ -340,7 +341,7 @@ def sides_batch(model: str, rng: np.random.Generator, count: int, m: int = 2) ->
 
 def radius_counts(model: str, rng: np.random.Generator, count: int, edges) -> np.ndarray:
     """np.histogram counts over edges of the disk radii of a model with a radius kernel."""
-    return check_model(model, "radius").radius(rng, count, edges)
+    return check_model(model, "radius").radius(rng, integer("count", count, 0), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -517,17 +517,24 @@ def test_malformed_sample_file_usage_error(rows, tmp_path, capsys):
     assert err.startswith("trishape: error: cannot parse sample file")
 
 
-@pytest.mark.parametrize("header", ["-1,5", "2,-1", "0,3", "2,1"])
+_HEADER_RULES = {"-1,5": "m must be an integer >= 1, got -1",
+                 "2,-1": "k must be an integer >= 2, got -1",
+                 "0,3": "m must be an integer >= 1, got 0",
+                 "2,1": "k must be an integer >= 2, got 1"}
+
+
+@pytest.mark.parametrize("header", _HEADER_RULES)
 def test_bad_header_usage_error(header, tmp_path, capsys):
-    # 4-value rows, which a reshape inferring a -1 would accept
+    # 4-value rows, which a reshape inferring a -1 would accept; the header
+    # takes the integer rule of --m and --k
     f = tmp_path / "bad.csv"
     f.write_text("\n".join(["m,k", header, *["0.5,0.5,0.5,0.5"] * 3]) + "\n")
     for which in ("all", "chikuse-jupp"):
         code, out, err = run_cli(["test", str(f), "--which", which], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("trishape: error: cannot parse sample file")
-        assert "m >= 1 and k >= 2" in err
+        assert err == (f"trishape: error: cannot parse sample file {str(f)!r}: "
+                       f"{_HEADER_RULES[header]}\n")
 
 
 def test_sample_file_reader_values(tmp_path):

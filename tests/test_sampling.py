@@ -108,6 +108,18 @@ _INTEGER_SITES = {
                              lambda v: samp.hemisphere_heights(samp.RngSeed(0).generator(), 3, v)),
     "ndim_shapes-m": ("m", 1, lambda v: samp.ndim_shapes(v, 3, samp.RngSeed(0).generator(), 2)),
     "ndim_shapes-k": ("k", 2, lambda v: samp.ndim_shapes(3, v, samp.RngSeed(0).generator(), 2)),
+    "gaussian_shapes": ("n", 0, lambda v: samp.gaussian_shapes(samp.RngSeed(0).generator(), v)),
+    "uniform_angles_batch": ("n", 0, lambda v: samp.uniform_angles_batch(
+        samp.RngSeed(0).generator(), v)),
+    "hemisphere_heights-n": ("n", 0,
+                             lambda v: samp.hemisphere_heights(samp.RngSeed(0).generator(), v)),
+    "ndim_shapes-n": ("n", 0, lambda v: samp.ndim_shapes(3, 3, samp.RngSeed(0).generator(), v)),
+    "disk_batch": ("count", 0,
+                   lambda v: samp.disk_batch("gaussian", samp.RngSeed(0).generator(), v)),
+    "sides_batch": ("count", 0,
+                    lambda v: samp.sides_batch("gaussian", samp.RngSeed(0).generator(), v)),
+    "radius_counts": ("count", 0, lambda v: samp.radius_counts(
+        "hemisphere", samp.RngSeed(0).generator(), v, np.linspace(0.0, 0.5, 5))),
     "angle_bins": ("bins_per_side", 1, samp.angle_bins),
     "helmert": ("n", 2, core.helmert),
     "obtuse_probability_ndim": ("n", 2, specfun.obtuse_probability_ndim),
