@@ -330,7 +330,7 @@ def _plot_disk_scatter(args, out):
 def _plot_radius_histogram(args, out):
     import numpy as np
     edges = np.linspace(0.0, 0.5, args.bins + 1)
-    block = lambda rng, count: sampling.radius_counts(args.model, rng, count, edges)
+    block = lambda rng, count: sampling.radius_counts(args.model, rng, count, args.bins)
     counts = sampling._mc_sum(args.n, block, (args.seed, args.stream), args.workers)
     lo, hi, mid = edges[:-1], edges[1:], (edges[:-1] + edges[1:]) / 2.0
     cdf = lambda r: 1.0 - np.sqrt(np.maximum(1.0 - 4.0 * r * r, 0.0))
@@ -410,7 +410,8 @@ _DRAWS = argparse.ArgumentParser(prog="trishape", add_help=False)
 _DRAWS.add_argument("--seed", type=int, default=0, help="base RNG seed")
 _DRAWS.add_argument("--stream", type=int, default=0, help="RNG stream id")
 _DRAWS.add_argument("--workers", type=int, default=1,
-                    help="worker hint for Monte Carlo block streams")
+                    help="threads for the summed blocks of --summary, radius-histogram and "
+                         "angle-bins; rows, preshapes and disk-scatter ignore it")
 # the options of every plot-data kind that draws, besides its own
 _PLOT_DRAWS = argparse.ArgumentParser(prog="trishape", add_help=False, parents=[_OUTPUT, _DRAWS])
 _PLOT_DRAWS.add_argument("-n", type=int, default=10000, help="number of samples")

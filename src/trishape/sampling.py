@@ -30,7 +30,7 @@ from .errors import INPUT_TOL, integer, simplex_point
 BLOCK_SIZE = 1 << 16
 CHUNK_ROWS = 1 << 12      # rows a count kernel classifies at a time
 RIGHT_ANGLE_TOL = 1e-9
-SCREEN_BAND = 1e-5        # B: _height_counts rechecks rows with |q32| <= B in float64
+SCREEN_BAND = 1e-5        # B: the float32 screens hand rows within B of a decision to float64
 
 BROKEN_STICK_FRACTION = math.pi / math.sqrt(27.0)
 # Normalizer of the angle density over the (alpha, beta) simplex; the
@@ -171,20 +171,13 @@ def _class_counts(top: np.ndarray, total=1.0) -> np.ndarray:
     return np.array([top.size - not_acute, not_acute - obtuse, obtuse])
 
 
-def _disk_counts(x: np.ndarray, y: np.ndarray, t=1.0) -> np.ndarray:
-    """Class counts of shapes of squared size t whose disk point, times t, is
-    (x, y).  Their squared sides times 3t are t + x + sqrt(3) y,
-    t + x - sqrt(3) y and t - 2x, so three times the largest is
-    t + max(x + sqrt(3) |y|, -2x)."""
-    top = t + np.maximum(x + SQRT3 * np.abs(y), -2.0 * x)
-    return _class_counts(top, 3.0 * t)
-
-
 def _preshape_counts(z: np.ndarray) -> np.ndarray:
-    """Class counts of (n, m, 2) triangle preshapes, from their Gram entries:
-    the disk point times 2 (g11 + g22) is (g11 - g22, 2 g12)."""
+    """Class counts of (n, m, 2) triangle preshapes from their Gram entries: with t = 2 (g11 + g22),
+    x = g11 - g22, y = 2 g12 (the disk point times t), the squared sides times 3t are t + x +-
+    sqrt(3) y and t - 2x, so three times the largest is t + max(x + sqrt(3) |y|, -2x)."""
     g11, g12, g22 = _gram(z)
-    return _disk_counts(g11 - g22, 2.0 * g12, 2.0 * (g11 + g22))
+    x, y, t = g11 - g22, 2.0 * g12, 2.0 * (g11 + g22)
+    return _class_counts(t + np.maximum(x + SQRT3 * np.abs(y), -2.0 * x), 3.0 * t)
 
 
 def _angle_counts(e: np.ndarray) -> np.ndarray:
@@ -200,27 +193,37 @@ def _height_counts64(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
     return _class_counts(1.0 + 2.0 * np.sqrt(0.25 - height * height) * np.cos(d), 3.0)
 
 
-def _height_counts(height: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """The class counts of _height_counts64, from a float32 screen of q = r cos(d) - 1/4 =
-    (top - 3/2)/2 (right: |q| <= 1.5e-9): rows with |q32| > B = SCREEN_BAND take its sign, the
-    rest (under 1e-4) the float64 rule.  With q, r, d exact and u = 2^-24, where r >= 1/5,
-    |q32 - q| <= E = 28u < 1.7e-6 < B/4.  The offset errs <= 18u: the cast of lon 4u, the
-    constants 2pi/3 (times k <= 3) and pi/3 7u, the arithmetic 7u.  Its floor is a sector off
-    only within 11.5u of an edge (lon (1.5/pi) errs <= 5.5u), where both offsets' cosines are
-    within 10u of cos(+-pi/3) = 1/2: 20u.  Float32 cos errs <= 1.5 ulp <= 3u: 41u in all, times
-    r32 <= 1/2.  The cast h, its square and 1/4 - h^2 err <= u, so |r32 - r| <= u/r + u/2 <=
-    5.5u; the product and difference add u.  Where r < 1/5, q < -1/20 and q32 < -0.0499997:
-    screened acute, as it is.  Elsewhere the float64 rule errs < 1e-14 in q, so agrees."""
+def _split(band: list, q: np.ndarray, *bufs) -> np.ndarray:
+    """Counts of the rows of bufs that q, a float32 screen of the class rule erring < B/4 (B =
+    SCREEN_BAND), settles: q < -B is acute, q > B obtuse; copies of the rest go to band."""
+    counts = np.array([np.count_nonzero(q < -SCREEN_BAND), 0, np.count_nonzero(q > SCREEN_BAND)])
+    if counts[0] + counts[2] < q.size:      # the band is rarely occupied
+        rows = (np.abs(q) <= SCREEN_BAND).nonzero()[0]     # faster than a mask on (n, 2, 2)
+        band.append([b[rows] for b in bufs])
+    return counts
+
+
+def _height_screen(band: list, height: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """_split on _height_counts64's q = r cos(d) - 1/4 = (top - 3/2)/2 in float32 (right: |q| <=
+    1.5e-9).  Where r >= 1/5, |q32 - q| <= 28u, u = 2^-24 (README); where r < 1/5, q < -1/20
+    and q32 < -0.0499997: acute, as it is."""
     lon32, r = lon.astype(np.float32), height.astype(np.float32)
     q = np.floor(lon32 * (1.5 / math.pi)) * (2.0 * math.pi / 3.0)  # weak scalars: float32
     np.subtract(np.subtract(lon32, q, out=q), math.pi / 3.0, out=q)
     np.sqrt(np.subtract(0.25, np.square(r, out=r), out=r), out=r)
-    np.subtract(np.multiply(np.cos(q, out=q), r, out=q), 0.25, out=q)
-    counts = np.array([np.count_nonzero(q < -SCREEN_BAND), 0, np.count_nonzero(q > SCREEN_BAND)])
-    if counts[0] + counts[2] < q.size:      # the band is rarely occupied
-        band = np.flatnonzero(np.abs(q) <= SCREEN_BAND)
-        counts += _height_counts64(height[band], lon[band])
-    return counts
+    return _split(band, np.subtract(np.multiply(np.cos(q, out=q), r, out=q), 0.25, out=q),
+                  height, lon)
+
+
+def _gaussian_screen(band: list, z: np.ndarray) -> np.ndarray:
+    """_split on q / s in float32 for (n, 2, 2) z: q = max(2 sqrt(3) |g12| - 2 g22, g22 - 3 g11) is
+    _preshape_counts's top - 3t/2 and s = g11 + g22; |q32/s32 - q/s| <= 33u (README)."""
+    v = z.reshape(len(z), 4).astype(np.float32)     # rows (a, b, c, d) of [[a, b], [c, d]]
+    g12 = v[:, 0] * v[:, 1] + v[:, 2] * v[:, 3]
+    sq = np.square(v, out=v)
+    g11, g22 = sq[:, 0] + sq[:, 2], sq[:, 1] + sq[:, 3]
+    q = np.maximum(np.abs(g12) * (2.0 * SQRT3) - 2.0 * g22, g22 - 3.0 * g11)
+    return _split(band, np.divide(q, g11 + g22, out=q), z)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +253,14 @@ def _chunked(draw, row_shape: tuple, count: int, kernel, *cursors) -> list:
             for lo in range(0, max(count, 1), CHUNK_ROWS)]     # count 0: one empty chunk
 
 
+def _screened(screen, rule, draw, row_shape: tuple, count: int, *cursors) -> np.ndarray:
+    """Counts of rule over the rows _chunked draws: screen(band, *chunk) counts the rows it
+    settles and puts copies of the rest in band, which rule counts once."""
+    band = []
+    counts = sum(_chunked(draw, row_shape, count, lambda *bufs: screen(band, *bufs), *cursors))
+    return counts + rule(*map(np.concatenate, zip(*band))) if band else counts
+
+
 def _gaussian_disk(rng: np.random.Generator, count: int, m: int = 2):
     # the rows of gaussian_shapes; normalising whole blocks costs 3x the draws
     def disk(z):
@@ -258,12 +269,26 @@ def _gaussian_disk(rng: np.random.Generator, count: int, m: int = 2):
     return np.concatenate(_chunked(rng.standard_normal, (2, 2), count, disk), axis=1)
 
 
-def _gaussian_radius(rng: np.random.Generator, count: int, edges) -> np.ndarray:
-    def hist(z):    # (x, y) is the disk point times 2 (g11 + g22), as in _preshape_counts
+def _gaussian_radius(rng: np.random.Generator, count: int, bins: int) -> np.ndarray:
+    def screen(band, z):    # bin k: V = (2 bins r)^2 in [k^2, (k+1)^2); V + M capped (README)
+        v = z.reshape(len(z), 4).astype(np.float32)
+        det = v[:, 0] * v[:, 3] - v[:, 1] * v[:, 2]
+        sq = np.square(v, out=v)
+        h2 = np.square(det * (2.0 * bins) / (sq[:, 0] + sq[:, 1] + sq[:, 2] + sq[:, 3]))
+        lo, hi = (np.subtract(bins * bins * (1.0 + sign * SCREEN_BAND), h2) for sign in (-1, 1))
+        k = np.floor(np.sqrt(np.fmax(lo, 0.0, out=lo), out=lo), out=lo)    # V - M, at least 0
+        rest = np.floor(np.sqrt(np.minimum(hi, (bins - 0.5) ** 2, out=hi), out=hi), out=hi) != k
+        np.copyto(k, bins, where=rest)
+        counts = np.bincount(k.astype(np.intp), minlength=bins + 1)
+        if counts[bins]:
+            band.append([z[rest.nonzero()[0]]])
+        return counts[:bins]
+    def rule(z):    # as in _preshape_counts; a flat row's radius may round past 1/2
         g11, g12, g22 = _gram(z)
         x, y = g11 - g22, 2.0 * g12
-        return np.histogram(np.sqrt(x * x + y * y) / (2.0 * (g11 + g22)), bins=edges)[0]
-    return sum(_chunked(rng.standard_normal, (2, 2), count, hist))
+        r = np.minimum(np.sqrt(x * x + y * y) / (2.0 * (g11 + g22)), 0.5)
+        return np.histogram(r, bins=np.linspace(0.0, 0.5, bins + 1))[0]
+    return _screened(screen, rule, rng.standard_normal, (2, 2), count)
 
 
 def _height_block_counts(rng: np.random.Generator, count: int, m: int) -> np.ndarray:
@@ -272,8 +297,9 @@ def _height_block_counts(rng: np.random.Generator, count: int, m: int) -> np.nda
     cursor = np.random.Generator(np.random.PCG64(0))    # a fixed seed: no OS entropy
     cursor.bit_generator.state = rng.bit_generator.state
     rng.bit_generator.advance(count)
-    return sum(_chunked(lambda out: _heights(cursor.random(out=out), m), (), count, _height_counts,
-                        lambda out: np.multiply(rng.random(out=out), 2.0 * math.pi, out=out)))
+    return _screened(_height_screen, _height_counts64,
+                     lambda out: _heights(cursor.random(out=out), m), (), count,
+                     lambda out: np.multiply(rng.random(out=out), 2.0 * math.pi, out=out))
 
 
 def _height_disk(rng: np.random.Generator, count: int, m: int):
@@ -282,7 +308,8 @@ def _height_disk(rng: np.random.Generator, count: int, m: int):
     return r * np.cos(lon), r * np.sin(lon)
 
 
-def _height_radius(rng: np.random.Generator, count: int, edges) -> np.ndarray:
+def _height_radius(rng: np.random.Generator, count: int, bins: int) -> np.ndarray:
+    edges = np.linspace(0.0, 0.5, bins + 1)
     hist = lambda h: np.histogram(np.sqrt(0.25 - h * h), bins=edges)[0]
     return sum(_chunked(lambda out: _heights(rng.random(out=out), 2), (), count, hist))
 
@@ -290,14 +317,15 @@ def _height_radius(rng: np.random.Generator, count: int, edges) -> np.ndarray:
 # A row of MODELS: kernels drawing one block of count rows from rng (None where
 # the model has none) and what it supports.  counts(rng, count, m): class counts
 # of raw draws; disk(rng, count, m): disk points (x, y); radius(rng, count,
-# edges): histogram counts of disk radii; angles(rng, count): angles over pi.
+# bins): radius_counts; angles(rng, count): angles over pi.
 # reads_m: triangles in R^m, not planar; preshapes: drawn by ndim_shapes.
 Model = namedtuple("Model", "counts disk radius angles reads_m preshapes",
                    defaults=(None, None, None, False, False))
 
 MODELS = {
     "gaussian": Model(
-        counts=lambda rng, n, m: sum(_chunked(rng.standard_normal, (2, 2), n, _preshape_counts)),
+        counts=lambda rng, n, m: _screened(_gaussian_screen, _preshape_counts,
+                                           rng.standard_normal, (2, 2), n),
         disk=_gaussian_disk, radius=_gaussian_radius,
         angles=lambda rng, n: _sides_angles(_sides_from_xy(*_gaussian_disk(rng, n))) / math.pi,
         preshapes=True),
@@ -339,9 +367,10 @@ def sides_batch(model: str, rng: np.random.Generator, count: int, m: int = 2) ->
     return _sides_from_xy(*disk_batch(model, rng, count, m))
 
 
-def radius_counts(model: str, rng: np.random.Generator, count: int, edges) -> np.ndarray:
-    """np.histogram counts over edges of the disk radii of a model with a radius kernel."""
-    return check_model(model, "radius").radius(rng, integer("count", count, 0), edges)
+def radius_counts(model: str, rng: np.random.Generator, count: int, bins: int) -> np.ndarray:
+    """np.histogram counts over np.linspace(0, 1/2, bins + 1) of a model's disk radii."""
+    return check_model(model, "radius").radius(rng, integer("count", count, 0),
+                                               integer("bins", bins, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -321,26 +321,33 @@ def test_blas_free_goldens_under_other_openblas_kernels(tmp_path):
 @pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="the settings are x86-64 SIMD dispatch targets")
 def test_screened_summaries_under_other_simd_dispatch(tmp_path):
-    # hemisphere and ndim summaries classify through a float32 screen whose
-    # cosine moves its last bits with the SIMD target (without X86_V3 NumPy
-    # runs its baseline float32 cosine); the counts, and so the bytes, must not
-    # move.  Each setting runs in a child, whose environment alone it sets
+    # summaries and the gaussian radius histogram count through float32 screens;
+    # the hemisphere one's cosine moves its last bits with the SIMD target (without
+    # X86_V3 NumPy runs its baseline float32 cosine); the counts, and so the bytes,
+    # must not move.  Each setting runs in a child, whose environment alone it sets
     from numpy._core._multiarray_umath import __cpu_dispatch__
 
-    ids = ["summary-hemisphere", "summary-ndim"]
-    big = ["sample", "ndim", "--m", "12", "-n", str(1 << 18), "--seed", "28", "--summary"]
+    ids = ["summary-hemisphere", "summary-ndim", "summary-gaussian", "radius-gaussian"]
+    n = ["-n", str(1 << 18), "--seed", "28"]
+    big = {"big-ndim": ["sample", "ndim", "--m", "12", *n, "--summary"],
+           "big-gaussian": ["sample", "gaussian", *n, "--summary"],
+           "big-radius": ["plot-data", "radius-histogram", *n]}
     code = ("import hashlib, json, pathlib, sys\n"
             f"sys.path[:0] = {[str(Path(cli.__file__).parents[1]), str(Path(__file__).parent)]!r}\n"
             "from test_golden import CASES, _run, digest_case\n"
             f"out = {{c: digest_case(c, a, f, pathlib.Path({str(tmp_path)!r}))\n"
             f"       for c, a, f in CASES if c in {ids!r}}}\n"
-            f"code, stdout = _run({big!r})\n"
-            "out['big'] = [code, hashlib.sha256(stdout).hexdigest()]\n"
+            f"for c, argv in {big!r}.items():\n"
+            "    rc, stdout = _run(argv)\n"
+            "    out[c] = [rc, hashlib.sha256(stdout).hexdigest()]\n"
             "print(json.dumps(out))\n")
-    want = {**{c: GOLDEN[c] for c in ids},       # "big": the bytes of the float64 rule
-            "big": [0, "c941f11824a18686e59a218ba3f275fd15817303dd1c73f4931c94ed3bb29209"]}
-    code_big, stdout_big = _run(big)
-    assert [code_big, _sha(stdout_big)] == want["big"]
+    want = {**{c: GOLDEN[c] for c in ids},       # big-*: the bytes of the float64 rules
+            "big-ndim": [0, "c941f11824a18686e59a218ba3f275fd15817303dd1c73f4931c94ed3bb29209"],
+            "big-gaussian": [0, "0449150cf7907b31db628f92b038c753287f6bc5ff161eababe3622afe936b25"],
+            "big-radius": [0, "52e9887de6fb2ba790740ccfc9971c2cb35f61a05364c48e0189b131b4aebec9"]}
+    for c, argv in big.items():
+        code_big, stdout_big = _run(argv)
+        assert [code_big, _sha(stdout_big)] == want[c], c
     for targets in (["X86_V4", "AVX512_ICL", "AVX512_SPR"],
                     ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]):
         disabled = " ".join(t for t in targets if t in __cpu_dispatch__)

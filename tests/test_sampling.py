@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -119,7 +120,9 @@ _INTEGER_SITES = {
     "sides_batch": ("count", 0,
                     lambda v: samp.sides_batch("gaussian", samp.RngSeed(0).generator(), v)),
     "radius_counts": ("count", 0, lambda v: samp.radius_counts(
-        "hemisphere", samp.RngSeed(0).generator(), v, np.linspace(0.0, 0.5, 5))),
+        "hemisphere", samp.RngSeed(0).generator(), v, 4)),
+    "radius_counts-bins": ("bins", 1, lambda v: samp.radius_counts(
+        "hemisphere", samp.RngSeed(0).generator(), 10, v)),
     "angle_bins": ("bins_per_side", 1, samp.angle_bins),
     "helmert": ("n", 2, core.helmert),
     "obtuse_probability_ndim": ("n", 2, specfun.obtuse_probability_ndim),
@@ -661,32 +664,46 @@ def test_radius_counts_equal_histogram_of_disk_radii(model):
         for count in (1, samp.CHUNK_ROWS - 1, samp.CHUNK_ROWS + 1, samp.BLOCK_SIZE):
             rng = lambda: samp.RngSeed(seed, 5).generator(block=count)
             ref = np.histogram(np.hypot(*samp.disk_batch(model, rng(), count)), bins=edges)[0]
-            assert np.array_equal(samp.radius_counts(model, rng(), count, edges), ref)
-    assert list(samp.radius_counts(model, rng(), 0, edges)) == [0] * 50
+            assert np.array_equal(samp.radius_counts(model, rng(), count, 50), ref)
+    assert list(samp.radius_counts(model, rng(), 0, 50)) == [0] * 50
+
+
+def _screened_counts(screen, rule, *rows):
+    # one chunk through a float32 screen, its band rows through the float64 rule
+    band = []
+    counts = screen(band, *rows)
+    return list(counts + rule(*map(np.concatenate, zip(*band))) if band else counts)
+
+
+def _screened_heights(height, lon):
+    return _screened_counts(samp._height_screen, samp._height_counts64, height, lon)
 
 
 def _unfolded_height_counts(height, lon):
+    # the class rule on the disk point (x, y): three times the largest squared
+    # side is 1 + max(x + sqrt(3) |y|, -2x)
     r = np.sqrt(0.25 - height * height)
-    return list(samp._disk_counts(r * np.cos(lon), r * np.sin(lon)))
+    x, y = r * np.cos(lon), r * np.sin(lon)
+    return list(samp._class_counts(1.0 + np.maximum(x + core.SQRT3 * np.abs(y), -2.0 * x), 3.0))
 
 
 @pytest.mark.parametrize("m", [2, 3, 12])
 def test_folded_height_counts_equal_disk_counts(m):
     for seed in range(30):
         height, lon = samp.hemisphere_heights(samp.RngSeed(seed, 6).generator(), _ROWS, m)
-        assert list(samp._height_counts(height, lon)) == _unfolded_height_counts(height, lon)
+        assert _screened_heights(height, lon) == _unfolded_height_counts(height, lon)
 
 
 @pytest.mark.parametrize("m", [2, 3, 12])
 def test_height_block_counts_in_slices_equal_whole_block(m):
     # one draw per block, classified CHUNK_ROWS rows at a time: the counts of
-    # _height_counts on the whole block, for a count that is not a multiple of
+    # the screen on the whole block, for a count that is not a multiple of
     # CHUNK_ROWS and for count 0
     for seed in range(4):
         for count in (_ROWS, 0):
             rng = lambda: samp.RngSeed(seed, 7).generator(block=count)
-            whole = samp._height_counts(*samp.hemisphere_heights(rng(), count, m))
-            assert list(samp._height_block_counts(rng(), count, m)) == list(whole)
+            whole = _screened_heights(*samp.hemisphere_heights(rng(), count, m))
+            assert list(samp._height_block_counts(rng(), count, m)) == whole
     assert list(samp._height_block_counts(rng(), 0, m)) == [0, 0, 0]
 
 
@@ -698,10 +715,10 @@ def test_height_cursors_follow_the_block_stream_layout(m, monkeypatch):
     # the block generator where hemisphere_heights does
     bits = lambda a: np.concatenate(a).view(np.uint64)
     chunks = []
-    def collect(*bufs):
+    def collect(band, *bufs):
         chunks.append(np.copy(bufs))
         return np.zeros(3, dtype=np.int64)
-    monkeypatch.setattr(samp, "_height_counts", collect)
+    monkeypatch.setattr(samp, "_height_screen", collect)
     for count in (1, samp.CHUNK_ROWS - 1, samp.CHUNK_ROWS + 1, samp.BLOCK_SIZE):
         rng = lambda: samp.RngSeed(count, 8).generator(block=m)
         ref = rng()
@@ -720,7 +737,7 @@ def test_height_cursors_follow_the_block_stream_layout(m, monkeypatch):
 
 @pytest.mark.parametrize("kernel", [
     lambda rng: samp._height_block_counts(rng, samp.BLOCK_SIZE, 12),
-    lambda rng: samp._height_radius(rng, samp.BLOCK_SIZE, np.linspace(0.0, 0.5, 51)),
+    lambda rng: samp._height_radius(rng, samp.BLOCK_SIZE, 50),
 ], ids=["counts", "radius"])
 def test_height_kernels_hold_no_block_sized_array(kernel):
     # NumPy reports its buffers to tracemalloc; one float64 block is 512 KB
@@ -745,8 +762,8 @@ def test_folded_height_counts_at_sector_edges():
     for h in (0.0, 0.5, 0.1, 0.4):
         for lon in lons:
             one = np.array([h]), np.array([lon])
-            counts = samp._height_counts(*one)
-            assert list(counts) == _unfolded_height_counts(*one)
+            counts = _screened_heights(*one)
+            assert counts == _unfolded_height_counts(*one)
             total += counts
     assert list(total) == [33, 10, 9]
 
@@ -776,11 +793,11 @@ def test_screened_height_counts_equal_float64_rule_at_the_band():
     assert height.size > 2500
     total = np.zeros(3, dtype=np.int64)
     for row in zip(height[:, None], lons[:, None]):
-        counts = samp._height_counts(*row)
-        assert list(counts) == list(samp._height_counts64(*row)), row
+        counts = _screened_heights(*row)
+        assert counts == list(samp._height_counts64(*row)), row
         total += counts
-    assert list(samp._height_counts(height, lons)) == list(total)
-    at_edges = samp._height_counts(np.zeros(4), np.array(edges))
+    assert _screened_heights(height, lons) == list(total)
+    at_edges = _screened_heights(np.zeros(4), np.array(edges))
     assert list(at_edges) == [0, 4, 0] and total[1] >= 4
 
 
@@ -789,7 +806,157 @@ def test_screened_height_counts_equal_float64_rule_on_seeded_rows(m):
     height, lon = samp.hemisphere_heights(samp.RngSeed(28, m).generator(), 10**6, m)
     for lo in range(0, height.size, samp.CHUNK_ROWS):
         chunk = height[lo:lo + samp.CHUNK_ROWS], lon[lo:lo + samp.CHUNK_ROWS]
-        assert list(samp._height_counts(*chunk)) == list(samp._height_counts64(*chunk)), lo
+        assert _screened_heights(*chunk) == list(samp._height_counts64(*chunk)), lo
+
+
+class _Rows:
+    """A stand-in generator whose standard_normal(out=...) hands out the entries of
+    fixed (n, 2, 2) rows in order, as a block's draws."""
+
+    def __init__(self, z):
+        self.flat, self.at = np.ravel(z), 0
+
+    def standard_normal(self, out):
+        out.reshape(-1)[:] = self.flat[self.at:self.at + out.size]
+        self.at += out.size
+        return out
+
+
+def _radius_rule(z, bins):
+    # the float64 rule of the gaussian radius kernel: the disk radius from the raw
+    # Gram entries, a flat row's clamped to 1/2, binned by np.histogram
+    g11, g12, g22 = core._gram(z)
+    x, y = g11 - g22, 2.0 * g12
+    r = np.minimum(np.sqrt(x * x + y * y) / (2.0 * (g11 + g22)), 0.5)
+    return np.histogram(r, bins=np.linspace(0.0, 0.5, bins + 1))[0], r
+
+
+def _turned(gram_rows, gen):
+    """(n, 2, 2) rows with the given (g11, g12, g22) Gram entries in exact arithmetic:
+    a Cholesky factor turned by a random rotation or reflection and scaled by a random
+    factor, so no entry is special."""
+    g11, g12, g22 = (np.asarray(g) for g in gram_rows)
+    chol = np.zeros((g11.size, 2, 2))
+    chol[:, 0, 0] = np.sqrt(g11)
+    chol[:, 0, 1] = g12 / np.sqrt(g11)
+    chol[:, 1, 1] = np.sqrt(np.maximum(g22 - g12 * g12 / g11, 0.0))
+    turn, _ = np.linalg.qr(gen.standard_normal((g11.size, 2, 2)))
+    scale = 2.0 ** gen.uniform(-20.0, 20.0, g11.size)
+    return scale[:, None, None] * (turn @ chol)
+
+
+def _preshapes_at(targets, gen, per_target=8):
+    """Rows whose q / s, the screened value of the gaussian class screen, is each target,
+    on both branches of q = max(2 sqrt(3) |g12| - 2 g22, g22 - 3 g11).  With s = 1, g11 =
+    1/2 + X and g22 = 1/2 - X for the disk point (X, Y = g12), q = max(2 sqrt(3) |Y| + 2X -
+    1, -1 - 4X), and (X, Y) lies in the disk of radius 1/2."""
+    rows = []
+    for t in targets:
+        x2 = np.full(per_target, -(1.0 + t) / 4.0)                 # second branch
+        y2 = gen.uniform(-0.99, 0.99, per_target) * np.sqrt(0.25 - x2 * x2)
+        x1 = gen.uniform(-(1.0 + t) / 4.0, 0.5, 4 * per_target)     # first branch
+        y1 = (1.0 + t - 2.0 * x1) / (2.0 * core.SQRT3) * gen.choice([-1.0, 1.0], x1.size)
+        keep = x1 * x1 + y1 * y1 < 0.25
+        x = np.concatenate([x2, x1[keep][:per_target]])
+        y = np.concatenate([y2, y1[keep][:per_target]])
+        rows.append(_turned((0.5 + x, y, 0.5 - x), gen))
+    return np.concatenate(rows)
+
+
+def test_screened_gaussian_counts_equal_float64_rule_at_the_band():
+    # rows at the band's edges, within 1e-5 s of the right angle, at the rule's
+    # right-angle tolerance edges (|q| <= 6e-9 s) and at q = 0: each row classified
+    # alone by the screen and its band equals the float64 rule, so no two errors
+    # can cancel in a total
+    gen = np.random.default_rng(34)
+    band, tol = samp.SCREEN_BAND, 6.0 * samp.RIGHT_ANGLE_TOL
+    targets = [sign * v * (1.0 + e) for sign in (-1.0, 1.0) for v in (band, tol)
+               for e in (-1e-3, 0.0, 1e-3)] + [0.0] + list(gen.uniform(-1e-5, 1e-5, 60))
+    z = _preshapes_at(targets, gen)
+    assert z.shape[0] > 900
+    q = [samp._preshape_counts(row[None]) for row in z]
+    assert {int(np.argmax(c)) for c in q} == {0, 1, 2}
+    total = np.zeros(3, dtype=np.int64)
+    for row, want in zip(z, q):
+        counts = _screened_counts(samp._gaussian_screen, samp._preshape_counts, row[None])
+        assert counts == list(want), row
+        total += counts
+    assert _screened_counts(samp._gaussian_screen, samp._preshape_counts, z) == list(total)
+    assert list(samp.MODELS["gaussian"].counts(_Rows(z), len(z), 2)) == list(total)
+
+
+@pytest.mark.parametrize("bins", [1, 7, 50, 1000])
+def test_screened_radius_counts_equal_float64_rule_at_the_edges(bins):
+    # rows whose radius is at, or within 1e-6 of, every edge k / (2 bins), r = 0 and
+    # r = 1/2 included; rows whose rule puts them in one bin go through the screen
+    # together, so any row the screen puts elsewhere shows in the counts
+    gen = np.random.default_rng(bins)
+    edges = np.arange(bins + 1) / (2.0 * bins)
+    r = np.clip((edges[:, None] + [0.0, -1e-6, 1e-6, -1e-8, 1e-8, -1e-12, 1e-12]).ravel(), 0.0, 0.5)
+    r = np.repeat(r, 2)
+    theta = gen.uniform(0.0, 2.0 * math.pi, r.size)     # the disk point's direction
+    z = _turned((0.5 + r * np.cos(theta), r * np.sin(theta), 0.5 - r * np.cos(theta)), gen)
+    _, r64 = _radius_rule(z, bins)
+    assert np.abs(r64 - r).max() < 1e-12
+    rule_bin = np.minimum(np.searchsorted(np.linspace(0.0, 0.5, bins + 1), r64, "right") - 1,
+                          bins - 1)
+    for k in np.unique(rule_bin):
+        group = z[rule_bin == k]
+        counts = samp.radius_counts("gaussian", _Rows(group), len(group), bins)
+        assert counts[k] == len(group) and counts.sum() == len(group), k
+    assert np.array_equal(samp.radius_counts("gaussian", _Rows(z), len(z), bins),
+                          _radius_rule(z, bins)[0])
+
+
+@pytest.mark.parametrize("count", [1, samp.CHUNK_ROWS - 1, samp.CHUNK_ROWS + 1, samp.BLOCK_SIZE])
+def test_screened_gaussian_kernels_equal_float64_rules_on_seeded_blocks(count):
+    for seed in range(8):
+        rng = lambda: samp.RngSeed(seed, 34).generator(block=count)
+        z = rng().standard_normal((count, 2, 2))
+        counts = samp.MODELS["gaussian"].counts(rng(), count, 2)
+        assert list(counts) == list(samp._preshape_counts(z)), seed
+        for bins in (1, 7, 50, 1000):
+            radius = samp.radius_counts("gaussian", rng(), count, bins)
+            assert np.array_equal(radius, _radius_rule(z, bins)[0]), (seed, bins)
+
+
+def test_radius_counts_keep_flat_shapes():
+    # rank-one rows [[a, 3a], [b, 3b]] are flat, r = 1/2, and their float64 radius
+    # may round to 1/2 + 1 ulp, past np.histogram's last edge; near rank one, r is
+    # within 1e-17 of 1/2.  Every row is in the closed last bin.  At 10^6 bins the
+    # screen's margin exceeds a bin, so every row takes the float64 rule and its clamp
+    ab = samp.RngSeed(34).generator().standard_normal((10000, 2, 1))
+    flat = np.concatenate([ab, 3.0 * ab], axis=2)
+    near = flat + 1e-9 * samp.RngSeed(35).generator().standard_normal(flat.shape)
+    for z in (flat, near):
+        assert (_radius_rule(z, 1)[1] == 0.5).sum() > 1000      # the clamp is exercised
+        for bins in (1, 7, 50, 1000, 10**6):
+            counts = samp.radius_counts("gaussian", _Rows(z), len(z), bins)
+            assert counts.sum() == counts[-1] == len(z), bins
+
+
+# sha256 of the first 10^5 draws of each method from RngSeed(seed).generator(block=0),
+# as float64 little-endian bytes, drawn by NumPy 2.4.6
+_DRAW_STREAMS = {
+    ("standard_normal", 0): "5b435a4b26b2a822e0121c53ce3fc9a7c1150e981ea08de4ce1926f3d8c0c690",
+    ("standard_normal", 34): "a18a92d9860deb707f3587b8775ebce752750cabe0d2650ae1ca58b1d56d6df1",
+    ("standard_exponential", 0):
+        "70390b1d1375fd63941ff06eadd8420a3d9a4b9e0c37377e4f75d3a71228eae4",
+    ("standard_exponential", 34):
+        "e47de5e83f692f4a75d22977e205019890ee7f8fd601ae84ac816bc4b354a405",
+}
+
+
+@pytest.mark.parametrize("method,seed", sorted(_DRAW_STREAMS))
+def test_numpy_draw_streams_are_the_pinned_ones(method, seed):
+    # the gaussian and ndim models and preshape files draw standard_normal, the
+    # angles model and the broken stick standard_exponential.  NumPy keeps the bit
+    # generators' streams but may change these methods between releases (NEP 19),
+    # which would move the goldens that pin their seeded outputs
+    x = getattr(samp.RngSeed(seed).generator(block=0), method)(10**5)
+    assert hashlib.sha256(x.astype("<f8").tobytes()).hexdigest() == _DRAW_STREAMS[method, seed], (
+        f"NumPy {np.__version__} draws other {method} deviates than NumPy 2.4.6, whose "
+        "seeded outputs the goldens and this test pin")
 
 
 def test_broken_stick_block_equals_normalised_reference():
@@ -862,7 +1029,7 @@ def test_class_fractions_rejects_bad_model_and_m():
     with pytest.raises(ValueError, match="unknown model"):
         samp.class_fractions("disk", 10)
     with pytest.raises(ValueError, match="need model 'gaussian' or 'hemisphere'"):
-        samp.radius_counts("angles", samp.RngSeed(0).generator(), 10, np.linspace(0, 0.5, 3))
+        samp.radius_counts("angles", samp.RngSeed(0).generator(), 10, 2)
     # at the call: n = 0 would raise "the sample count must be ..." once blocks are drawn
     with pytest.raises(ValueError, match="angle bins need model 'gaussian' or 'angles'"):
         samp.angle_bin_counts("hemisphere", 0)
