@@ -28,7 +28,7 @@ import sys
 # lazy modules (see the package): read none of them at import or in _build_parser
 from . import conversions as conv
 from . import _fields, _rows, core, geometry, sampling, specfun, uniformity
-from .errors import DomainError, integer
+from .errors import DomainError, integer, unit_norm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -94,10 +94,7 @@ def _rep_value(rep: str, values):
                          f"({', '.join(fields)}), got {len(values)}")
     if rep != "matrix":
         return conv.REPRESENTATIONS[rep](*values)
-    norm = math.hypot(*values)          # scaled: no overflow or underflow on the way
-    if not 0.0 < norm < math.inf:
-        raise DomainError(f"zero or non-finite matrix has no shape: {values}")
-    return tuple(tuple(v / norm for v in values[i:i + 2]) for i in (0, 2))
+    return [(unit := unit_norm(values, "matrix"))[:2], unit[2:]]
 
 
 def _record_text(rec: dict, fmt: str | None) -> str:

@@ -14,7 +14,7 @@ The bridge between the 2x3 matrices and the 2x2 shape matrix is the
 
 import numpy as np
 
-from .errors import DEGENERATE_TOL, INPUT_TOL, DomainError, integer
+from .errors import DEGENERATE_TOL, INPUT_TOL, DomainError, binade, integer, unit_norm
 
 SQRT3 = float(np.sqrt(3.0))
 
@@ -63,6 +63,8 @@ def _as_2x3(x, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (2, 3):
         raise ValueError(f"{what} matrix must be 2x3, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError(f"{what} matrix must be finite")
     return x
 
 
@@ -80,31 +82,28 @@ def vertices_to_edges(t) -> np.ndarray:
 def edges_to_vertices(e) -> np.ndarray:
     """Centered vertex matrix recovered from an edge matrix."""
     e = _as_2x3(e, "edge")
-    colsum = e.sum(axis=1)
-    if np.abs(colsum).max() > INPUT_TOL * max(1.0, np.abs(e).max()):
+    unit = np.ldexp(e, -binade(e.ravel()))      # exact: the closure test is relative
+    if np.abs(unit.sum(axis=1)).max() > INPUT_TOL * np.abs(unit).max():
         raise DomainError(
             "edge matrix columns must sum to zero (not a closed triangle), "
-            f"got column sum {colsum}"
+            f"got column sum {e.sum(axis=1)}"
         )
     return e @ VERTEX_FROM_EDGE
 
 
-def _shape_from(x) -> np.ndarray:
-    m = x @ HELMERT3.T
-    norm = np.linalg.norm(m)
-    if norm <= 0.0:
-        raise DomainError("zero matrix has no shape")
-    return m / norm
+def _shape_from(x: np.ndarray, what: str) -> np.ndarray:
+    m = np.ldexp(x, -binade(x.ravel())) @ HELMERT3.T      # exact, and cannot overflow
+    return np.reshape(unit_norm(m.ravel(), f"{what} matrix less its row means"), (2, 2))
 
 
 def shape_from_vertices(t) -> np.ndarray:
     """Unit-norm 2x2 shape matrix in the vertex view: T @ helmert(3).T, normalized."""
-    return _shape_from(_as_2x3(t, "vertex"))
+    return _shape_from(_as_2x3(t, "vertex"), "vertex")
 
 
 def shape_from_edges(e) -> np.ndarray:
     """Unit-norm 2x2 shape matrix in the edge view (the default view): E @ helmert(3).T."""
-    return _shape_from(_as_2x3(e, "edge"))
+    return _shape_from(_as_2x3(e, "edge"), "edge")
 
 
 def _column_sum(a: np.ndarray) -> np.ndarray:

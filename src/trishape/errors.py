@@ -1,6 +1,7 @@
-"""Exception types, the validation and degeneracy tolerances, and the integer and simplex
-checks."""
+"""Exception types, the validation and degeneracy tolerances, and the integer, simplex and
+unit-norm rules."""
 
+import math
 import operator
 
 INPUT_TOL = 1e-9    # validation of user-supplied values
@@ -39,3 +40,20 @@ def simplex_point(values, what: str) -> tuple:
     if min(vals) < 0.0:     # the largest gives back what the clamp added: sum 1
         out[out.index(max(out))] = 1.0 - sum(sorted(out)[:2])
     return tuple(out)
+
+
+def binade(values) -> int:
+    """e with 2^-e times the largest magnitude in [1/2, 1), 0 if all are zero: scaling by 2^-e
+    is exact above 2^-1022, and sums and products of the scaled values cannot overflow."""
+    return math.frexp(max(map(abs, values), default=0.0))[1]
+
+
+def unit_norm(values, what: str) -> list:
+    """The values as floats over their Euclidean norm, scaled by 2^-binade first (exact) so
+    that 2^k times them gives the same bits; DomainError unless all are finite, one nonzero."""
+    if not all(map(math.isfinite, vals := [float(v) for v in values])):
+        raise DomainError(f"{what} must be finite")
+    e = binade(vals)
+    if (norm := math.hypot(*(vals := [math.ldexp(v, -e) for v in vals]))) == 0.0:
+        raise DomainError(f"{what} must not be zero")
+    return [v / norm for v in vals]

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .conversions import _SIDE_OFFSETS, DiskPoint, SquaredSides, _array, _plane, disk_to_sides
-from .errors import DEGENERATE_TOL, INPUT_TOL, DomainError, NotATriangleError
+from .errors import DEGENERATE_TOL, INPUT_TOL, DomainError, NotATriangleError, binade
 
 EQUILATERAL_AREA = 1.0 / math.sqrt(48.0)   # largest area at unit squared-side sum
 
@@ -88,14 +88,18 @@ def area(s) -> float:
 
 
 def area_general(a: float, b: float, c: float) -> float:
-    """Area from raw side lengths via 16 K^2 = (a+b+c)(-a+b+c)(a-b+c)(a+b-c)."""
+    """Area from raw side lengths via 16 K^2 = (a+b+c)(-a+b+c)(a-b+c)(a+b-c), on the sides
+    scaled by 2^-binade (exact): nothing overflows or underflows, and the tolerance of the
+    triangle inequality is relative."""
     if not all(0.0 <= v < math.inf for v in (a, b, c)):
         raise ValueError(f"side lengths must be finite and nonnegative, got ({a}, {b}, {c})")
-    prod = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
-    scale = max(a * a + b * b + c * c, 1.0)
+    e = binade((a, b, c))
+    x, y, z = (math.ldexp(v, -e) for v in (a, b, c))
+    prod = (x + y + z) * (-x + y + z) * (x - y + z) * (x + y - z)
+    scale = x * x + y * y + z * z
     if prod < -1e-12 * scale * scale:
         raise NotATriangleError(f"sides ({a}, {b}, {c}) violate the triangle inequality")
-    return math.sqrt(max(prod, 0.0)) / 4.0
+    return math.ldexp(math.sqrt(max(prod, 0.0)) / 4.0, 2 * e)
 
 
 def angles_from_sides(s) -> TriangleAngles:

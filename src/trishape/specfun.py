@@ -16,6 +16,12 @@ _MAX_ITER = 500
 _MAX_SERIES_TERMS = 200000   # of the 2F1 series
 
 
+def _cap(base: int, size: float) -> int:
+    """An iteration cap: base, plus the O(sqrt(size)) terms that the incomplete beta and gamma
+    series and continued fractions need where x is near their switch point at parameter size."""
+    return base + int(16.0 * math.sqrt(size))
+
+
 def _lentz(an: float, bn: float, c: float, d: float):
     """One modified-Lentz step for the partial fraction an / (bn + ...): the
     new (c, d), each kept off zero by _TINY."""
@@ -29,7 +35,7 @@ def _betacf(a: float, b: float, x: float) -> float:
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c, d = _lentz(-qab * x / qap, 1.0, math.inf, 1.0)   # c = 1, d = 1 / (1 - qab x / qap)
     h = d
-    for m in range(1, _MAX_ITER + 1):
+    for m in range(1, _cap(_MAX_ITER, max(a, b)) + 1):
         m2 = 2 * m
         c, d = _lentz(m * (b - m) * x / ((qam + m2) * (a + m2)), 1.0, c, d)
         h *= d * c
@@ -38,7 +44,7 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
-    raise RuntimeError(f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
+    raise ArithmeticError(f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
 
 
 def betainc_reg(a: float, b: float, x: float) -> float:
@@ -88,13 +94,13 @@ def _gamma_q_series(s: float, x: float) -> float:
     term = 1.0 / s
     total = term
     n = s
-    for _ in range(_MAX_ITER * 4):
+    for _ in range(_cap(_MAX_ITER * 4, s)):
         n += 1.0
         term *= x / n
         total += term
         if abs(term) < abs(total) * _EPS:
             return 1.0 - total * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise RuntimeError(f"incomplete gamma series stalled at s={s}, x={x}")
+    raise ArithmeticError(f"incomplete gamma series stalled at s={s}, x={x}")
 
 
 def _gamma_q_cf(s: float, x: float) -> float:
@@ -103,14 +109,14 @@ def _gamma_q_cf(s: float, x: float) -> float:
     c = 1.0 / _TINY
     d = 1.0 / b if abs(b) > _TINY else 1.0 / _TINY
     h = d
-    for i in range(1, _MAX_ITER * 4):
+    for i in range(1, _cap(_MAX_ITER * 4, s)):
         b += 2.0
         c, d = _lentz(-i * (i - s), b, c, d)
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
             return h * math.exp(-x + s * math.log(x) - math.lgamma(s))
-    raise RuntimeError(f"incomplete gamma continued fraction stalled at s={s}, x={x}")
+    raise ArithmeticError(f"incomplete gamma continued fraction stalled at s={s}, x={x}")
 
 
 def gamma_q(s: float, x: float) -> float:
@@ -154,7 +160,7 @@ def _hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
         # which is what is left out; near |r| = 1 it is much larger than the term
         if n > 2 and abs(term) <= abs(total) * _EPS * max(1.0 - abs(ratio), 0.0):
             return total
-    raise RuntimeError(f"2F1 series did not converge at z={z}")
+    raise ArithmeticError(f"2F1 series did not converge at z={z}")
 
 
 def _hyp2f1_pfaff(a: float, b: float, c: float, z: float) -> float:
@@ -197,7 +203,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float, scaled: bool = False) -> f
     """Gauss hypergeometric 2F1(a, b; c; z) for real parameters and z < 0.9.
 
     Direct series inside the disk, the expansion at infinity where it is
-    accurate, and the Pfaff transformation for the rest of z <= -0.9.
+    accurate, and the Pfaff transformation for the rest of z <= -0.9.  At
+    z = -inf the plain value is its limit 0 for a, b > 0.
 
     scaled=True returns (-z)^a 2F1(a, b; c; z) for z < 0 instead, with the
     power folded into the expansion at infinity: for b > a it stays finite
@@ -215,6 +222,8 @@ def gauss_2f1(a: float, b: float, c: float, z: float, scaled: bool = False) -> f
         value = 1.0
     elif z > -0.9:
         value = _hyp2f1_series(a, b, c, z)
+    elif z == -math.inf and not scaled and min(a, b) > 0.0:
+        value = 0.0     # the limit, where Pfaff's w would be NaN if b - a is an integer
     elif (parts := _hyp2f1_at_infinity(a, b, c, z)) is not None:
         u, v = parts
         if scaled:

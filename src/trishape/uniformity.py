@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import _gram, _longitude
-from .errors import integer
+from .errors import integer, unit_norm
 from .specfun import gamma_q, gauss_2f1, kolmogorov_sf
 
 
@@ -52,12 +52,7 @@ def preshape(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"preshape must be a 2-d matrix, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("preshapes must be finite")
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        raise ValueError("zero matrix has no preshape")
-    return x / norm
+    return np.reshape(unit_norm(x.ravel(), "preshapes"), x.shape)
 
 
 def _checked(samples):
@@ -213,8 +208,8 @@ def ks_test(samples, cdf, name: str = "ks") -> TestReport:
     if t == 0 or np.isnan(x[-1]):
         raise ValueError("KS sample holds NaN" if t else "empty sample set")
     f = np.asarray(cdf(x), dtype=float)
-    if np.isnan(f).any():
-        raise ValueError("KS reference CDF returned NaN")
+    if not (np.all(f >= 0.0) and np.all(f <= 1.0)):
+        raise ValueError("KS reference CDF returned NaN or a value outside [0, 1]")
     grid = np.arange(t + 1) / t
     d = float(max((grid[1:] - f).max(), (f - grid[:-1]).max(), 0.0))
     return TestReport(name, d, f"kolmogorov(sqrt(t) D), t={t}", kolmogorov_sf(math.sqrt(t) * d), t)

@@ -146,6 +146,22 @@ def test_convert_matrix_input_is_normalised_without_overflow(values, want, capsy
     assert rec["theta"] == "0"
 
 
+@pytest.mark.parametrize("k", [-1000, 1000, 1023])
+def test_convert_matrix_input_is_exactly_scale_invariant(k, capsys):
+    # 2^k M prints the bytes of M, also where the norm of 2^1023 M overflows
+    def convert(values):
+        return run_cli(["convert", "--from", "matrix", "--to", "svd", *map(repr, values)],
+                       capsys)
+    m = (0.9, 1.5, -1.7, 0.4)
+    assert convert([math.ldexp(v, k) for v in m]) == convert(m)
+    assert convert(m)[0] == 0
+
+
+def test_convert_zero_matrix_message(capsys):
+    code, out, err = run_cli(["convert", "--from", "matrix", "--to", "svd", *"0000"], capsys)
+    assert (code, out, err) == (2, "", "trishape: domain error: matrix must not be zero\n")
+
+
 # ---------------------------------------------------------------------------
 # sample
 
@@ -202,6 +218,16 @@ def test_sample_preshape_file_feeds_test_command(tmp_path, capsys):
     code, out, _ = run_cli(["test", str(f), "--which", "all", "--alpha", "0.01"], capsys)
     assert code == 0
     assert "chikuse-jupp" in out and "sigma-min-ks" in out
+
+
+def test_test_takes_a_wide_preshape_file(tmp_path, capsys):
+    # k = 560: the chi-square tail at df = 156519 and a statistic just below it needs
+    # more incomplete gamma series terms than a fixed cap of 2000 (seed 2 draws one)
+    f = tmp_path / "wide.csv"
+    run_cli(["sample", "ndim", "--m", "2", "--k", "560", "-n", "5", "--seed", "2",
+             "--emit", "preshapes", "-o", str(f)], capsys)
+    code, out, err = run_cli(["test", str(f)], capsys)
+    assert (code, err) == (0, "") and out.startswith("chikuse-jupp:")
 
 
 def test_test_csv_format_is_one_row_per_test(tmp_path, capsys):

@@ -114,6 +114,37 @@ def test_shape_rejects_zero():
         core.shape_from_edges(np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("k", [-1000, -600, 0, 600, 1000])
+def test_shape_is_exactly_scale_invariant(k):
+    # the power of two of the largest entry is divided out before any sum or
+    # norm, so 2^k T has the bits of T where the squared norm leaves the doubles
+    t = np.array([[0.3, 1.7, -0.4], [0.2, -0.9, 1.1]])
+    e = core.vertices_to_edges(core.center_vertices(t))
+    for shape, x in ((core.shape_from_vertices, t), (core.shape_from_edges, e)):
+        assert np.array_equal(shape(np.ldexp(x, k)), shape(x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [core.center_vertices, core.vertices_to_edges,
+                                core.edges_to_vertices, core.shape_from_vertices,
+                                core.shape_from_edges])
+def test_non_finite_matrices_are_refused(fn, bad):
+    # a DomainError, where NaN used to flow into the result (RuntimeWarnings fail the suite)
+    x = E_RIGHT.copy()
+    x[1, 2] = bad
+    with pytest.raises(DomainError, match="matrix must be finite"):
+        fn(x)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_edges_to_vertices_closure_is_relative(scale):
+    # an open edge matrix is refused at every size, a closed one kept
+    with pytest.raises(DomainError, match="not a closed triangle"):
+        core.edges_to_vertices(np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]) * scale)
+    assert np.array_equal(core.edges_to_vertices(E_RIGHT * scale),
+                          core.edges_to_vertices(E_RIGHT) * scale)
+
+
 def test_shape_translation_invariance():
     for _ in range(25):
         t_raw = RNG.normal(size=(2, 3))

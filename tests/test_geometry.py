@@ -41,6 +41,19 @@ def test_area_general_345():
         geo.area_general(1.0, 1.0, 5.0)
 
 
+@pytest.mark.parametrize("k", [-500, 0, 265])
+def test_area_general_is_exact_over_the_double_range(k):
+    # 16 K^2 of 2^265 (3, 4, 5) overflows and that of 2^-500 (3, 4, 5) underflows
+    assert geo.area_general(*(math.ldexp(v, k) for v in (3.0, 4.0, 5.0))) == 6.0 * 4.0**k
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+def test_area_general_tolerance_is_relative(scale):
+    # a small non-triangle is refused as its unit-size copy is
+    with pytest.raises(NotATriangleError):
+        geo.area_general(scale, scale, 3.0 * scale)
+
+
 @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
 def test_area_general_refuses_non_finite_and_negative_sides(bad):
     for sides in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):

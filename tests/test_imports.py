@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +122,8 @@ _CONVERTS = [
     ["--from", "hemisphere", "--to", "svd", "0.4", "7.5", "--format", "json"],
     ["--from", "disk", "--to", "matrix", "0.3", "2.5", "--roundtrip", "--format", "csv"],
     ["--from", "matrix", "--to", "disk", "0", "-0", "1", "-0", "--roundtrip", "--format", "json"],
+    ["--from", "matrix", "--to", "svd",
+     *(repr(math.ldexp(v, 1023)) for v in (0.9, 1.5, -1.7, 0.4))],
 ]
 
 

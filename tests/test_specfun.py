@@ -94,6 +94,34 @@ def test_gamma_q_against_scipy():
         assert abs(mine - ref) <= 1e-12 * max(1.0, abs(ref)) + 1e-14
 
 
+@pytest.mark.parametrize("s,tol", [(1e4, 2e-11), (1e6, 2e-9), (1e7, 1e-7)])
+def test_gamma_q_at_large_shapes_against_scipy(s, tol):
+    # near x = s the series and the continued fraction need O(sqrt(s)) terms, beyond any
+    # fixed cap; the lgamma prefactor loses about s * 1e-16 relative, the bound here
+    for f in (-3.0, -1.0, 0.0, 1.0, 3.0):
+        x = s + f * math.sqrt(s)
+        ref = special.gammaincc(s, x)
+        assert abs(specfun.gamma_q(s, x) - ref) <= tol * ref
+
+
+@pytest.mark.parametrize("a,tol", [(1e6, 1e-8), (1e7, 1e-7)])
+def test_betainc_at_large_parameters_against_scipy(a, tol):
+    sd = math.sqrt(0.25 / (2.0 * a + 1.0))
+    for f in (-3.0, -1.0, 0.0, 1.0, 3.0):
+        ref = special.betainc(a, a, 0.5 + f * sd)
+        assert abs(specfun.betainc_reg(a, a, 0.5 + f * sd) - ref) <= tol * ref
+    assert abs(specfun.squared_side_marginal_cdf(2_000_000, 1.0 / 3.0) - 0.5) < 1e-8
+
+
+def test_a_stalled_expansion_is_an_arithmetic_error(monkeypatch):
+    # the command line reports an ArithmeticError as an error, not a traceback
+    monkeypatch.setattr(specfun, "_cap", lambda base, size: 1)
+    for fn, args in ((specfun.gamma_q, (100.0, 100.0)), (specfun.gamma_q, (100.0, 120.0)),
+                     (specfun.betainc_reg, (100.0, 100.0, 0.5))):
+        with pytest.raises(ArithmeticError, match="stalled"):
+            fn(*args)
+
+
 def test_chi2_tail_quantile_by_quadrature():
     # independent oracle: integrate the chi-square density directly
     df, x = 5.0, 11.07
@@ -178,6 +206,12 @@ def test_2f1_scaled_folds_the_power():
     assert limit == pytest.approx(specfun.gauss_2f1(a, b, c, -1e300, scaled=True), rel=1e-15)
     with pytest.raises(ValueError):
         specfun.gauss_2f1(a, b, c, 0.5, scaled=True)
+
+
+def test_2f1_at_minus_infinity_is_its_limit():
+    # one answer whether or not b - a is an integer, where Pfaff's w = z/(z - 1) is NaN
+    for b in (2.0, 2.5, 3.0, 1.0):
+        assert specfun.gauss_2f1(1.0, b, 3.0, -math.inf) == 0.0
 
 
 def test_2f1_rejects_bad_c_and_large_z():

@@ -14,6 +14,7 @@ from trishape import sampling as samp
 from trishape import uniformity as uni
 from trishape.specfun import kolmogorov_sf
 from trishape.core import _gram
+from trishape.errors import DomainError
 
 RNG_SEED = 4242
 
@@ -172,6 +173,20 @@ def test_inv_sigma_min_density_keeps_nan(m):
 def test_preshape_of_a_non_finite_matrix_is_refused(bad):
     with pytest.raises(ValueError, match="^preshapes must be finite$"):
         uni.preshape([[1.0, bad], [0.5, 0.25]])
+
+
+@pytest.mark.parametrize("k", [-1000, -600, 0, 600, 1000])
+def test_preshape_is_exactly_scale_invariant(k):
+    # the sum of squares of 2^k x leaves the doubles at |k| >= 600; its norm is not taken
+    x = np.array([[0.3, -1.2, 0.05], [0.7, 0.25, -2.5]])
+    assert np.array_equal(uni.preshape(np.ldexp(x, k)), uni.preshape(x))
+
+
+def test_preshape_refuses_by_domain_error():
+    with pytest.raises(DomainError, match="^preshapes must not be zero$"):
+        uni.preshape(np.zeros((2, 3)))
+    with pytest.raises(DomainError, match="^preshapes must be finite$"):
+        uni.preshape([[np.inf, 1.0], [0.0, -np.inf]])
 
 
 def test_inv_sigma_min_density_m2_closed_form():
@@ -431,6 +446,10 @@ def test_ks_empty_rejected():
         uni.ks_test([0.1, math.nan, 0.5], lambda v: v)
     with pytest.raises(ValueError, match="CDF returned NaN"):
         uni.ks_test([0.1, 0.5], lambda v: np.where(v > 0.2, math.nan, v))
+    # as is a value outside [0, 1], where D used to exceed 1 or be inf
+    for cdf in (lambda v: v * 10.0, lambda v: v - 1.0, lambda v: np.where(v > 2.0, np.inf, 0.5)):
+        with pytest.raises(ValueError, match=r"CDF returned NaN or a value outside \[0, 1\]"):
+            uni.ks_test([1.0, 2.0, 3.0], cdf)
     # +inf stays a sample: a singular matrix has 1/sigma_min = inf, where the CDF is 1
     assert uni.ks_test([0.5, math.inf], lambda v: np.minimum(v, 1.0)).statistic == 0.5
 
